@@ -92,9 +92,13 @@ def total_loss(align: float, recon: float, lam: float) -> float:
 # --- tensor-path versions used by the trainer -------------------------------
 
 def alignment_loss_t(h: np.ndarray, z: ad.Tensor) -> ad.Tensor:
-    """Batched tensor alignment loss; h enters as a constant (stop-gradient)."""
-    ln_h = layer_norm_nonaffine(np.asarray(h, dtype=z.data.dtype)).astype(z.data.dtype)
-    diff = ad.sub(ad.layer_norm(z, LN_EPS), ad.constant(ln_h))
+    """Batched tensor alignment loss; h enters as a constant (stop-gradient).
+
+    Both sides go through the same `ad.layer_norm` in z's dtype, so
+    L_A(h, h) is exactly 0.
+    """
+    ln_h = ad.layer_norm(ad.constant(np.asarray(h, dtype=z.data.dtype)), LN_EPS)
+    diff = ad.sub(ad.layer_norm(z, LN_EPS), ln_h)
     n_tokens = int(np.prod(diff.shape[:-1]))
     return ad.scale(ad.sum_(ad.mul(diff, diff)), 1.0 / n_tokens)
 

@@ -180,6 +180,9 @@ def test_tensor_alignment_matches_public_value():
     z = rng.standard_normal((4, 6))
     tensor_val = float(alignment_loss_t(h, ad.constant(z)).data)
     assert tensor_val == pytest.approx(alignment_loss(h, z), rel=1e-9)
+    # training shape and dtype: identical inputs give exactly zero
+    h32 = rng.standard_normal((8, 128, 32)).astype(np.float32)
+    assert float(alignment_loss_t(h32, ad.constant(h32)).data) == 0.0
 
 
 def test_tensor_reconstruction_matches_public_value():
