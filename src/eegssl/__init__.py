@@ -1,28 +1,23 @@
 """Desk-scale self-supervised EEG pretraining pipeline.
 
-Preprocessing, cross-montage tokenization, masked dual-encoder training with
-EMA targets, and linear-probe evaluation — all deterministic and verifiable
-on a CPU.
+Preprocessing, cross-montage channel mapping and patching, masked
+dual-encoder training with EMA targets, and linear-probe evaluation — all
+deterministic and verifiable on a CPU.
 """
 
 from .data import (Checkpoint, Montage, Recording, SegmentBatch,
                    load_checkpoint, load_segments, read_recording,
                    save_checkpoint, save_segments, write_recording)
-from .encoder import (EncoderConfig, ParamStore, encode_online, encode_target,
-                      init_param_store, param_count, reconstruct)
+from .encoder import EncoderConfig, ParamStore, init_param_store, param_count
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import (FeatureSet, LinearProbe, MetricsReport, compute_metrics,
                        extract_features, fit_probe, predict_labels,
                        predict_scores)
-from .losses import (LossReport, alignment_loss, layer_norm_nonaffine,
-                     reconstruction_loss, total_loss)
 from .optim import (AdamWState, ScheduleConfig, adamw_step, ema_update,
                     init_adamw_state, lr_at, momentum_at, wd_at)
 from .preprocess import (PreprocConfig, average_reference, lowpass_38,
                          preprocess, resample, segment)
 from .synth import Oscillation, SynthSpec, synth_labeled_dataset, synth_recording
-from .tokenize import (ChannelEmbedding, ChannelMap, MaskPattern, PatchGrid,
-                       apply_channel_map, patchify, sample_mask, unpatchify)
 from .trainer import (GradCheckReport, TrainConfig, TrainLogRecord, TrainState,
                       grad_check, grad_stats, run_pretraining, train_step)
 

@@ -24,7 +24,9 @@ Layout (all keys optional, defaults are the module defaults):
 
 Unknown keys are rejected. The single top-level seed drives every random
 stream; schedule total_epochs / steps_per_epoch are derived from the training
-run and therefore rejected here.
+run and therefore rejected here. The train section is a TrainConfig, so its
+values are checked once, by TrainConfig; its encoder, schedule and seed come
+from the other sections and are rejected inside it.
 """
 
 from __future__ import annotations
@@ -63,27 +65,6 @@ class SynthSection:
 
 
 @dataclass(frozen=True)
-class TrainSection:
-    batch_size: int = 64
-    epochs: int = 20
-    p_mask: float = 0.5
-    lam: float = 1.0
-    log_path: Optional[str] = None
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every_epochs: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValidationError("batch_size and epochs must be >= 1")
-        if not (0.0 <= self.p_mask <= 1.0):
-            raise ValidationError("p_mask must lie in [0, 1]")
-        if self.lam < 0:
-            raise ValidationError("lambda must be >= 0")
-        if self.checkpoint_every_epochs < 0:
-            raise ValidationError("checkpoint_every_epochs must be >= 0")
-
-
-@dataclass(frozen=True)
 class ProbeSection:
     epochs: int = 500
     lr: float = 0.5
@@ -103,27 +84,24 @@ class RunConfig:
     preproc: PreprocConfig = PreprocConfig()
     encoder: EncoderConfig = EncoderConfig()
     schedule: ScheduleConfig = ScheduleConfig()
-    train: TrainSection = TrainSection()
+    train: TrainConfig = TrainConfig()
     probe: ProbeSection = ProbeSection()
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            encoder=self.encoder, schedule=self.schedule,
-            batch_size=self.train.batch_size, epochs=self.train.epochs,
-            p_mask=self.train.p_mask, lam=self.train.lam, seed=self.seed,
-            log_path=self.train.log_path,
-            checkpoint_dir=self.train.checkpoint_dir,
-            checkpoint_every_epochs=self.train.checkpoint_every_epochs)
+        """The train section with this run's encoder, schedule and seed."""
+        return replace(self.train, encoder=self.encoder, schedule=self.schedule,
+                       seed=self.seed)
 
 
 _KEY_ALIASES = {"train": {"lambda": "lam"}}
-_REJECTED = {"schedule": {"total_epochs", "steps_per_epoch"}}
+_REJECTED = {"schedule": {"total_epochs", "steps_per_epoch"},
+             "train": {"encoder", "schedule", "seed"}}
 _SECTIONS = {
     "synth": SynthSection,
     "preproc": PreprocConfig,
     "encoder": EncoderConfig,
     "schedule": ScheduleConfig,
-    "train": TrainSection,
+    "train": TrainConfig,
     "probe": ProbeSection,
 }
 

@@ -5,6 +5,9 @@ full signal with the same architecture. Both share one forward
 implementation; the target path is evaluated with constant tensors under
 no_grad, so no gradient can ever reach the target parameters.
 
+`forward_tokens` also builds the tokens: a trainable channel map takes the
+dataset montage to the mapped channels, and each mapped channel is cut into
+consecutive length-p_t patches (any tail shorter than a patch is dropped).
 Token layout is channel-major: token index = channel * n_t + window.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -20,8 +23,9 @@ from scipy.special import ndtr, ndtri
 from . import autodiff as ad
 from .errors import ValidationError
 from .seeding import TAG_INIT, make_rng
-from .tokenize import DEFAULT_MAPPED_CHANNELS, DEFAULT_PATCH_LEN, MaskPattern
 
+DEFAULT_PATCH_LEN = 64  # 250 ms at 256 Hz
+DEFAULT_MAPPED_CHANNELS = 32
 INIT_STD = 0.02
 INIT_TRUNC = 2.0  # truncate at +/- 2 sigma
 
@@ -307,36 +311,3 @@ def predict_patches(p: Mapping[str, ad.Tensor], z: ad.Tensor,
     b = z.shape[0]
     pred = ad.add(ad.matmul(z, p["recon.weight"]), p["recon.bias"])
     return ad.reshape(pred, (b, cfg.mapped_channels, cfg.n_t, cfg.p_t))
-
-
-# --- single-segment public operations --------------------------------------
-
-def encode_online(segment: np.ndarray, store: ParamStore, cfg: EncoderConfig,
-                  mask: Union[MaskPattern, np.ndarray]) -> np.ndarray:
-    """Masked-input forward through the online encoder; returns (N, d)."""
-    mask_arr = mask.mask if isinstance(mask, MaskPattern) else np.asarray(mask, bool)
-    segment = np.asarray(segment, dtype=store["channel_map"].dtype)
-    with ad.no_grad():
-        out = forward_tokens(wrap_constants(store), segment[None],
-                             mask_arr[None], cfg)
-    return out.data[0]
-
-
-def encode_target(segment: np.ndarray, store: ParamStore,
-                  cfg: EncoderConfig) -> np.ndarray:
-    """Full-signal forward through the target encoder; returns (N, d)."""
-    segment = np.asarray(segment, dtype=store["channel_map"].dtype)
-    with ad.no_grad():
-        out = forward_tokens(wrap_constants(store), segment[None], None, cfg)
-    return out.data[0]
-
-
-def reconstruct(z: np.ndarray, store: ParamStore, cfg: EncoderConfig) -> np.ndarray:
-    """Patch predictions (M', n_t, p_t) from a token sequence (N, d)."""
-    z = np.asarray(z, dtype=store["recon.weight"].dtype)
-    if z.shape != (cfg.n_tokens, cfg.d):
-        raise ValidationError(
-            f"token sequence must have shape ({cfg.n_tokens}, {cfg.d})")
-    with ad.no_grad():
-        out = predict_patches(wrap_constants(store), ad.constant(z[None]), cfg)
-    return out.data[0]

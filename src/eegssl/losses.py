@@ -1,9 +1,9 @@
-"""Alignment loss, masked reconstruction loss, and the combined objective.
+"""Alignment loss and masked reconstruction loss on the autodiff tape.
 
 Value semantics:
   alignment      L_A = mean over tokens of || LN(h_i) - LN(z_i) ||^2
   reconstruction L_R = mean over masked patches of || x_hat_ij - x_ij ||^2
-  total          L   = L_A + lambda * L_R
+  total          L   = L_A + lambda * L_R   (formed in the trainer)
 
 LN here is the non-affine standardization (eps = 1e-5); a learnable scale
 inside the loss could shrink the objective without improving anything.
@@ -12,84 +12,13 @@ The target branch h is always treated as a constant: no gradient crosses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ValidationError
-from .tokenize import MaskPattern, PatchGrid
 
 LN_EPS = 1e-5
 
-
-@dataclass(frozen=True)
-class LossReport:
-    alignment: float
-    reconstruction: float
-    total: float
-    lam: float
-
-    def __post_init__(self):
-        if self.alignment < 0 or self.reconstruction < 0:
-            raise ValidationError("losses must be non-negative")
-        expected = self.alignment + self.lam * self.reconstruction
-        if self.total != expected:
-            raise ValidationError("total must equal alignment + lam * reconstruction")
-
-    @classmethod
-    def from_components(cls, alignment: float, reconstruction: float,
-                        lam: float) -> "LossReport":
-        return cls(alignment=alignment, reconstruction=reconstruction,
-                   total=total_loss(alignment, reconstruction, lam), lam=lam)
-
-
-def layer_norm_nonaffine(v: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
-    """Standardize the last axis; constant vectors map to zero."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] < 2:
-        raise ValidationError("layer norm needs at least 2 elements")
-    mu = v.mean(axis=-1, keepdims=True)
-    var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (v - mu) / np.sqrt(var + eps)
-
-
-def alignment_loss(h: np.ndarray, z: np.ndarray) -> float:
-    """Mean squared distance between layer-normalized token rows."""
-    h = np.asarray(h, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if h.shape != z.shape or h.ndim != 2:
-        raise ValidationError("h and z must be (N, d) arrays of equal shape")
-    diff = layer_norm_nonaffine(h) - layer_norm_nonaffine(z)
-    return float((diff * diff).sum(axis=-1).mean())
-
-
-def reconstruction_loss(x_hat: np.ndarray,
-                        x_patches: Union[PatchGrid, np.ndarray],
-                        mask: Union[MaskPattern, np.ndarray]) -> float:
-    """Mean squared patch error over masked positions only."""
-    target = x_patches.patches if isinstance(x_patches, PatchGrid) else np.asarray(x_patches)
-    mask_arr = mask.mask if isinstance(mask, MaskPattern) else np.asarray(mask, bool)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.shape != target.shape:
-        raise ValidationError("prediction and patch shapes differ")
-    if mask_arr.shape != target.shape[:2]:
-        raise ValidationError("mask shape does not match the patch grid")
-    n_masked = int(mask_arr.sum())
-    if n_masked == 0:
-        raise ValidationError("reconstruction loss undefined for |M| = 0")
-    err = (x_hat - target.astype(float)) ** 2
-    return float(err.sum(axis=-1)[mask_arr].sum() / n_masked)
-
-
-def total_loss(align: float, recon: float, lam: float) -> float:
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
-    return float(align + lam * recon)
-
-
-# --- tensor-path versions used by the trainer -------------------------------
 
 def alignment_loss_t(h: np.ndarray, z: ad.Tensor) -> ad.Tensor:
     """Batched tensor alignment loss; h enters as a constant (stop-gradient).
@@ -97,6 +26,8 @@ def alignment_loss_t(h: np.ndarray, z: ad.Tensor) -> ad.Tensor:
     Both sides go through the same `ad.layer_norm` in z's dtype, so
     L_A(h, h) is exactly 0.
     """
+    if np.shape(h) != z.shape:
+        raise ValidationError("h and z must have equal shapes")
     ln_h = ad.layer_norm(ad.constant(np.asarray(h, dtype=z.data.dtype)), LN_EPS)
     diff = ad.sub(ad.layer_norm(z, LN_EPS), ln_h)
     n_tokens = int(np.prod(diff.shape[:-1]))
@@ -107,6 +38,8 @@ def reconstruction_loss_t(x_hat: ad.Tensor, target: np.ndarray,
                           mask: np.ndarray) -> ad.Tensor:
     """Batched tensor reconstruction loss over masked patch positions."""
     mask = np.asarray(mask, bool)
+    if x_hat.shape != np.shape(target) or mask.shape != x_hat.shape[:-1]:
+        raise ValidationError("prediction, target and mask shapes differ")
     n_masked = int(mask.sum())
     if n_masked == 0:
         raise ValidationError("reconstruction loss undefined for |M| = 0")

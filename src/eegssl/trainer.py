@@ -38,7 +38,7 @@ from .seeding import TAG_GRADCHECK, TAG_MASK, TAG_SHUFFLE, make_rng
 
 @dataclass(frozen=True)
 class TrainConfig:
-    encoder: EncoderConfig
+    encoder: EncoderConfig = EncoderConfig()
     schedule: ScheduleConfig = ScheduleConfig()
     batch_size: int = 64          # sized for CPU runs; large-batch setups use 1024
     epochs: int = 20

@@ -14,13 +14,12 @@ import pytest
 from eegssl import autodiff as ad
 from eegssl.data import (SegmentBatch, THETA_PREFIX, XI_PREFIX, load_checkpoint,
                          read_recording, save_checkpoint, write_recording)
-from eegssl.encoder import (EncoderConfig, ParamStore, encode_online,
-                            forward_tokens, init_param_store, predict_patches,
-                            wrap_constants)
+from eegssl.encoder import (EncoderConfig, ParamStore, forward_tokens,
+                            init_param_store, predict_patches, wrap_constants)
 from eegssl.errors import FormatError, ValidationError
 from eegssl.evaluate import FeatureSet, compute_metrics, extract_features, \
     fit_probe, predict_scores
-from eegssl.losses import alignment_loss, reconstruction_loss
+from eegssl.losses import alignment_loss_t, reconstruction_loss_t
 from eegssl.optim import ScheduleConfig, ema_update, lr_at, wd_at
 from eegssl.preprocess import PreprocConfig, average_reference, lowpass_38, \
     preprocess, resample
@@ -142,7 +141,8 @@ def test_criterion_04_loss_oracles():
                 return [(x - mu) / np.sqrt(var + 1e-5) for x in v]
             total += sum((a - b) ** 2 for a, b in zip(ln(list(h[i])),
                                                       ln(list(z[i]))))
-        assert alignment_loss(h, z) == pytest.approx(total / n, rel=1e-6)
+        assert float(alignment_loss_t(h, ad.constant(z)).data) == pytest.approx(
+            total / n, rel=1e-6)
 
         m_ch = int(rng.integers(1, 4))
         n_t = int(rng.integers(1, 4))
@@ -158,24 +158,24 @@ def test_criterion_04_loss_oracles():
                     count += 1
                     for s in range(p_t):
                         loop += (x_hat[i, j, s] - patches[i, j, s]) ** 2
-        assert reconstruction_loss(x_hat, patches, mask) == pytest.approx(
+        assert float(reconstruction_loss_t(ad.constant(x_hat), patches,
+                                           mask).data) == pytest.approx(
             loop / count, rel=1e-6)
 
     h = rng.standard_normal((7, 6))
-    assert alignment_loss(h, h) == 0.0
-    assert alignment_loss(2.0 * h + 3.0, h) < 1e-5   # per-token positive affine
+    assert float(alignment_loss_t(h, ad.constant(h)).data) == 0.0
+    # per-token positive affine
+    assert float(alignment_loss_t(2.0 * h + 3.0, ad.constant(h)).data) < 1e-5
     with pytest.raises(ValidationError, match=r"\|M\| = 0"):
-        reconstruction_loss(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)),
-                            np.zeros((2, 2), bool))
+        reconstruction_loss_t(ad.constant(np.zeros((2, 2, 3))),
+                              np.zeros((2, 2, 3)), np.zeros((2, 2), bool))
     report(4, "both losses match scalar-loop oracles on 100 random instances "
               "(rel 1e-6); L_A(h,h)=0; affine invariance < 1e-5; empty-mask "
               "error raised")
 
 
 def test_criterion_05_masking_statistics():
-    from eegssl.tokenize import sample_mask
-    pattern = sample_mask((100, 100), 0.5, seed=2024)
-    fraction = pattern.mask.mean()
+    fraction = batch_mask(2024, 0, 1, (100, 100), 0.5)[0].mean()
     assert abs(fraction - 0.5) < 0.015
 
     cfg = GRADCHECK_CFG
@@ -189,8 +189,10 @@ def test_criterion_05_masking_statistics():
     for j in (0, 2):
         perturbed[:, j * cfg.p_t:(j + 1) * cfg.p_t] += rng.standard_normal(
             (cfg.in_channels, cfg.p_t)).astype(np.float32) * 5.0
-    a = encode_online(segment, store, cfg, mask)
-    b = encode_online(perturbed, store, cfg, mask)
+    with ad.no_grad():
+        params = wrap_constants(store)
+        a = forward_tokens(params, segment[None], mask[None], cfg).data
+        b = forward_tokens(params, perturbed[None], mask[None], cfg).data
     assert a.tobytes() == b.tobytes()
     report(5, f"masked fraction {fraction:.4f} within 0.5 +/- 0.015 on 10,000 "
               f"positions; masked-content independence bitwise exact")

@@ -9,6 +9,7 @@ from eegssl.config import apply_overrides, config_from_dict, load_config
 from eegssl.data import load_segments, save_segments
 from eegssl.errors import ValidationError
 from eegssl.synth import SynthSpec, synth_labeled_dataset
+from eegssl.trainer import TrainConfig
 
 
 def test_defaults_without_file():
@@ -45,6 +46,8 @@ def test_unknown_keys_rejected():
         config_from_dict({"train": {"nope": 1}})
     with pytest.raises(ValidationError, match="unknown key"):
         config_from_dict({"schedule": {"total_epochs": 10}})  # derived at run time
+    with pytest.raises(ValidationError, match="unknown key"):
+        config_from_dict({"train": {"seed": 1}})   # the top-level seed rules
 
 
 def test_invariants_revalidated_on_load():
@@ -64,6 +67,21 @@ def test_flag_overrides_win():
     assert cfg.train.p_mask == 0.25
     assert cfg.train.lam == 3.0
     assert cfg.schedule.mode == "polynomial"
+
+
+@pytest.mark.parametrize("key, field, value", [
+    ("p_mask", "p_mask", 1.5),
+    ("p_mask", "p_mask", -0.1),
+    ("batch_size", "batch_size", 0),
+    ("epochs", "epochs", 0),
+    ("lambda", "lam", -1.0),
+    ("checkpoint_every_epochs", "checkpoint_every_epochs", -1),
+])
+def test_train_values_validated(key, field, value):
+    with pytest.raises(ValidationError):
+        TrainConfig(**{field: value})
+    with pytest.raises(ValidationError):
+        config_from_dict({"train": {key: value}})
 
 
 def test_train_config_assembly():

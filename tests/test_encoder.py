@@ -3,13 +3,33 @@
 import numpy as np
 import pytest
 
-from eegssl.encoder import (EncoderConfig, encode_online, encode_target,
-                            init_param_store, param_count, reconstruct)
+from eegssl import autodiff as ad
+from eegssl.encoder import (EncoderConfig, forward_tokens, init_param_store,
+                            param_count, predict_patches, wrap_constants)
 from eegssl.errors import ValidationError
-from eegssl.tokenize import sample_mask
+from eegssl.trainer import batch_mask
 
 CFG = EncoderConfig(d=16, layers=2, heads=4, mlp_ratio=4.0, p_t=8,
                     in_channels=4, mapped_channels=4, n_t=4, stem_kernel=7)
+
+
+def encode(segment, store, mask=None, cfg=CFG):
+    """One segment through forward_tokens under no_grad: (N, d) tokens."""
+    with ad.no_grad():
+        out = forward_tokens(wrap_constants(store), segment[None],
+                             None if mask is None else mask[None], cfg)
+    return out.data[0]
+
+
+def predict(z, store, cfg=CFG):
+    """Patch predictions (M', n_t, p_t) from one (N, d) token sequence."""
+    with ad.no_grad():
+        out = predict_patches(wrap_constants(store), ad.constant(z[None]), cfg)
+    return out.data[0]
+
+
+def make_mask(shape, p_mask, seed):
+    return batch_mask(seed, 0, 1, shape, p_mask)[0]
 
 
 def make_inputs(cfg=CFG, seed=0):
@@ -21,9 +41,9 @@ def make_inputs(cfg=CFG, seed=0):
 
 def test_output_shape_and_determinism():
     segment, store = make_inputs()
-    mask = sample_mask((CFG.mapped_channels, CFG.n_t), 0.5, seed=3)
-    a = encode_online(segment, store, CFG, mask)
-    b = encode_online(segment, store, CFG, mask)
+    mask = make_mask((CFG.mapped_channels, CFG.n_t), 0.5, seed=3)
+    a = encode(segment, store, mask)
+    b = encode(segment, store, mask)
     assert a.shape == (CFG.n_tokens, CFG.d)
     assert a.tobytes() == b.tobytes()
 
@@ -31,16 +51,16 @@ def test_output_shape_and_determinism():
 def test_masked_content_independence_identity_map():
     segment, store = make_inputs()
     store["channel_map"] = np.eye(4, dtype=np.float32)
-    mask = sample_mask((4, 4), 0.5, seed=5)
-    assert 0 < mask.n_masked < mask.mask.size
+    mask = make_mask((4, 4), 0.5, seed=5)
+    assert 0 < mask.sum() < mask.size
 
     perturbed = segment.copy()
     for i in range(4):
         for j in range(4):
-            if mask.mask[i, j]:
+            if mask[i, j]:
                 perturbed[i, j * CFG.p_t:(j + 1) * CFG.p_t] += 17.0
-    a = encode_online(segment, store, CFG, mask)
-    b = encode_online(perturbed, store, CFG, mask)
+    a = encode(segment, store, mask)
+    b = encode(perturbed, store, mask)
     assert a.tobytes() == b.tobytes()
 
 
@@ -55,8 +75,8 @@ def test_masked_content_independence_full_columns():
     rng = np.random.default_rng(9)
     for j in (1, 3):
         perturbed[:, j * CFG.p_t:(j + 1) * CFG.p_t] = rng.standard_normal((4, CFG.p_t))
-    a = encode_online(segment, store, CFG, mask)
-    b = encode_online(perturbed, store, CFG, mask)
+    a = encode(segment, store, mask)
+    b = encode(perturbed, store, mask)
     assert a.tobytes() == b.tobytes()
 
 
@@ -66,29 +86,29 @@ def test_unmasked_content_does_change_output():
     perturbed[0, 0] += 1.0
     mask = np.zeros((4, 4), bool)
     mask[0, 1] = True
-    a = encode_online(segment, store, CFG, mask)
-    b = encode_online(perturbed, store, CFG, mask)
+    a = encode(segment, store, mask)
+    b = encode(perturbed, store, mask)
     assert (a != b).any()
 
 
 def test_empty_mask_matches_target_with_equal_params():
     segment, store = make_inputs()
     mask = np.zeros((4, 4), bool)
-    z = encode_online(segment, store, CFG, mask)
-    h = encode_target(segment, store, CFG)
+    z = encode(segment, store, mask)
+    h = encode(segment, store)
     assert z.tobytes() == h.tobytes()
 
 
 def test_permutation_equivariance():
     segment, store = make_inputs(seed=4)
     perm = np.array([2, 0, 3, 1])
-    mask = sample_mask((4, 4), 0.4, seed=6)
+    mask = make_mask((4, 4), 0.4, seed=6)
 
     permuted = store.copy()
     permuted["channel_map"] = store["channel_map"][perm]
     permuted["channel_embed"] = store["channel_embed"][perm]
-    z = encode_online(segment, store, CFG, mask)
-    z_perm = encode_online(segment, permuted, CFG, mask.mask[perm])
+    z = encode(segment, store, mask)
+    z_perm = encode(segment, permuted, mask[perm])
 
     grid = z.reshape(CFG.mapped_channels, CFG.n_t, CFG.d)
     grid_perm = z_perm.reshape(CFG.mapped_channels, CFG.n_t, CFG.d)
@@ -108,7 +128,7 @@ def test_degenerate_forward_zero_gains():
         else:
             store[name] = np.zeros_like(store[name])
     segment = np.zeros((2, cfg.segment_samples), np.float32)
-    out = encode_target(segment, store, cfg)
+    out = encode(segment, store, cfg=cfg)
     expected = np.tile(store["final_ln.bias"], (cfg.n_tokens, 1))
     np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-7)
 
@@ -129,7 +149,7 @@ def test_degenerate_forward_unit_gains_hand_rolled():
         else:
             store[name] = np.zeros_like(store[name])
     segment = np.zeros((2, cfg.segment_samples), np.float32)
-    out = encode_target(segment, store, cfg)
+    out = encode(segment, store, cfg=cfg)
 
     def ln(v, eps=1e-5):
         return (v - v.mean()) / np.sqrt(((v - v.mean()) ** 2).mean() + eps)
@@ -151,16 +171,16 @@ def test_reconstruct_affine_degenerate():
     bias = np.arange(CFG.p_t, dtype=np.float32)
     store["recon.bias"] = bias
     z = np.zeros((CFG.n_tokens, CFG.d), np.float32)
-    pred = reconstruct(z, store, CFG)
+    pred = predict(z, store)
     assert pred.shape == (CFG.mapped_channels, CFG.n_t, CFG.p_t)
     np.testing.assert_array_equal(pred, np.broadcast_to(bias, pred.shape))
 
 
 def test_reconstruct_shape_contract():
     segment, store = make_inputs()
-    mask = sample_mask((4, 4), 0.5, seed=1)
-    z = encode_online(segment, store, CFG, mask)
-    pred = reconstruct(z, store, CFG)
+    mask = make_mask((4, 4), 0.5, seed=1)
+    z = encode(segment, store, mask)
+    pred = predict(z, store)
     assert pred.shape == (CFG.mapped_channels, CFG.n_t, CFG.p_t)
 
 
@@ -199,15 +219,13 @@ def test_param_count_block_share_grows_4x_with_d():
 
 def test_shape_validation_errors():
     segment, store = make_inputs()
-    mask = sample_mask((4, 4), 0.5, seed=1)
+    mask = make_mask((4, 4), 0.5, seed=1)
     with pytest.raises(ValidationError):
-        encode_online(segment[:3], store, CFG, mask)          # wrong channels
+        encode(segment[:3], store, mask)                      # wrong channels
     with pytest.raises(ValidationError):
-        encode_online(segment[:, :16], store, CFG, mask)      # wrong n_t
+        encode(segment[:, :16], store, mask)                  # wrong n_t
     with pytest.raises(ValidationError):
-        encode_online(segment, store, CFG, np.zeros((2, 4), bool))
-    with pytest.raises(ValidationError):
-        reconstruct(np.zeros((3, CFG.d)), store, CFG)
+        encode(segment, store, np.zeros((2, 4), bool))
 
 
 def test_config_invariants():

@@ -1,4 +1,5 @@
-"""Loss-function oracle tests: scalar-loop equivalence and invariances."""
+"""Loss oracle tests on the training path: scalar-loop equivalence and
+invariances of the tape losses, and the total the training step forms."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegssl import autodiff as ad
+from eegssl.encoder import EncoderConfig
 from eegssl.errors import ValidationError
-from eegssl.losses import (LossReport, alignment_loss, alignment_loss_t,
-                           layer_norm_nonaffine, reconstruction_loss,
-                           reconstruction_loss_t, total_loss)
+from eegssl.losses import LN_EPS, alignment_loss_t, reconstruction_loss_t
+from eegssl.trainer import (TrainConfig, TrainLogRecord, init_train_state,
+                            train_step)
+
+
+def align(h, z):
+    return float(alignment_loss_t(h, ad.constant(z)).data)
+
+
+def recon(x_hat, patches, mask):
+    return float(reconstruction_loss_t(ad.constant(x_hat), patches, mask).data)
+
+
+def layer_norm(v):
+    return ad.layer_norm(ad.constant(v), LN_EPS).data
+
+
+def step_record(lam):
+    """Log record of one training step at weight lam on a fixed tiny batch."""
+    enc = EncoderConfig(d=8, layers=1, heads=2, mlp_ratio=2.0, p_t=8,
+                        in_channels=2, mapped_channels=2, n_t=2, stem_kernel=7)
+    state = init_train_state(TrainConfig(encoder=enc, batch_size=4, lam=lam),
+                             steps_per_epoch=1)
+    x = np.random.default_rng(10).standard_normal((4, 2, 16)).astype(np.float32)
+    return train_step(x, state, 0)
 
 
 def loop_alignment(h, z, eps=1e-5):
@@ -43,14 +67,13 @@ def loop_reconstruction(x_hat, patches, mask):
 # --- layer norm ---------------------------------------------------------------
 
 def test_constant_vector_maps_to_zero():
-    np.testing.assert_allclose(layer_norm_nonaffine(np.full(6, 3.7)), 0.0,
-                               atol=1e-9)
+    np.testing.assert_allclose(layer_norm(np.full(6, 3.7)), 0.0, atol=1e-9)
 
 
 def test_output_standardized():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(32)
-    out = layer_norm_nonaffine(v)
+    out = layer_norm(v)
     assert abs(out.mean()) < 1e-12
     assert out.var() == pytest.approx(1.0, rel=1e-4)
 
@@ -58,8 +81,8 @@ def test_output_standardized():
 def test_affine_invariance():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(16) * 3.0  # variance well above the 1e-5 epsilon
-    np.testing.assert_allclose(layer_norm_nonaffine(2.0 * v + 3.0),
-                               layer_norm_nonaffine(v), atol=1e-5)
+    np.testing.assert_allclose(layer_norm(2.0 * v + 3.0), layer_norm(v),
+                               atol=1e-5)
 
 
 # --- alignment ------------------------------------------------------------------
@@ -67,26 +90,28 @@ def test_affine_invariance():
 def test_identical_inputs_zero():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((5, 8))
-    assert alignment_loss(h, h) == 0.0
+    assert align(h, h) == 0.0
 
 
 def test_per_token_affine_invariance():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((6, 8))
     h = 2.0 * z + 3.0
-    assert alignment_loss(h, z) < 1e-5
+    assert align(h, z) < 1e-5
 
 
 def test_alignment_matches_loop_oracle():
     rng = np.random.default_rng(4)
     h = rng.standard_normal((3, 4))
     z = rng.standard_normal((3, 4))
-    assert alignment_loss(h, z) == pytest.approx(loop_alignment(h, z), rel=1e-9)
+    assert align(h, z) == pytest.approx(loop_alignment(h, z), rel=1e-9)
 
 
 def test_alignment_shape_mismatch():
     with pytest.raises(ValidationError):
-        alignment_loss(np.zeros((3, 4)), np.zeros((4, 3)))
+        align(np.zeros((3, 4)), np.zeros((4, 3)))
+    with pytest.raises(ValidationError):          # would broadcast silently
+        align(np.zeros((1, 4)), np.zeros((3, 4)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,7 +120,7 @@ def test_alignment_nonnegative_and_loop_equal(seed, n, d):
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((n, d))
     z = rng.standard_normal((n, d))
-    val = alignment_loss(h, z)
+    val = align(h, z)
     assert val >= 0.0
     assert val == pytest.approx(loop_alignment(h, z), rel=1e-6, abs=1e-9)
 
@@ -109,14 +134,14 @@ def test_masked_only_support():
     mask = np.zeros((2, 3), bool)
     mask[0, 1] = True
     x_hat[1, 2] += 100.0  # unmasked garbage must not matter
-    assert reconstruction_loss(x_hat, patches, mask) == 0.0
+    assert recon(x_hat, patches, mask) == 0.0
 
 
 def test_single_patch_constant_error():
     patches = np.zeros((1, 1, 4))
     x_hat = np.full((1, 1, 4), 2.0)
     mask = np.ones((1, 1), bool)
-    assert reconstruction_loss(x_hat, patches, mask) == pytest.approx(16.0)
+    assert recon(x_hat, patches, mask) == pytest.approx(16.0)
 
 
 def test_reconstruction_matches_loop_oracle():
@@ -125,64 +150,69 @@ def test_reconstruction_matches_loop_oracle():
     x_hat = rng.standard_normal((3, 4, 5))
     mask = rng.random((3, 4)) < 0.5
     mask[0, 0] = True
-    assert reconstruction_loss(x_hat, patches, mask) == pytest.approx(
+    assert recon(x_hat, patches, mask) == pytest.approx(
         loop_reconstruction(x_hat, patches, mask), rel=1e-9)
 
 
 def test_empty_mask_raises_declared_error():
     with pytest.raises(ValidationError, match=r"\|M\| = 0"):
-        reconstruction_loss(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)),
-                            np.zeros((2, 2), bool))
+        recon(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2), bool))
 
 
 def test_reconstruction_shape_checks():
     with pytest.raises(ValidationError):
-        reconstruction_loss(np.zeros((2, 2, 3)), np.zeros((2, 2, 4)),
-                            np.ones((2, 2), bool))
+        recon(np.zeros((2, 2, 3)), np.zeros((2, 2, 4)), np.ones((2, 2), bool))
+    with pytest.raises(ValidationError):          # mask off the patch grid
+        recon(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), np.ones((2, 3), bool))
 
 
-# --- total -----------------------------------------------------------------------
+# --- total (formed by the training step) -------------------------------------------
 
 def test_total_lambda_zero():
-    assert total_loss(0.7, 123.0, 0.0) == 0.7
+    rec = step_record(0.0)
+    assert rec.L_R > 0.0
+    assert rec.L_total == rec.L_A
 
 
 def test_total_arithmetic():
-    assert total_loss(0.5, 0.25, 1.0) == 0.75
+    rec = step_record(1.0)
+    assert rec.L_total == pytest.approx(rec.L_A + rec.L_R, rel=1e-6)
 
 
 def test_total_linear_in_recon():
-    base = total_loss(0.1, 0.2, 2.0) - 0.1
-    scaled = total_loss(0.1, 0.2 * 3.0, 2.0) - 0.1
-    assert scaled == pytest.approx(3.0 * base)
+    base = step_record(1.0)
+    scaled = step_record(3.0)
+    assert (scaled.L_A, scaled.L_R) == (base.L_A, base.L_R)
+    assert scaled.L_total - scaled.L_A == pytest.approx(
+        3.0 * (base.L_total - base.L_A), rel=1e-5)
 
 
 def test_total_negative_lambda_rejected():
     with pytest.raises(ValidationError):
-        total_loss(0.1, 0.1, -1.0)
+        TrainConfig(lam=-1.0)
 
 
 def test_loss_report_invariant():
-    LossReport(alignment=0.5, reconstruction=0.25, total=0.75, lam=1.0)
+    # the step log record is the training loss report: non-negative parts,
+    # finite values only
+    rec = step_record(2.0)
+    assert rec.L_A >= 0.0 and rec.L_R >= 0.0
     with pytest.raises(ValidationError):
-        LossReport(alignment=0.5, reconstruction=0.25, total=0.9, lam=1.0)
-    with pytest.raises(ValidationError):
-        LossReport(alignment=-0.1, reconstruction=0.0, total=-0.1, lam=1.0)
-    report = LossReport.from_components(0.3, 0.7, 2.0)
-    assert report.total == total_loss(0.3, 0.7, 2.0)
+        TrainLogRecord(**{**vars(rec), "L_A": float("nan")})
 
 
 # --- tensor-path consistency -------------------------------------------------------
 
 def test_tensor_alignment_matches_public_value():
+    # batched (B, N, d) input: the mean runs over all B * N tokens
     rng = np.random.default_rng(7)
-    h = rng.standard_normal((4, 6))
-    z = rng.standard_normal((4, 6))
-    tensor_val = float(alignment_loss_t(h, ad.constant(z)).data)
-    assert tensor_val == pytest.approx(alignment_loss(h, z), rel=1e-9)
+    h = rng.standard_normal((2, 4, 6))
+    z = rng.standard_normal((2, 4, 6))
+    assert align(h, z) == pytest.approx(
+        loop_alignment(h.reshape(8, 6), z.reshape(8, 6)), rel=1e-9)
     # training shape and dtype: identical inputs give exactly zero
     h32 = rng.standard_normal((8, 128, 32)).astype(np.float32)
-    assert float(alignment_loss_t(h32, ad.constant(h32)).data) == 0.0
+    assert align(h32, h32) == 0.0
 
 
 def test_tensor_reconstruction_matches_public_value():

@@ -124,6 +124,8 @@ def test_mask_derived_from_seed_and_step():
     c = batch_mask(1, 6, 4, (4, 4), 0.5)
     np.testing.assert_array_equal(a, b)
     assert (a != c).any()
+    assert not batch_mask(1, 5, 4, (4, 4), 0.0).any()     # nothing masked
+    assert batch_mask(1, 5, 4, (4, 4), 1.0).all()         # everything masked
 
 
 # --- gradient verification ----------------------------------------------------------
