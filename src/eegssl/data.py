@@ -14,6 +14,7 @@ Checkpoint format (LCMC):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ LCMC_MAGIC = b"LCMC"
 LCMR_VERSION = 1
 LCMC_VERSION = 1
 _LCMR_HEADER = struct.Struct("<4sHIdQd")
+_READ_CHUNK = 1 << 20
 
 THETA_PREFIX = "theta/"
 XI_PREFIX = "xi/"
@@ -168,10 +170,20 @@ class Checkpoint:
 # --- low-level helpers ----------------------------------------------------
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if buf is None or len(buf) != n:
-        raise FormatError("truncated", f"truncated file while reading {what}")
-    return buf
+    """Read exactly n bytes, at most _READ_CHUNK at a time.
+
+    A header may declare any size; reading in bounded chunks makes a short
+    file end in FormatError before anything of the declared size is
+    allocated.
+    """
+    chunks = []
+    while n > 0:
+        buf = f.read(min(n, _READ_CHUNK))
+        if not buf:
+            raise FormatError("truncated", f"truncated file while reading {what}")
+        chunks.append(buf)
+        n -= len(buf)
+    return b"".join(chunks)
 
 
 class _CountingWriter:
@@ -309,7 +321,7 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
         dims = tuple(
             struct.unpack("<I", _read_exact(source, 4, "tensor dims"))[0]
             for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # python ints: no int64 wrap-around
         raw = _read_exact(source, 4 * count, f"tensor {name!r} data")
         if name in tensors:
             raise FormatError("duplicate", f"duplicate tensor name {name!r}")

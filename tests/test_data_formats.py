@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from eegssl.cli import run_cli
 from eegssl.data import (Checkpoint, Montage, Recording, default_montage,
                          load_checkpoint, load_segments, read_recording,
                          save_checkpoint, save_segments, SegmentBatch,
@@ -233,3 +234,35 @@ def test_segments_unlabeled_roundtrip():
     sink.seek(0)
     back = load_segments(sink)
     assert back.labels is None and len(back) == 2
+
+
+# --- declared sizes ---------------------------------------------------------------
+
+CRAFTED = {
+    # one tensor of 65536^4 = 2^64 elements, which wraps to 0 in int64
+    "lcmc-wraps": b"LCMC" + struct.pack("<HQH", 1, 0, 1) + b"w"
+                  + struct.pack("<B4I", 4, *[1 << 16] * 4),
+    "lcmc-2^18x2^18": b"LCMC" + struct.pack("<HQH", 1, 0, 12) + b"theta/weight"
+                      + struct.pack("<B2I", 2, 1 << 18, 1 << 18),
+    "lcms-labels": struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1, 1, 1,
+                               256.0, 1),
+    "lcms-payload": struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1,
+                                2 ** 32 - 1, 2 ** 32 - 1, 256.0, 0),
+    "lcmr-payload": struct.pack("<4sHIdQd", b"LCMR", 1, 2 ** 32 - 1, 256.0,
+                                2 ** 64 - 1, 1.0),
+}
+LOADERS = {b"LCMC": load_checkpoint, b"LCMS": load_segments,
+           b"LCMR": read_recording}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_declared_sizes_not_trusted(name, tmp_path, capsys):
+    raw = CRAFTED[name]
+    with pytest.raises(FormatError) as err:
+        LOADERS[raw[:4]](io.BytesIO(raw))
+    assert err.value.kind == "truncated"
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(raw)
+    assert run_cli(["inspect", str(path)]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "Traceback" not in stderr
