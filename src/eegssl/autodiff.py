@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Just enough ops for a small transformer: broadcasting arithmetic, matmul,
-reshape/transpose, reductions, gelu, softmax, masked select. Gradients are
-accumulated on a tape built during the forward pass; `backward()` walks it
-once in reverse topological order.
+Exactly the ops the encoder and losses run, each with its own closed-form
+backward: broadcasting `add`/`sub`/`mul`, `scale` by a python float,
+`matmul`, `reshape`, `transpose`, a full `sum_`, `gelu`, `softmax`, masked
+`where` and `layer_norm`. Gradients are accumulated on a tape built during
+the forward pass; `backward()` walks it once in reverse topological order.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
@@ -70,42 +71,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # --- operator sugar; python numbers stay scalars (no dtype upcast) ---
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, float(other))
-        return add(self, other)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, -float(other))
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return neg(self.__sub__(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into `.grad` of every reachable tensor."""
         if self.data.size != 1:
@@ -171,25 +136,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                                          _unbroadcast(g * a.data, b.data.shape)))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-    return _make(out, (a, b), lambda g: (
-        _unbroadcast(g / b.data, a.data.shape),
-        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)  # numpy scalars would upcast float32 operands
     return _make(a.data * s, (a,), lambda g: (g * s,))
-
-
-def shift(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _make(a.data + s, (a,), lambda g: (g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -218,44 +167,10 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice [start:stop] along the last axis."""
-    out = a.data[..., start:stop]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _make(out, (a,), backward)
-
-
-def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _make(out, (a,), backward)
-
-
-def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        n = a.data.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g * (0.5 / out),))
+def sum_(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
+    return _make(a.data.sum(), (a,),
+                 lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -298,7 +213,15 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Standardize the last axis: (a - mean) / sqrt(var + eps), no affine."""
-    mu = mean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    return div(centered, sqrt(shift(var, eps)))
+    inv_n = 1.0 / a.data.shape[-1]
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + float(eps))
+    out = centered / std
+
+    def backward(g):
+        g_mean = g.sum(axis=-1, keepdims=True) * inv_n
+        proj = (g * out).sum(axis=-1, keepdims=True) * inv_n
+        return ((g - g_mean - out * proj) / std,)
+
+    return _make(out, (a,), backward)

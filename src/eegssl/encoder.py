@@ -228,16 +228,20 @@ def _stem_tokens(patches: ad.Tensor, p: Mapping[str, ad.Tensor],
 
     A fixed mean over u would make the token blind to any intra-patch
     oscillation, so the pooling weights are trainable.
+
+    Conv and pooling compose into one effective kernel per filter,
+    K[c, s] = sum_{u+j=s} pool[c, u] * w[c, j], so the stem is one matmul
+    of the patches with K. K is built on the tape: the outer product of w
+    and pool, summed along its anti-diagonals by a constant 0/1 matrix.
     """
-    l_out = cfg.conv_positions
-    w, pool = p["stem.weight"], p["stem.pool"]
-    token = None
-    for j in range(cfg.stem_kernel):
-        window = ad.slice_last(patches, j, j + l_out)          # (..., L_out)
-        tap = ad.reshape(ad.slice_last(w, j, j + 1), (cfg.d,))
-        contrib = ad.mul(ad.matmul(window, ad.transpose(pool, (1, 0))), tap)
-        token = contrib if token is None else ad.add(token, contrib)
-    return ad.add(token, p["stem.bias"])
+    k, l_out = cfg.stem_kernel, cfg.conv_positions
+    outer = ad.mul(ad.reshape(p["stem.weight"], (cfg.d, k, 1)),
+                   ad.reshape(p["stem.pool"], (cfg.d, 1, l_out)))  # (d, k, L_out)
+    diagonals = np.stack([np.eye(l_out, cfg.p_t, j) for j in range(k)])
+    diagonals = ad.constant(
+        diagonals.reshape(k * l_out, cfg.p_t).astype(patches.data.dtype))
+    kernel = ad.matmul(ad.reshape(outer, (cfg.d, k * l_out)), diagonals)  # (d, p_t)
+    return ad.add(ad.matmul(patches, ad.transpose(kernel, (1, 0))), p["stem.bias"])
 
 
 def _affine_ln(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:

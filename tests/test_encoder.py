@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from eegssl import autodiff as ad
-from eegssl.encoder import (EncoderConfig, forward_tokens, init_param_store,
-                            param_count, predict_patches, wrap_constants)
+from eegssl.encoder import (EncoderConfig, _stem_tokens, forward_tokens,
+                            init_param_store, param_count, predict_patches,
+                            wrap_constants)
 from eegssl.errors import ValidationError
 from eegssl.trainer import batch_mask
 
@@ -182,6 +183,30 @@ def test_reconstruct_shape_contract():
     z = encode(segment, store, mask)
     pred = predict(z, store)
     assert pred.shape == (CFG.mapped_channels, CFG.n_t, CFG.p_t)
+
+
+def test_stem_matches_conv_then_pool():
+    cfg = EncoderConfig(d=6, layers=0, heads=2, p_t=16, in_channels=2,
+                        mapped_channels=3, n_t=2, stem_kernel=5)
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal((cfg.d, cfg.stem_kernel))
+    pool = rng.standard_normal((cfg.d, cfg.conv_positions))
+    bias = rng.standard_normal(cfg.d)
+    patches = rng.standard_normal((2, cfg.mapped_channels, cfg.n_t, cfg.p_t))
+    params = {"stem.weight": ad.constant(w), "stem.pool": ad.constant(pool),
+              "stem.bias": ad.constant(bias)}
+    tokens = _stem_tokens(ad.constant(patches), params, cfg).data
+
+    expected = np.empty(patches.shape[:-1] + (cfg.d,))
+    for idx in np.ndindex(patches.shape[:-1]):
+        patch = patches[idx]
+        for c in range(cfg.d):
+            conv = [sum(w[c, j] * patch[u + j] for j in range(cfg.stem_kernel))
+                    for u in range(cfg.conv_positions)]
+            expected[idx + (c,)] = sum(pool[c, u] * conv[u]
+                                       for u in range(cfg.conv_positions)) + bias[c]
+    assert tokens.dtype == np.float64
+    np.testing.assert_allclose(tokens, expected, rtol=1e-12)
 
 
 def test_param_count_matches_store():
