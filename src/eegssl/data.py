@@ -15,6 +15,7 @@ Checkpoint format (LCMC):
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -277,10 +278,21 @@ def _read_sidecar(path: Path) -> Optional[Montage]:
 # --- LCMC checkpoint I/O ----------------------------------------------------
 
 def save_checkpoint(ckpt: Checkpoint, destination: ByteSink) -> int:
-    """Write a checkpoint in LCMC form; returns bytes written."""
+    """Write a checkpoint in LCMC form; returns bytes written.
+
+    A path destination is written to "<path>.tmp" and then renamed over the
+    path, so a save that fails midway leaves any earlier file intact.
+    """
     if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as f:
-            return save_checkpoint(ckpt, f)
+        tmp = Path(str(destination) + ".tmp")
+        try:
+            with open(tmp, "wb") as f:
+                n = save_checkpoint(ckpt, f)
+            os.replace(tmp, destination)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        return n
     w = _CountingWriter(destination)
     w.write(LCMC_MAGIC)
     w.write(struct.pack("<HQ", LCMC_VERSION, ckpt.step))
@@ -316,7 +328,11 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
         if len(head) != 2:
             raise FormatError("truncated", "truncated file while reading tensor name length")
         (name_len,) = struct.unpack("<H", head)
-        name = _read_exact(source, name_len, "tensor name").decode("utf-8")
+        raw_name = _read_exact(source, name_len, "tensor name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("header", f"tensor name {raw_name!r} is not utf-8") from None
         (rank,) = struct.unpack("<B", _read_exact(source, 1, "tensor rank"))
         dims = tuple(
             struct.unpack("<I", _read_exact(source, 4, "tensor dims"))[0]
@@ -326,7 +342,10 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
         if name in tensors:
             raise FormatError("duplicate", f"duplicate tensor name {name!r}")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
-    return Checkpoint(format_version=version, step=step, tensors=tensors)
+    try:
+        return Checkpoint(format_version=version, step=step, tensors=tensors)
+    except ValidationError as exc:
+        raise FormatError("header", str(exc)) from None
 
 
 # --- LCMS segment archive (plumbing for the CLI) ----------------------------
@@ -363,6 +382,8 @@ def load_segments(source: ByteSink) -> SegmentBatch:
         raise FormatError("magic", f"bad magic {magic!r}, expected {LCMS_MAGIC!r}")
     if version != 1:
         raise FormatError("version", f"unsupported LCMS version {version}")
+    if has_labels not in (0, 1):
+        raise FormatError("header", f"has_labels byte is {has_labels}, expected 0 or 1")
     labels = None
     if has_labels:
         raw = _read_exact(source, 2 * n, "labels")

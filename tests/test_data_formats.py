@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from eegssl import data
 from eegssl.cli import run_cli
 from eegssl.data import (Checkpoint, Montage, Recording, default_montage,
                          load_checkpoint, load_segments, read_recording,
@@ -202,6 +203,31 @@ def test_checkpoint_bad_magic_and_truncation():
     assert err.value.kind == "truncated"
 
 
+def test_checkpoint_save_failing_midway_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.lcmc"
+    old = Checkpoint(format_version=1, step=1,
+                     tensors={"theta/w": np.ones(3, np.float32),
+                              "xi/w": np.ones(3, np.float32)})
+    save_checkpoint(old, path)
+    old_bytes = path.read_bytes()
+
+    real_write = data._CountingWriter.write
+
+    def failing_write(self, b):
+        if self.count > 20:
+            raise OSError("no space left on device")
+        real_write(self, b)
+
+    monkeypatch.setattr(data._CountingWriter, "write", failing_write)
+    new = Checkpoint(format_version=1, step=2,
+                     tensors={"theta/w": np.zeros(3, np.float32),
+                              "xi/w": np.zeros(3, np.float32)})
+    with pytest.raises(OSError):
+        save_checkpoint(new, path)
+    assert path.read_bytes() == old_bytes
+    assert [p.name for p in tmp_path.iterdir()] == ["model.lcmc"]
+
+
 def test_checkpoint_theta_xi_shape_invariant():
     with pytest.raises(ValidationError):
         Checkpoint(format_version=1, step=0,
@@ -239,17 +265,24 @@ def test_segments_unlabeled_roundtrip():
 # --- declared sizes ---------------------------------------------------------------
 
 CRAFTED = {
+    # name: (file bytes, expected FormatError kind)
     # one tensor of 65536^4 = 2^64 elements, which wraps to 0 in int64
-    "lcmc-wraps": b"LCMC" + struct.pack("<HQH", 1, 0, 1) + b"w"
-                  + struct.pack("<B4I", 4, *[1 << 16] * 4),
-    "lcmc-2^18x2^18": b"LCMC" + struct.pack("<HQH", 1, 0, 12) + b"theta/weight"
-                      + struct.pack("<B2I", 2, 1 << 18, 1 << 18),
-    "lcms-labels": struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1, 1, 1,
-                               256.0, 1),
-    "lcms-payload": struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1,
-                                2 ** 32 - 1, 2 ** 32 - 1, 256.0, 0),
-    "lcmr-payload": struct.pack("<4sHIdQd", b"LCMR", 1, 2 ** 32 - 1, 256.0,
-                                2 ** 64 - 1, 1.0),
+    "lcmc-wraps": (b"LCMC" + struct.pack("<HQH", 1, 0, 1) + b"w"
+                   + struct.pack("<B4I", 4, *[1 << 16] * 4), "truncated"),
+    "lcmc-2^18x2^18": (b"LCMC" + struct.pack("<HQH", 1, 0, 12) + b"theta/weight"
+                       + struct.pack("<B2I", 2, 1 << 18, 1 << 18), "truncated"),
+    "lcmc-name-not-utf8": (b"LCMC" + struct.pack("<HQH", 1, 0, 2) + b"\xff\xfe"
+                           + struct.pack("<Bf", 0, 1.0), "header"),
+    "lcmc-theta-without-xi": (b"LCMC" + struct.pack("<HQH", 1, 0, 7) + b"theta/w"
+                              + struct.pack("<BIf", 1, 1, 1.0), "header"),
+    "lcms-labels": (struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1, 1, 1,
+                                256.0, 1), "truncated"),
+    "lcms-has-labels-7": (struct.pack("<4sHIIIdB", b"LCMS", 1, 1, 1, 1, 256.0, 7)
+                          + struct.pack("<Hf", 0, 1.0), "header"),
+    "lcms-payload": (struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1,
+                                 2 ** 32 - 1, 2 ** 32 - 1, 256.0, 0), "truncated"),
+    "lcmr-payload": (struct.pack("<4sHIdQd", b"LCMR", 1, 2 ** 32 - 1, 256.0,
+                                 2 ** 64 - 1, 1.0), "truncated"),
 }
 LOADERS = {b"LCMC": load_checkpoint, b"LCMS": load_segments,
            b"LCMR": read_recording}
@@ -257,10 +290,10 @@ LOADERS = {b"LCMC": load_checkpoint, b"LCMS": load_segments,
 
 @pytest.mark.parametrize("name", sorted(CRAFTED))
 def test_declared_sizes_not_trusted(name, tmp_path, capsys):
-    raw = CRAFTED[name]
+    raw, kind = CRAFTED[name]
     with pytest.raises(FormatError) as err:
         LOADERS[raw[:4]](io.BytesIO(raw))
-    assert err.value.kind == "truncated"
+    assert err.value.kind == kind
     path = tmp_path / "crafted.bin"
     path.write_bytes(raw)
     assert run_cli(["inspect", str(path)]) == 2
