@@ -90,12 +90,14 @@ def lr_at(t: int, cfg: ScheduleConfig) -> float:
 
 def wd_at(t: int, cfg: ScheduleConfig) -> float:
     """Cosine weight decay: w_final at t=0 down to w_init at t=T."""
+    _check_step(t, cfg)
     return cfg.wd_init + 0.5 * (cfg.wd_final - cfg.wd_init) * (
         1.0 + math.cos(math.pi * t / cfg.total_steps))
 
 
 def momentum_at(t: int, cfg: ScheduleConfig) -> float:
     """EMA momentum: half-cosine ramp m_low -> m_high, monotone non-decreasing."""
+    _check_step(t, cfg)
     return cfg.m_low + 0.5 * (cfg.m_high - cfg.m_low) * (
         1.0 - math.cos(math.pi * t / cfg.total_steps))
 

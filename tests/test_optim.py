@@ -61,10 +61,12 @@ def test_polynomial_mode_endpoints():
 
 def test_step_out_of_range_rejected():
     cfg = sched()
-    with pytest.raises(ValidationError):
-        lr_at(cfg.total_steps + 1, cfg)
-    with pytest.raises(ValidationError):
-        lr_at(-1, cfg)
+    for fn in (lr_at, wd_at, momentum_at):
+        fn(0, cfg)
+        fn(cfg.total_steps, cfg)
+        for t in (-1, cfg.total_steps + 1, 10 * cfg.total_steps - 1):
+            with pytest.raises(ValidationError):
+                fn(t, cfg)
 
 
 # --- weight decay ------------------------------------------------------------------
