@@ -1,12 +1,18 @@
 """Training-step invariants, gradient check, determinism, resume."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eegssl.data import SegmentBatch, save_checkpoint
+import eegssl
+from eegssl.data import SegmentBatch, save_checkpoint, save_segments
 from eegssl.encoder import EncoderConfig
 from eegssl.errors import ValidationError
 from eegssl.optim import ScheduleConfig
@@ -262,3 +268,27 @@ def test_mutation_paths_exclusive():
     train_step(data.segments[:8], state, 1)
     assert {k: v.tobytes() for k, v in state.xi.items()} == xi_before
     assert {k: v.tobytes() for k, v in state.theta.items()} != theta_before
+
+
+def test_checkpoint_independent_of_blas_threads(tmp_path):
+    # the same seed gives the same checkpoint bytes whether the BLAS library
+    # runs one thread or two
+    rng = np.random.default_rng(3)
+    segments = rng.standard_normal((64, 8, 1024)).astype(np.float32)
+    save_segments(SegmentBatch(segments, sample_rate_hz=256.0), tmp_path / "seg.lcms")
+    run = {"encoder": {"d": 32, "layers": 2, "heads": 4, "p_t": 64, "in_channels": 8,
+                       "mapped_channels": 8, "n_t": 16},
+           "schedule": {"lr_max": 2e-3, "warmup_epochs": 1},
+           "train": {"batch_size": 16, "epochs": 3}}
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    src = str(Path(eegssl.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        out = f"model{threads}.lcmc"
+        subprocess.run([sys.executable, "-m", "eegssl.cli", "pretrain", "seg.lcms",
+                        "--config", "run.json", "--seed", "3", "--out", out],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        digests.append(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
