@@ -2,9 +2,11 @@
 
 Exactly the ops the encoder and losses run, each with its own closed-form
 backward: broadcasting `add`/`sub`/`mul`, `scale` by a python float,
-`matmul`, `reshape`, `transpose`, a full `sum_`, `gelu`, `softmax`, masked
-`where` and `layer_norm`. Gradients are accumulated on a tape built during
-the forward pass; `backward()` walks it once in reverse topological order.
+`matmul`, `reshape`, `transpose`, a full `sum_`, `gelu`, a last-axis
+`softmax`, masked `where` and `layer_norm`. Gradients are accumulated on a
+tape built during the forward pass; `backward()` walks it once in reverse
+topological order. An op records a tape node only when one of its inputs
+requires grad, so a forward over `constant` tensors records nothing.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
@@ -12,27 +14,12 @@ checks). Scalar constants enter ops as python floats so they never upcast.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 from scipy.special import erf
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the block (target-encoder forwards)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+LN_EPS = 1e-5  # layer-norm variance floor
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -111,7 +98,7 @@ def parameter(x) -> Tensor:
 
 
 def _make(data, parents, backward) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
     return Tensor(data)
 
@@ -186,13 +173,14 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def softmax(a: Tensor, axis=-1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
     return _make(out, (a,), backward)
@@ -211,12 +199,12 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Standardize the last axis: (a - mean) / sqrt(var + eps), no affine."""
+def layer_norm(a: Tensor) -> Tensor:
+    """Standardize the last axis: (a - mean) / sqrt(var + LN_EPS), no affine."""
     inv_n = 1.0 / a.data.shape[-1]
     centered = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(var + float(eps))
+    std = np.sqrt(var + LN_EPS)
     out = centered / std
 
     def backward(g):

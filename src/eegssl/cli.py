@@ -112,7 +112,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = _load(args)
     data = load_segments(args.segments)
-    ckpt, records = run_pretraining(cfg.train_config(), data)
+    ckpt, records = run_pretraining(cfg, data)
     save_checkpoint(ckpt, args.out)
     last = records[-1]
     print(f"wrote {args.out} (step {ckpt.step}, final L_total {last.L_total:.6f})")

@@ -24,9 +24,8 @@ Layout (all keys optional, defaults are the module defaults):
 
 Unknown keys are rejected. The single top-level seed drives every random
 stream; schedule total_epochs / steps_per_epoch are derived from the training
-run and therefore rejected here. The train section is a TrainConfig, so its
-values are checked once, by TrainConfig; its encoder, schedule and seed come
-from the other sections and are rejected inside it.
+run and therefore rejected here. Each section is the dataclass that checks its
+own values.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .errors import FormatError, ValidationError
 from .optim import ScheduleConfig
 from .preprocess import PreprocConfig
 from .synth import SynthSpec
-from .trainer import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -62,6 +60,29 @@ class SynthSection:
                          sample_rate_hz=self.sample_rate_hz,
                          background_exponent=self.background_exponent,
                          oscillations=oscs)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    batch_size: int = 64          # sized for CPU runs; large-batch setups use 1024
+    epochs: int = 20
+    p_mask: float = 0.5
+    lam: float = 1.0
+    log_path: Optional[str] = None
+    checkpoint_dir: Optional[str] = None
+    checkpoint_every_epochs: int = 0  # 0 = final checkpoint only
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValidationError("epochs must be >= 1")
+        if not (0.0 <= self.p_mask <= 1.0):
+            raise ValidationError("p_mask must lie in [0, 1]")
+        if self.lam < 0:
+            raise ValidationError("lambda must be >= 0")
+        if self.checkpoint_every_epochs < 0:
+            raise ValidationError("checkpoint_every_epochs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,15 +108,9 @@ class RunConfig:
     train: TrainConfig = TrainConfig()
     probe: ProbeSection = ProbeSection()
 
-    def train_config(self) -> TrainConfig:
-        """The train section with this run's encoder, schedule and seed."""
-        return replace(self.train, encoder=self.encoder, schedule=self.schedule,
-                       seed=self.seed)
-
 
 _KEY_ALIASES = {"train": {"lambda": "lam"}}
-_REJECTED = {"schedule": {"total_epochs", "steps_per_epoch"},
-             "train": {"encoder", "schedule", "seed"}}
+_REJECTED = {"schedule": {"total_epochs", "steps_per_epoch"}}
 _SECTIONS = {
     "synth": SynthSection,
     "preproc": PreprocConfig,

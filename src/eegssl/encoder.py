@@ -2,8 +2,8 @@
 
 The online encoder runs on the masked token grid, the target encoder on the
 full signal with the same architecture. Both share one forward
-implementation; the target path is evaluated with constant tensors under
-no_grad, so no gradient can ever reach the target parameters.
+implementation; the target path is evaluated with constant tensors, which
+record no tape, so no gradient can ever reach the target parameters.
 
 `forward_tokens` also builds the tokens: a trainable channel map takes the
 dataset montage to the mapped channels, and each mapped channel is cut into
@@ -112,9 +112,6 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         return ParamStore({k: v.copy() for k, v in self.tensors.items()})
-
-    def astype(self, dtype) -> "ParamStore":
-        return ParamStore({k: v.astype(dtype) for k, v in self.tensors.items()})
 
     def size(self) -> int:
         return int(sum(v.size for v in self.tensors.values()))
@@ -260,7 +257,7 @@ def _attention(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str,
     k = split(ad.add(ad.matmul(x, p[prefix + "attn.wk"]), p[prefix + "attn.bk"]))
     v = split(ad.add(ad.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]))
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    attn = ad.softmax(scores, axis=-1)
+    attn = ad.softmax(scores)
     mixed = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, n, d))
     return ad.add(ad.matmul(mixed, p[prefix + "attn.wo"]), p[prefix + "attn.bo"])
 

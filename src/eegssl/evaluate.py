@@ -15,7 +15,6 @@ from typing import Optional, Union
 import numpy as np
 from scipy.stats import rankdata
 
-from . import autodiff as ad
 from .data import Checkpoint, SegmentBatch, XI_PREFIX
 from .encoder import EncoderConfig, ParamStore, forward_tokens, wrap_constants
 from .errors import ValidationError
@@ -91,12 +90,11 @@ def extract_features(batch: SegmentBatch, checkpoint: Union[Checkpoint, ParamSto
     if batch.labels is None:
         raise ValidationError("feature extraction needs labeled segments")
     x = np.ascontiguousarray(batch.segments, dtype=store["channel_map"].dtype)
+    params = wrap_constants(store)
     rows = []
-    with ad.no_grad():
-        params = wrap_constants(store)
-        for lo in range(0, x.shape[0], _FEATURE_CHUNK):
-            tokens = forward_tokens(params, x[lo:lo + _FEATURE_CHUNK], None, cfg)
-            rows.append(tokens.data.mean(axis=1))
+    for lo in range(0, x.shape[0], _FEATURE_CHUNK):
+        tokens = forward_tokens(params, x[lo:lo + _FEATURE_CHUNK], None, cfg)
+        rows.append(tokens.data.mean(axis=1))
     return FeatureSet(features=np.concatenate(rows, axis=0), labels=batch.labels)
 
 

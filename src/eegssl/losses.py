@@ -5,7 +5,7 @@ Value semantics:
   reconstruction L_R = mean over masked patches of || x_hat_ij - x_ij ||^2
   total          L   = L_A + lambda * L_R   (formed in the trainer)
 
-LN here is the non-affine standardization (eps = 1e-5); a learnable scale
+LN here is the non-affine `ad.layer_norm` (eps 1e-5); a learnable scale
 inside the loss could shrink the objective without improving anything.
 The target branch h is always treated as a constant: no gradient crosses it.
 """
@@ -17,8 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ValidationError
 
-LN_EPS = 1e-5
-
 
 def alignment_loss_t(h: np.ndarray, z: ad.Tensor) -> ad.Tensor:
     """Batched tensor alignment loss; h enters as a constant (stop-gradient).
@@ -28,8 +26,8 @@ def alignment_loss_t(h: np.ndarray, z: ad.Tensor) -> ad.Tensor:
     """
     if np.shape(h) != z.shape:
         raise ValidationError("h and z must have equal shapes")
-    ln_h = ad.layer_norm(ad.constant(np.asarray(h, dtype=z.data.dtype)), LN_EPS)
-    diff = ad.sub(ad.layer_norm(z, LN_EPS), ln_h)
+    ln_h = ad.layer_norm(ad.constant(np.asarray(h, dtype=z.data.dtype)))
+    diff = ad.sub(ad.layer_norm(z), ln_h)
     n_tokens = int(np.prod(diff.shape[:-1]))
     return ad.scale(ad.sum_(ad.mul(diff, diff)), 1.0 / n_tokens)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class AdamWState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def init_adamw_state(store: ParamStore) -> AdamWState:
@@ -130,25 +127,24 @@ def default_decay_exempt(name: str) -> bool:
 
 
 def adamw_step(params: ParamStore, grads: Mapping[str, np.ndarray],
-               state: AdamWState, lr: float, wd: float,
-               exempt: Callable[[str], bool] = default_decay_exempt) -> None:
+               state: AdamWState, lr: float, wd: float) -> None:
     """One bias-corrected AdamW update, decoupled weight decay, in place."""
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name in params.names():
         g = np.asarray(grads[name])
         if not np.isfinite(g).all():
             raise DivergenceError(f"gradient overflow at tensor {name}")
         if g.shape != params[name].shape:
             raise ValidationError(f"gradient shape mismatch for {name!r}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        update = m_hat / (np.sqrt(v_hat) + state.eps)
-        if wd != 0.0 and not exempt(name):
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if wd != 0.0 and not default_decay_exempt(name):
             update = update + wd * params[name]
         params[name] = params[name] - lr * update
 

@@ -53,7 +53,8 @@ def average_reference(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=0, keepdims=True)
 
 
-def _lowpass(x: np.ndarray, rate_hz: float, cutoff_hz: float) -> np.ndarray:
+def lowpass(x: np.ndarray, rate_hz: float, cutoff_hz: float) -> np.ndarray:
+    """Zero-phase low-pass along the last axis; output shape equals input shape."""
     if not (rate_hz > 2.0 * cutoff_hz):
         raise ValidationError(
             f"sample rate {rate_hz} Hz too low for a {cutoff_hz} Hz low-pass")
@@ -64,11 +65,6 @@ def _lowpass(x: np.ndarray, rate_hz: float, cutoff_hz: float) -> np.ndarray:
             f"recording shorter than filter warm-up length ({padlen + 1} samples)")
     sos = signal.butter(LOWPASS_ORDER, cutoff_hz, btype="low", fs=rate_hz, output="sos")
     return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
-
-
-def lowpass_38(x: np.ndarray, rate_hz: float) -> np.ndarray:
-    """Zero-phase low-pass at 38 Hz; output shape equals input shape."""
-    return _lowpass(x, rate_hz, 38.0)
 
 
 def resample(x: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
@@ -125,6 +121,6 @@ def preprocess(rec: Recording, cfg: PreprocConfig) -> SegmentBatch:
     x = x * rec.scale_to_mV
     x = average_reference(x)
     if cfg.apply_bandpass:
-        x = _lowpass(x, rec.sample_rate_hz, cfg.lowpass_hz)
+        x = lowpass(x, rec.sample_rate_hz, cfg.lowpass_hz)
     x = resample(x, rec.sample_rate_hz, cfg.target_rate_hz)
     return segment(x, cfg.target_rate_hz, cfg.segment_s)

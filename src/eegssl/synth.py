@@ -80,9 +80,8 @@ def _background_channel(rng: np.random.Generator, n: int, exponent: float) -> np
     return x
 
 
-def _render(spec: SynthSpec, rng_key: Sequence[int],
-            extra: Sequence[Oscillation] = ()) -> np.ndarray:
-    """One (M, T) float32 block from the spec plus optional extra oscillations."""
+def _render(spec: SynthSpec, rng_key: Sequence[int]) -> np.ndarray:
+    """One (M, T) float32 block: background noise plus the spec's oscillations."""
     m, n = spec.channel_count, spec.n_samples
     x = np.zeros((m, n))
     if spec.background_exponent is not None:
@@ -90,7 +89,7 @@ def _render(spec: SynthSpec, rng_key: Sequence[int],
             rng = make_rng(*rng_key, TAG_BACKGROUND, ch)
             x[ch] = _background_channel(rng, n, spec.background_exponent)
     t = np.arange(n) / spec.sample_rate_hz
-    for osc in tuple(spec.oscillations) + tuple(extra):
+    for osc in spec.oscillations:
         if osc.amplitude == 0:
             continue
         wave = osc.amplitude * np.sin(2.0 * np.pi * osc.frequency_hz * t)

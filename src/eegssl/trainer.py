@@ -19,11 +19,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 from .data import (Checkpoint, LCMC_VERSION, MOMENT1_PREFIX, MOMENT2_PREFIX,
                    SegmentBatch, THETA_PREFIX, XI_PREFIX, save_checkpoint)
 from .encoder import (EncoderConfig, ParamStore, first_layer_names,
@@ -34,32 +35,6 @@ from .losses import alignment_loss_t, reconstruction_loss_t
 from .optim import (AdamWState, ScheduleConfig, adamw_step, ema_update,
                     init_adamw_state, lr_at, momentum_at, wd_at)
 from .seeding import TAG_GRADCHECK, TAG_MASK, TAG_SHUFFLE, make_rng
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    encoder: EncoderConfig = EncoderConfig()
-    schedule: ScheduleConfig = ScheduleConfig()
-    batch_size: int = 64          # sized for CPU runs; large-batch setups use 1024
-    epochs: int = 20
-    p_mask: float = 0.5
-    lam: float = 1.0
-    seed: int = 0
-    log_path: Optional[str] = None
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every_epochs: int = 0  # 0 = final checkpoint only
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if not (0.0 <= self.p_mask <= 1.0):
-            raise ValidationError("p_mask must lie in [0, 1]")
-        if self.lam < 0:
-            raise ValidationError("lambda must be >= 0")
-        if self.checkpoint_every_epochs < 0:
-            raise ValidationError("checkpoint_every_epochs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,15 +71,15 @@ class TrainLogRecord:
 
 @dataclass
 class TrainState:
-    cfg: TrainConfig
+    cfg: RunConfig
     schedule: ScheduleConfig  # effective: total_epochs/steps_per_epoch resolved
     theta: ParamStore
     xi: ParamStore
     opt: AdamWState
 
 
-def init_train_state(cfg: TrainConfig, steps_per_epoch: int) -> TrainState:
-    schedule = replace(cfg.schedule, total_epochs=cfg.epochs,
+def init_train_state(cfg: RunConfig, steps_per_epoch: int) -> TrainState:
+    schedule = replace(cfg.schedule, total_epochs=cfg.train.epochs,
                        steps_per_epoch=steps_per_epoch)
     theta = init_param_store(cfg.encoder, cfg.seed)
     xi = theta.copy()  # copy-init makes the EMA contraction exact from step 0
@@ -132,8 +107,7 @@ def _training_loss(params_t: Mapping[str, ad.Tensor], xi: ParamStore,
                    lam: float):
     """Traced total loss plus the two component values."""
     z = forward_tokens(params_t, x, mask, cfg)                     # (B, N, d)
-    with ad.no_grad():
-        h = forward_tokens(wrap_constants(xi), x, None, cfg).data
+    h = forward_tokens(wrap_constants(xi), x, None, cfg).data
     loss_align = alignment_loss_t(h, z)
     targets = mapped_patch_targets(xi["channel_map"], x, cfg)
     x_hat = predict_patches(params_t, z, cfg)
@@ -162,20 +136,17 @@ def grad_stats(grads: Mapping[str, np.ndarray],
     return g_first, g_last, min(norms.values()), max(norms.values())
 
 
-def train_step(batch: Union[SegmentBatch, np.ndarray], state: TrainState,
-               t: int) -> TrainLogRecord:
-    """One optimization step at global step index t."""
+def train_step(batch: np.ndarray, state: TrainState, t: int) -> TrainLogRecord:
+    """One optimization step at global step index t on a (B, M, T) batch."""
     cfg = state.cfg
     enc = cfg.encoder
-    x = batch.segments if isinstance(batch, SegmentBatch) else np.asarray(batch)
-    dtype = state.theta["channel_map"].dtype
-    x = np.ascontiguousarray(x, dtype=dtype)
+    x = np.ascontiguousarray(batch, dtype=state.theta["channel_map"].dtype)
 
     mask = batch_mask(cfg.seed, t, x.shape[0],
-                      (enc.mapped_channels, enc.n_t), cfg.p_mask)
+                      (enc.mapped_channels, enc.n_t), cfg.train.p_mask)
     params_t = wrap_parameters(state.theta)
     total_t, loss_align, loss_recon = _training_loss(
-        params_t, state.xi, x, mask, enc, cfg.lam)
+        params_t, state.xi, x, mask, enc, cfg.train.lam)
     total = float(total_t.data)
     if not math.isfinite(total):
         raise DivergenceError(f"loss divergence at step {t}")
@@ -213,8 +184,7 @@ class GradCheckReport:
 
 def _loss_value(theta: ParamStore, xi: ParamStore, x: np.ndarray,
                 mask: np.ndarray, cfg: EncoderConfig, lam: float) -> float:
-    with ad.no_grad():
-        total, _, _ = _training_loss(wrap_constants(theta), xi, x, mask, cfg, lam)
+    total, _, _ = _training_loss(wrap_constants(theta), xi, x, mask, cfg, lam)
     return float(total.data)
 
 
@@ -318,29 +288,30 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return make_rng(seed, TAG_SHUFFLE, epoch).permutation(n)
 
 
-def run_pretraining(cfg: TrainConfig, data: SegmentBatch,
+def run_pretraining(cfg: RunConfig, data: SegmentBatch,
                     resume_from: Optional[Checkpoint] = None) -> tuple:
     """Deterministic pretraining over `data`; returns (Checkpoint, records).
 
-    Writes one JSON line per step to cfg.log_path when set, and checkpoints
-    into cfg.checkpoint_dir at the configured epoch cadence plus at the end.
+    Writes one JSON line per step to train.log_path when set, and checkpoints
+    into train.checkpoint_dir at the configured epoch cadence plus at the end.
     """
+    train = cfg.train
     n = len(data)
     if n == 0:
         raise ValidationError("pretraining data is empty")
-    steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
+    steps_per_epoch = (n + train.batch_size - 1) // train.batch_size
     state = init_train_state(cfg, steps_per_epoch)
     start = 0
     if resume_from is not None:
         start = restore_train_state(state, resume_from)
 
-    total_steps = cfg.epochs * steps_per_epoch
+    total_steps = train.epochs * steps_per_epoch
     if start > total_steps:
         raise ValidationError(
             f"checkpoint step {start} beyond configured run of {total_steps} steps")
-    if cfg.checkpoint_dir is not None:
-        os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-    log_f = open(cfg.log_path, "w") if cfg.log_path else None
+    if train.checkpoint_dir is not None:
+        os.makedirs(train.checkpoint_dir, exist_ok=True)
+    log_f = open(train.log_path, "w") if train.log_path else None
 
     records = []
     perm = None
@@ -349,23 +320,23 @@ def run_pretraining(cfg: TrainConfig, data: SegmentBatch,
             epoch, offset = divmod(t, steps_per_epoch)
             if perm is None or offset == 0:
                 perm = epoch_order(cfg.seed, epoch, n)
-            sel = perm[offset * cfg.batch_size:(offset + 1) * cfg.batch_size]
+            sel = perm[offset * train.batch_size:(offset + 1) * train.batch_size]
             record = train_step(data.segments[sel], state, t)
             records.append(record)
             if log_f is not None:
                 log_f.write(record.to_json() + "\n")
             done = t + 1
-            if (cfg.checkpoint_dir is not None and cfg.checkpoint_every_epochs > 0
-                    and done % (cfg.checkpoint_every_epochs * steps_per_epoch) == 0
+            if (train.checkpoint_dir is not None and train.checkpoint_every_epochs > 0
+                    and done % (train.checkpoint_every_epochs * steps_per_epoch) == 0
                     and done < total_steps):
                 save_checkpoint(make_checkpoint(state, done),
-                                os.path.join(cfg.checkpoint_dir,
+                                os.path.join(train.checkpoint_dir,
                                              f"checkpoint_{done:08d}.lcmc"))
     finally:
         if log_f is not None:
             log_f.close()
 
     final = make_checkpoint(state, total_steps)
-    if cfg.checkpoint_dir is not None:
-        save_checkpoint(final, os.path.join(cfg.checkpoint_dir, "final.lcmc"))
+    if train.checkpoint_dir is not None:
+        save_checkpoint(final, os.path.join(train.checkpoint_dir, "final.lcmc"))
     return final, records

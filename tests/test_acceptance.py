@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from eegssl import autodiff as ad
+from eegssl.config import RunConfig, TrainConfig
 from eegssl.data import (SegmentBatch, THETA_PREFIX, XI_PREFIX, load_checkpoint,
                          read_recording, save_checkpoint, write_recording)
 from eegssl.encoder import (EncoderConfig, ParamStore, forward_tokens,
@@ -21,12 +22,12 @@ from eegssl.evaluate import FeatureSet, compute_metrics, extract_features, \
     fit_probe, predict_scores
 from eegssl.losses import alignment_loss_t, reconstruction_loss_t
 from eegssl.optim import ScheduleConfig, ema_update, lr_at, wd_at
-from eegssl.preprocess import PreprocConfig, average_reference, lowpass_38, \
+from eegssl.preprocess import PreprocConfig, average_reference, lowpass, \
     preprocess, resample
 from eegssl.seeding import make_rng
 from eegssl.synth import SynthSpec, synth_labeled_dataset, synth_recording
-from eegssl.trainer import (TrainConfig, batch_mask, grad_check,
-                            mapped_patch_targets, run_pretraining)
+from eegssl.trainer import (batch_mask, grad_check, mapped_patch_targets,
+                            run_pretraining)
 
 GRADCHECK_CFG = EncoderConfig(d=16, layers=2, heads=4, mlp_ratio=4.0, p_t=8,
                               in_channels=4, mapped_channels=4, n_t=4,
@@ -61,9 +62,8 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def pretrain_result(corpus):
-    cfg = TrainConfig(encoder=ACCEPT_ENC, schedule=ACCEPT_SCHEDULE,
-                      batch_size=64, epochs=20, p_mask=0.5, lam=1.0,
-                      seed=ACCEPT_SEED)
+    cfg = RunConfig(seed=ACCEPT_SEED, encoder=ACCEPT_ENC, schedule=ACCEPT_SCHEDULE,
+                    train=TrainConfig(batch_size=64, epochs=20, p_mask=0.5, lam=1.0))
     start = time.perf_counter()
     ckpt, records = run_pretraining(cfg, corpus)
     elapsed = time.perf_counter() - start
@@ -189,10 +189,9 @@ def test_criterion_05_masking_statistics():
     for j in (0, 2):
         perturbed[:, j * cfg.p_t:(j + 1) * cfg.p_t] += rng.standard_normal(
             (cfg.in_channels, cfg.p_t)).astype(np.float32) * 5.0
-    with ad.no_grad():
-        params = wrap_constants(store)
-        a = forward_tokens(params, segment[None], mask[None], cfg).data
-        b = forward_tokens(params, perturbed[None], mask[None], cfg).data
+    params = wrap_constants(store)
+    a = forward_tokens(params, segment[None], mask[None], cfg).data
+    b = forward_tokens(params, perturbed[None], mask[None], cfg).data
     assert a.tobytes() == b.tobytes()
     report(5, f"masked fraction {fraction:.4f} within 0.5 +/- 0.015 on 10,000 "
               f"positions; masked-content independence bitwise exact")
@@ -215,16 +214,15 @@ def test_criterion_06_pretraining_descent(corpus, pretrain_result):
                       (ACCEPT_ENC.mapped_channels, ACCEPT_ENC.n_t), 0.5)
     targets = mapped_patch_targets(xi["channel_map"], x, ACCEPT_ENC)
     model_err, baseline_err = [], []
-    with ad.no_grad():
-        params = wrap_constants(theta)
-        for lo in range(0, x.shape[0], 64):
-            sl = slice(lo, lo + 64)
-            z = forward_tokens(params, x[sl], mask[sl], ACCEPT_ENC)
-            pred = predict_patches(params, z, ACCEPT_ENC).data
-            tt, mm = targets[sl], mask[sl]
-            model_err.append(((pred - tt) ** 2).sum(-1)[mm])
-            dc = tt.mean(-1, keepdims=True)
-            baseline_err.append(((dc - tt) ** 2).sum(-1)[mm])
+    params = wrap_constants(theta)
+    for lo in range(0, x.shape[0], 64):
+        sl = slice(lo, lo + 64)
+        z = forward_tokens(params, x[sl], mask[sl], ACCEPT_ENC)
+        pred = predict_patches(params, z, ACCEPT_ENC).data
+        tt, mm = targets[sl], mask[sl]
+        model_err.append(((pred - tt) ** 2).sum(-1)[mm])
+        dc = tt.mean(-1, keepdims=True)
+        baseline_err.append(((dc - tt) ** 2).sum(-1)[mm])
     model_mse = float(np.concatenate(model_err).mean())
     baseline_mse = float(np.concatenate(baseline_err).mean())
     assert model_mse < baseline_mse
@@ -323,9 +321,9 @@ def test_criterion_09_determinism_and_formats(tmp_path):
     rng = np.random.default_rng(5)
     data = SegmentBatch(rng.standard_normal((16, 4, 32)).astype(np.float32),
                         sample_rate_hz=256.0)
-    cfg = TrainConfig(encoder=enc,
-                      schedule=ScheduleConfig(lr_max=1e-3, warmup_epochs=1),
-                      batch_size=8, epochs=2, p_mask=0.5, lam=1.0, seed=3)
+    cfg = RunConfig(seed=3, encoder=enc,
+                    schedule=ScheduleConfig(lr_max=1e-3, warmup_epochs=1),
+                    train=TrainConfig(batch_size=8, epochs=2, p_mask=0.5, lam=1.0))
     blobs = []
     for _ in range(2):
         ckpt, _ = run_pretraining(cfg, data)
@@ -368,11 +366,11 @@ def test_criterion_09_determinism_and_formats(tmp_path):
 
 def test_criterion_10_preprocessing_dsp():
     t = np.arange(1024) / 256.0
-    stop = lowpass_38(np.sin(2 * np.pi * 50.0 * t), 256.0)
+    stop = lowpass(np.sin(2 * np.pi * 50.0 * t), 256.0, 38.0)
     stop_amp = np.abs(stop[256:768]).max()
     assert stop_amp <= 0.01                        # >= 40 dB attenuation
 
-    passband = lowpass_38(np.sin(2 * np.pi * 10.0 * t), 256.0)
+    passband = lowpass(np.sin(2 * np.pi * 10.0 * t), 256.0, 38.0)
     pass_amp = np.abs(passband[256:768]).max()
     assert abs(pass_amp - 1.0) < 0.1
 

@@ -5,11 +5,12 @@ import json
 import pytest
 
 from eegssl.cli import run_cli
-from eegssl.config import apply_overrides, config_from_dict, load_config
+from eegssl.config import (TrainConfig, apply_overrides, config_from_dict,
+                           load_config)
 from eegssl.data import load_segments, save_segments
 from eegssl.errors import ValidationError
 from eegssl.synth import SynthSpec, synth_labeled_dataset
-from eegssl.trainer import TrainConfig
+from eegssl.trainer import init_train_state
 
 
 def test_defaults_without_file():
@@ -85,9 +86,13 @@ def test_train_values_validated(key, field, value):
 
 
 def test_train_config_assembly():
-    cfg = config_from_dict({"train": {"epochs": 2, "batch_size": 4}})
-    tc = cfg.train_config()
-    assert tc.epochs == 2 and tc.batch_size == 4 and tc.seed == cfg.seed
+    # a run starts from the whole config: the train section sizes the schedule
+    cfg = config_from_dict({"seed": 4, "schedule": {"warmup_epochs": 1},
+                            "train": {"epochs": 2, "batch_size": 4}})
+    state = init_train_state(cfg, steps_per_epoch=3)
+    assert state.cfg is cfg
+    assert (state.schedule.total_epochs, state.schedule.steps_per_epoch) == (2, 3)
+    assert state.schedule.warmup_epochs == 1
 
 
 # --- CLI -----------------------------------------------------------------------------

@@ -15,17 +15,15 @@ CFG = EncoderConfig(d=16, layers=2, heads=4, mlp_ratio=4.0, p_t=8,
 
 
 def encode(segment, store, mask=None, cfg=CFG):
-    """One segment through forward_tokens under no_grad: (N, d) tokens."""
-    with ad.no_grad():
-        out = forward_tokens(wrap_constants(store), segment[None],
-                             None if mask is None else mask[None], cfg)
+    """One segment through forward_tokens on constants: (N, d) tokens."""
+    out = forward_tokens(wrap_constants(store), segment[None],
+                         None if mask is None else mask[None], cfg)
     return out.data[0]
 
 
 def predict(z, store, cfg=CFG):
     """Patch predictions (M', n_t, p_t) from one (N, d) token sequence."""
-    with ad.no_grad():
-        out = predict_patches(wrap_constants(store), ad.constant(z[None]), cfg)
+    out = predict_patches(wrap_constants(store), ad.constant(z[None]), cfg)
     return out.data[0]
 
 

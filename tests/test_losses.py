@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from eegssl import autodiff as ad
 from eegssl.encoder import EncoderConfig
 from eegssl.errors import ValidationError
-from eegssl.losses import LN_EPS, alignment_loss_t, reconstruction_loss_t
-from eegssl.trainer import (TrainConfig, TrainLogRecord, init_train_state,
-                            train_step)
+from eegssl.config import RunConfig, TrainConfig
+from eegssl.losses import alignment_loss_t, reconstruction_loss_t
+from eegssl.trainer import TrainLogRecord, init_train_state, train_step
 
 
 def align(h, z):
@@ -23,15 +23,15 @@ def recon(x_hat, patches, mask):
 
 
 def layer_norm(v):
-    return ad.layer_norm(ad.constant(v), LN_EPS).data
+    return ad.layer_norm(ad.constant(v)).data
 
 
 def step_record(lam):
     """Log record of one training step at weight lam on a fixed tiny batch."""
     enc = EncoderConfig(d=8, layers=1, heads=2, mlp_ratio=2.0, p_t=8,
                         in_channels=2, mapped_channels=2, n_t=2, stem_kernel=7)
-    state = init_train_state(TrainConfig(encoder=enc, batch_size=4, lam=lam),
-                             steps_per_epoch=1)
+    cfg = RunConfig(encoder=enc, train=TrainConfig(batch_size=4, lam=lam))
+    state = init_train_state(cfg, steps_per_epoch=1)
     x = np.random.default_rng(10).standard_normal((4, 2, 16)).astype(np.float32)
     return train_step(x, state, 0)
 

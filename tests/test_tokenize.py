@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from eegssl.encoder import (EncoderConfig, forward_tokens, init_param_store,
                             wrap_constants)
 from eegssl.errors import ValidationError
-from eegssl.trainer import TrainConfig, batch_mask, mapped_patch_targets
+from eegssl.config import TrainConfig
+from eegssl.trainer import batch_mask, mapped_patch_targets
 
 
 def grid_config(in_channels, mapped_channels, p_t, n_t):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import eegssl
+from eegssl.config import RunConfig, TrainConfig
 from eegssl.data import SegmentBatch, save_checkpoint, save_segments
 from eegssl.encoder import EncoderConfig
 from eegssl.errors import ValidationError
 from eegssl.optim import ScheduleConfig
-from eegssl.trainer import (GradCheckReport, TrainConfig, analytic_training_grads,
+from eegssl.trainer import (GradCheckReport, analytic_training_grads,
                             batch_mask, fd_compare, grad_check, grad_stats,
                             init_train_state, make_checkpoint, restore_train_state,
                             run_pretraining, train_step)
@@ -32,12 +33,12 @@ def small_data(n=16, seed=0):
     return SegmentBatch(segments=segments, sample_rate_hz=256.0)
 
 
-def small_config(**kw):
-    base = dict(encoder=SMALL_ENC,
-                schedule=ScheduleConfig(lr_max=1e-3, warmup_epochs=1),
-                batch_size=8, epochs=4, p_mask=0.5, lam=1.0, seed=0)
-    base.update(kw)
-    return TrainConfig(**base)
+def small_config(schedule=ScheduleConfig(lr_max=1e-3, warmup_epochs=1), seed=0,
+                 **train):
+    base = dict(batch_size=8, epochs=4, p_mask=0.5, lam=1.0)
+    base.update(train)
+    return RunConfig(seed=seed, encoder=SMALL_ENC, schedule=schedule,
+                     train=TrainConfig(**base))
 
 
 # --- grad_stats -----------------------------------------------------------------
