@@ -25,7 +25,8 @@ Layout (all keys optional, defaults are the module defaults):
 Unknown keys are rejected. The single top-level seed drives every random
 stream; schedule total_epochs / steps_per_epoch are derived from the training
 run and therefore rejected here. Each section is the dataclass that checks its
-own values.
+own values; cross-section rules (schedule.warmup_epochs below train.epochs)
+are checked when a run starts.
 """
 
 from __future__ import annotations

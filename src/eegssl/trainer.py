@@ -79,7 +79,11 @@ class TrainState:
 
 
 def init_train_state(cfg: RunConfig, steps_per_epoch: int) -> TrainState:
-    schedule = replace(cfg.schedule, total_epochs=cfg.train.epochs,
+    warmup, epochs = cfg.schedule.warmup_epochs, cfg.train.epochs
+    if warmup >= epochs:
+        raise ValidationError(
+            f"schedule.warmup_epochs ({warmup}) must be below train.epochs ({epochs})")
+    schedule = replace(cfg.schedule, total_epochs=epochs,
                        steps_per_epoch=steps_per_epoch)
     theta = init_param_store(cfg.encoder, cfg.seed)
     xi = theta.copy()  # copy-init makes the EMA contraction exact from step 0

@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from eegssl.cli import run_cli
 from eegssl.config import (TrainConfig, apply_overrides, config_from_dict,
                            load_config)
-from eegssl.data import load_segments, save_segments
+from eegssl.data import SegmentBatch, load_segments, save_segments
 from eegssl.errors import ValidationError
 from eegssl.synth import SynthSpec, synth_labeled_dataset
 from eegssl.trainer import init_train_state
@@ -164,6 +165,19 @@ def test_pretrain_missing_config_exits_2(tmp_path, capsys):
                     "--out", str(tmp_path / "o.lcmc")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_pretrain_epochs_not_above_warmup_exits_1(tmp_path, config_path, capsys):
+    seg = tmp_path / "seg.lcms"
+    segments = np.random.default_rng(0).standard_normal((8, 4, 1024))
+    save_segments(SegmentBatch(segments.astype(np.float32), 256.0), seg)
+    # SMALL_CONFIG warms up for 1 epoch, so a 1-epoch run has no decay phase
+    code = run_cli(["pretrain", str(seg), "--config", config_path, "--epochs", "1",
+                    "--out", str(tmp_path / "o.lcmc")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "schedule.warmup_epochs" in err and "train.epochs" in err
+    assert "total_epochs" not in err
 
 
 def test_validation_error_exits_1(tmp_path, capsys):
