@@ -254,7 +254,10 @@ def read_recording(source: ByteSink) -> Recording:
     samples = np.frombuffer(payload, dtype="<f4").reshape(m, t).astype(np.float32)
     if not np.isfinite(samples).all():
         raise ValidationError("recording payload contains non-finite samples")
-    return Recording(default_montage(m), rate, scale, samples)
+    try:
+        return Recording(default_montage(m), rate, scale, samples)
+    except ValidationError as exc:
+        raise FormatError("header", str(exc)) from None
 
 
 def _read_sidecar(path: Path) -> Optional[Montage]:
@@ -272,7 +275,10 @@ def _read_sidecar(path: Path) -> Optional[Montage]:
             channels = tuple(value.split(","))
     if channels is None:
         raise FormatError("sidecar", f"sidecar {path} missing channels key")
-    return Montage(montage_id, channels)
+    try:
+        return Montage(montage_id, channels)
+    except ValidationError as exc:
+        raise FormatError("sidecar", f"sidecar {path}: {exc}") from None
 
 
 # --- LCMC checkpoint I/O ----------------------------------------------------
@@ -390,4 +396,7 @@ def load_segments(source: ByteSink) -> SegmentBatch:
         labels = np.frombuffer(raw, dtype="<u2").astype(np.int64)
     raw = _read_exact(source, 4 * n * m * t, "segment payload")
     segments = np.frombuffer(raw, dtype="<f4").reshape(n, m, t).astype(np.float32)
-    return SegmentBatch(segments=segments, sample_rate_hz=rate, labels=labels)
+    try:
+        return SegmentBatch(segments=segments, sample_rate_hz=rate, labels=labels)
+    except ValidationError as exc:
+        raise FormatError("header", str(exc)) from None

@@ -283,6 +283,17 @@ CRAFTED = {
                                  2 ** 32 - 1, 2 ** 32 - 1, 256.0, 0), "truncated"),
     "lcmr-payload": (struct.pack("<4sHIdQd", b"LCMR", 1, 2 ** 32 - 1, 256.0,
                                  2 ** 64 - 1, 1.0), "truncated"),
+    # header values that the Recording / SegmentBatch invariants reject
+    "lcmr-rate-0": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 0.0, 1, 1.0, 1.0),
+                    "header"),
+    "lcmr-rate-nan": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, float("nan"), 1, 1.0,
+                                  1.0), "header"),
+    "lcmr-scale-0": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 256.0, 1, 0.0, 1.0),
+                     "header"),
+    "lcmr-scale-negative": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 256.0, 1, -1.0,
+                                        1.0), "header"),
+    "lcms-rate-0": (struct.pack("<4sHIIIdBf", b"LCMS", 1, 1, 1, 1, 0.0, 0, 1.0),
+                    "header"),
 }
 LOADERS = {b"LCMC": load_checkpoint, b"LCMS": load_segments,
            b"LCMR": read_recording}
@@ -296,6 +307,19 @@ def test_declared_sizes_not_trusted(name, tmp_path, capsys):
     assert err.value.kind == kind
     path = tmp_path / "crafted.bin"
     path.write_bytes(raw)
+    assert run_cli(["inspect", str(path)]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("channels", ["a,a", ""], ids=["duplicate", "empty"])
+def test_malformed_sidecar_rejected(channels, tmp_path, capsys):
+    path = tmp_path / "rec.lcmr"
+    write_recording(small_recording(), path)
+    (tmp_path / "rec.lcmr.meta").write_text(f"montage_id=cap\nchannels={channels}\n")
+    with pytest.raises(FormatError) as err:
+        read_recording(path)
+    assert err.value.kind == "sidecar"
     assert run_cli(["inspect", str(path)]) == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("error:") and "Traceback" not in stderr
