@@ -8,13 +8,13 @@ random stream is seeded from the config; nothing reads system entropy.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, load_config
+from .config import (RunConfig, apply_overrides, config_from_dict, load_config,
+                     read_config_file)
 from .data import (LCMC_MAGIC, LCMR_MAGIC, LCMS_MAGIC, THETA_PREFIX,
                    load_checkpoint, load_segments, read_recording,
                    save_checkpoint, save_segments, write_recording)
@@ -150,16 +150,11 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    enc = GRADCHECK_SMALL
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError("json", f"config is not valid JSON: {exc}") from exc
-        if isinstance(raw, dict) and "encoder" in raw:
-            enc = _load(args).encoder
-    seed = args.seed if args.seed is not None else 0
-    report = grad_check(enc, seed=seed)
+    raw = {} if args.config is None else read_config_file(args.config)
+    cfg = apply_overrides(config_from_dict(raw), seed=args.seed)
+    # the default encoder is too large to finite-difference quickly
+    enc = cfg.encoder if "encoder" in raw else GRADCHECK_SMALL
+    report = grad_check(enc, seed=cfg.seed)
     for name in sorted(report.per_tensor):
         print(f"{report.per_tensor[name]:12.3e}  {name}")
     ok = report.max_rel_error < GRADCHECK_TOLERANCE

@@ -154,16 +154,19 @@ def config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(seed=seed, **sections)
 
 
+def read_config_file(path: Union[str, Path]):
+    """The parsed JSON of a config file, not yet validated."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError("json", f"config is not valid JSON: {exc}") from exc
+
+
 def load_config(path: Optional[Union[str, Path]]) -> RunConfig:
     """Parse the config file; a missing path gives all-default config."""
     if path is None:
         return RunConfig()
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError("json", f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_config_file(path))
 
 
 def apply_overrides(cfg: RunConfig, *, seed=None, epochs=None, batch_size=None,

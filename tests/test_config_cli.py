@@ -209,6 +209,19 @@ def test_gradcheck_passes(capsys):
     assert "max relative error" in out and "pass" in out
 
 
+@pytest.mark.parametrize("text, code", [
+    (json.dumps({"train": {"batch_size": 0}}), 1),
+    (json.dumps({"train": {"seed": 1}}), 1),
+    (json.dumps([1, 2]), 1),
+    ("{not json", 2),
+], ids=["bad-value", "unknown-key", "array-root", "bad-json"])
+def test_gradcheck_config_validated(tmp_path, capsys, text, code):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert run_cli(["gradcheck", "--config", str(path)]) == code
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_help_lists_documented_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["pretrain", "--help"])
