@@ -1,13 +1,14 @@
 """Config parsing and end-to-end CLI subcommand tests."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from eegssl.cli import run_cli
-from eegssl.config import (TrainConfig, apply_overrides, config_from_dict,
-                           load_config)
+from eegssl.config import (RunConfig, TrainConfig, apply_overrides,
+                           config_from_dict, load_config)
 from eegssl.data import SegmentBatch, load_segments, save_segments
 from eegssl.errors import ValidationError
 from eegssl.synth import SynthSpec, synth_labeled_dataset
@@ -48,8 +49,23 @@ def test_unknown_keys_rejected():
         config_from_dict({"train": {"nope": 1}})
     with pytest.raises(ValidationError, match="unknown key"):
         config_from_dict({"schedule": {"total_epochs": 10}})  # derived at run time
-    with pytest.raises(ValidationError, match="unknown key"):
-        config_from_dict({"train": {"seed": 1}})   # the top-level seed rules
+    for key in ("seed", "encoder", "schedule"):   # each has its own section
+        with pytest.raises(ValidationError, match="unknown key"):
+            config_from_dict({"train": {key: 1}})
+
+
+def test_every_section_field_is_a_config_key():
+    # every field of every section can be set from the file, so no section
+    # carries a placeholder that another section fills in
+    derived = {("schedule", "total_epochs"), ("schedule", "steps_per_epoch")}
+    default = RunConfig()
+    raw = {"seed": default.seed}
+    for section in fields(default):
+        value = getattr(default, section.name)
+        if section.name != "seed":
+            raw[section.name] = {f.name: getattr(value, f.name) for f in fields(value)
+                                 if (section.name, f.name) not in derived}
+    assert config_from_dict(raw) == default
 
 
 def test_invariants_revalidated_on_load():
