@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegssl import autodiff as ad
+from eegssl.config import RunConfig, TrainConfig
 from eegssl.encoder import EncoderConfig
 from eegssl.errors import ValidationError
-from eegssl.config import RunConfig, TrainConfig
 from eegssl.losses import alignment_loss_t, reconstruction_loss_t
 from eegssl.trainer import TrainLogRecord, init_train_state, train_step
 
