@@ -2,17 +2,20 @@
 
 Exactly the ops the encoder and losses run, each with its own closed-form
 backward: broadcasting `add`/`sub`/`mul`, `scale` by a python float,
-`matmul`, `reshape`, `transpose`, a full `sum_`, `gelu`, a last-axis
-`softmax`, masked `where` and `layer_norm`. Gradients are accumulated on a
-tape built during the forward pass; `backward()` walks it once in reverse
-topological order. An op records a tape node only when one of its inputs
-requires grad, so a forward over `constant` tensors records nothing.
+`matmul`, `reshape`, `transpose`, a full `sum_`, `gelu`, fused multi-head
+`attention`, masked `where` and `layer_norm`. Gradients are accumulated on
+a tape built during the forward pass; `backward()` walks it once in reverse
+topological order and frees each node as it goes. An op records a tape node
+only when one of its inputs requires grad, so a forward over `constant`
+tensors records nothing.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -59,7 +62,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into `.grad` of every reachable tensor."""
+        """Accumulate d(self)/d(leaf) into `.grad` of every reachable parameter.
+
+        Consumes the tape: once a node has passed its gradient on, its
+        `grad`, `_backward` and `_parents` are dropped, so each activation is
+        freed after its last consumer has run. Only leaves that require grad
+        keep a `.grad`; a second call on the same output reaches nothing.
+        """
         if self.data.size != 1:
             raise ValueError("backward() expects a scalar output")
         # Iterative DFS post-order; visited marked on push so each node is
@@ -80,13 +89,14 @@ class Tensor:
                 order.append(node)
                 stack.pop()
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
-                continue
-            for parent, pgrad in zip(node._parents, node._backward(node.grad)):
-                if pgrad is None:
-                    continue
-                parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+        while order:
+            node = order.pop()
+            if node._backward is not None and node.grad is not None:
+                for parent, pgrad in zip(node._parents, node._backward(node.grad)):
+                    if pgrad is not None and parent.requires_grad:
+                        parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+            if node._parents:
+                node.grad, node._backward, node._parents = None, None, ()
 
 
 def constant(x) -> Tensor:
@@ -173,17 +183,31 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q k^T / sqrt(head_dim)) v over stacked (..., N, head_dim) heads.
+
+    The scale, max-shift, exp and normalize run in place on one (..., N, N)
+    buffer, and the backward keeps only those probabilities, not the scores.
+    """
+    s = 1.0 / math.sqrt(q.shape[-1])
+    probs = q.data @ k.data.swapaxes(-1, -2)
+    probs *= s
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = probs @ v.data
 
     def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        gv = probs.swapaxes(-1, -2) @ g
+        gs = g @ v.data.swapaxes(-1, -2)                  # d/d probs
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)    # softmax backward
+        gs *= probs
+        gs *= s                                           # d/d scores
+        gq = gs @ k.data
+        gk = (q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return gq, gk, gv
 
-    return _make(out, (a,), backward)
+    return _make(out, (q, k, v), backward)
 
 
 def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:

@@ -154,7 +154,7 @@ def _cmd_gradcheck(args) -> int:
     cfg = apply_overrides(config_from_dict(raw), seed=args.seed)
     # the default encoder is too large to finite-difference quickly
     enc = cfg.encoder if "encoder" in raw else GRADCHECK_SMALL
-    report = grad_check(enc, seed=cfg.seed)
+    report = grad_check(enc, seed=cfg.seed, p_mask=cfg.train.p_mask, lam=cfg.train.lam)
     for name in sorted(report.per_tensor):
         print(f"{report.per_tensor[name]:12.3e}  {name}")
     ok = report.max_rel_error < GRADCHECK_TOLERANCE

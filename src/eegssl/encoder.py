@@ -13,7 +13,6 @@ Token layout is channel-major: token index = channel * n_t + window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -256,9 +255,7 @@ def _attention(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str,
     q = split(ad.add(ad.matmul(x, p[prefix + "attn.wq"]), p[prefix + "attn.bq"]))
     k = split(ad.add(ad.matmul(x, p[prefix + "attn.wk"]), p[prefix + "attn.bk"]))
     v = split(ad.add(ad.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]))
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    attn = ad.softmax(scores)
-    mixed = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, n, d))
+    mixed = ad.reshape(ad.transpose(ad.attention(q, k, v), (0, 2, 1, 3)), (b, n, d))
     return ad.add(ad.matmul(mixed, p[prefix + "attn.wo"]), p[prefix + "attn.bo"])
 
 

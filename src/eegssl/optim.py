@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class ScheduleConfig:
     lr_max: float = 1.5e-4
     lr_final: float = 1e-6
     warmup_epochs: int = 10
-    total_epochs: int = 200
+    total_epochs: Optional[int] = None  # unset until a run sizes it from train.epochs
     steps_per_epoch: int = 1
     decay_exponent: float = 1.0
     mode: str = MODE_WARMUP_COSINE
@@ -50,8 +50,10 @@ class ScheduleConfig:
     def __post_init__(self):
         if not (0 < self.lr_final <= self.lr_max):
             raise ValidationError("need 0 < lr_final <= lr_max")
-        if not (0 <= self.warmup_epochs < self.total_epochs):
-            raise ValidationError("need 0 <= warmup_epochs < total_epochs")
+        if self.warmup_epochs < 0:
+            raise ValidationError("warmup_epochs must be >= 0")
+        if self.total_epochs is not None and self.warmup_epochs >= self.total_epochs:
+            raise ValidationError("need warmup_epochs < total_epochs")
         if self.steps_per_epoch < 1:
             raise ValidationError("steps_per_epoch must be >= 1")
         if self.mode not in (MODE_WARMUP_COSINE, MODE_POLYNOMIAL):
@@ -63,6 +65,8 @@ class ScheduleConfig:
 
     @property
     def total_steps(self) -> int:
+        if self.total_epochs is None:
+            raise ValidationError("schedule total_epochs is unset")
         return self.total_epochs * self.steps_per_epoch
 
     @property

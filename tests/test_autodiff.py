@@ -1,5 +1,7 @@
 """Finite-difference checks for every autodiff primitive."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,25 @@ def test_gelu():
 
 
 def test_softmax():
-    check_op(lambda a: ad.sum_(ad.mul(ad.softmax(a), ad.softmax(a))), (3, 5))
+    # the softmax runs inside the fused attention op; check it w.r.t. q, k, v
+    weights = ad.constant(np.random.default_rng(4).standard_normal((2, 3, 5, 4)))
+    check_op(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v), weights)),
+             (2, 3, 5, 4), (2, 3, 5, 4), (2, 3, 5, 4))
+    check_op(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v),
+                                            ad.attention(q, k, v))),
+             (1, 2, 6, 3), (1, 2, 6, 3), (1, 2, 6, 3), seed=1)
+
+
+def test_attention_forward_matches_composite_float32():
+    rng = np.random.default_rng(5)
+    q, k, v = (rng.standard_normal((2, 4, 16, 8)).astype(np.float32) * 3.0
+               for _ in range(3))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(8))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    expected = (e / e.sum(axis=-1, keepdims=True)) @ v
+    out = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v)).data
+    assert out.dtype == np.float32
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_layer_norm():
@@ -143,6 +163,21 @@ def test_dtype_preserved_float32():
     assert y.data.dtype == np.float32
     y.backward()
     assert x.grad.dtype == np.float32
+
+
+def test_backward_frees_the_tape():
+    x = ad.parameter(np.array([1.0, 2.0]))
+    c = ad.constant(np.array([3.0, 4.0]))
+    hidden = ad.gelu(ad.mul(x, c))
+    out = ad.sum_(ad.mul(hidden, hidden))
+    out.backward()
+    for node in (hidden, out):
+        assert node.grad is None and node._backward is None and node._parents == ()
+    assert c.grad is None          # constants receive no gradient
+    assert x.grad is not None
+    first = x.grad.copy()
+    out.backward()                 # the tape is consumed: nothing more reaches x
+    np.testing.assert_array_equal(x.grad, first)
 
 
 def test_backward_requires_scalar():

@@ -6,13 +6,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from eegssl import cli
 from eegssl.cli import run_cli
 from eegssl.config import (RunConfig, TrainConfig, apply_overrides,
                            config_from_dict, load_config)
 from eegssl.data import SegmentBatch, load_segments, save_segments
 from eegssl.errors import ValidationError
 from eegssl.synth import SynthSpec, synth_labeled_dataset
-from eegssl.trainer import init_train_state
+from eegssl.trainer import GradCheckReport, init_train_state
 
 
 def test_defaults_without_file():
@@ -110,6 +111,16 @@ def test_train_config_assembly():
     assert state.cfg is cfg
     assert (state.schedule.total_epochs, state.schedule.steps_per_epoch) == (2, 3)
     assert state.schedule.warmup_epochs == 1
+
+
+def test_long_warmup_parses_and_starts():
+    # warmup is checked against train.epochs when the run starts, not against
+    # a schedule placeholder when the file is parsed
+    cfg = config_from_dict({"schedule": {"warmup_epochs": 250}, "train": {"epochs": 300}})
+    state = init_train_state(cfg, steps_per_epoch=2)
+    assert (state.schedule.warmup_epochs, state.schedule.total_epochs) == (250, 300)
+    with pytest.raises(ValidationError, match="warmup_epochs must be >= 0"):
+        config_from_dict({"schedule": {"warmup_epochs": -1}})
 
 
 # --- CLI -----------------------------------------------------------------------------
@@ -236,6 +247,21 @@ def test_gradcheck_config_validated(tmp_path, capsys, text, code):
     path.write_text(text)
     assert run_cli(["gradcheck", "--config", str(path)]) == code
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_gradcheck_uses_train_settings(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_grad_check(enc, **kwargs):
+        calls.append(kwargs)
+        return GradCheckReport(per_tensor={"w": 0.0}, max_rel_error=0.0,
+                               fd_step=1e-5, coords_per_tensor=32)
+
+    monkeypatch.setattr(cli, "grad_check", fake_grad_check)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 5, "train": {"p_mask": 0.25, "lambda": 2.5}}))
+    assert run_cli(["gradcheck", "--config", str(path)]) == 0
+    assert calls == [{"seed": 5, "p_mask": 0.25, "lam": 2.5}]
 
 
 def test_help_lists_documented_flags(capsys):

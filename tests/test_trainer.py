@@ -14,13 +14,14 @@ import pytest
 import eegssl
 from eegssl.config import RunConfig, TrainConfig
 from eegssl.data import SegmentBatch, save_checkpoint, save_segments
-from eegssl.encoder import EncoderConfig
+from eegssl.encoder import EncoderConfig, wrap_parameters
 from eegssl.errors import ValidationError
 from eegssl.optim import ScheduleConfig
-from eegssl.trainer import (GradCheckReport, analytic_training_grads,
-                            batch_mask, fd_compare, grad_check, grad_stats,
-                            init_train_state, make_checkpoint, restore_train_state,
-                            run_pretraining, train_step)
+from eegssl.trainer import (GradCheckReport, _training_loss,
+                            analytic_training_grads, batch_mask, fd_compare,
+                            grad_check, grad_stats, init_train_state,
+                            make_checkpoint, restore_train_state, run_pretraining,
+                            train_step)
 
 SMALL_ENC = EncoderConfig(d=16, layers=2, heads=4, mlp_ratio=4.0, p_t=8,
                           in_channels=4, mapped_channels=4, n_t=4, stem_kernel=7)
@@ -133,6 +134,84 @@ def test_mask_derived_from_seed_and_step():
     assert (a != c).any()
     assert not batch_mask(1, 5, 4, (4, 4), 0.0).any()     # nothing masked
     assert batch_mask(1, 5, 4, (4, 4), 1.0).all()         # everything masked
+
+
+# --- the training tape -----------------------------------------------------------------
+
+def training_graph(cfg, b=2):
+    """Parameter tensors and the traced total loss of one small batch."""
+    state = init_train_state(cfg, 1)
+    enc = cfg.encoder
+    mask = batch_mask(cfg.seed, 0, b, (enc.mapped_channels, enc.n_t), cfg.train.p_mask)
+    params = wrap_parameters(state.theta)
+    total, _, _ = _training_loss(params, state.xi, small_data(b).segments, mask, enc,
+                                 cfg.train.lam)
+    return params, total
+
+
+def graph_nodes(root):
+    """Every tensor reachable from `root` through `_parents`."""
+    seen, stack, nodes = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+def keep_tape_backward(root):
+    """Reference walk that frees nothing: the DFS post-order of
+    `Tensor.backward`, gradients accumulated into every input."""
+    order, visited = [], {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        nxt = next((p for p in parents if id(p) not in visited), None)
+        if nxt is None:
+            order.append(node)
+            stack.pop()
+        else:
+            visited.add(id(nxt))
+            stack.append((nxt, iter(nxt._parents)))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if g is not None:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def test_backward_frees_training_tape_with_same_grads():
+    params, total = training_graph(small_config())
+    interior = [n for n in graph_nodes(total) if n._parents]
+    total.backward()
+    assert all(n.grad is None and n._backward is None for n in interior)
+    ref_params, ref_total = training_graph(small_config())
+    keep_tape_backward(ref_total)
+    for name, t in params.items():
+        assert t.grad.dtype == np.float32
+        assert t.grad.tobytes() == ref_params[name].grad.tobytes(), name
+
+
+def test_training_graph_holds_one_score_buffer_per_layer():
+    # the attention backward keeps only the probabilities, not the scores
+    b, enc = 2, SMALL_ENC
+    _, total = training_graph(small_config(), b)
+    n = enc.mapped_channels * enc.n_t
+    held = {}
+    for node in graph_nodes(total):
+        arrays = [node.data]
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                arrays.append(cell.cell_contents)
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            held[id(a)] = a.shape
+    assert list(held.values()).count((b, enc.heads, n, n)) == enc.layers
 
 
 # --- gradient verification ----------------------------------------------------------
