@@ -249,7 +249,7 @@ def test_gradcheck_config_validated(tmp_path, capsys, text, code):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_gradcheck_uses_train_settings(tmp_path, monkeypatch, capsys):
+def test_gradcheck_uses_train_settings(tmp_path, monkeypatch):
     calls = []
 
     def fake_grad_check(enc, **kwargs):
