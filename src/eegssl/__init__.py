@@ -9,11 +9,10 @@ from .config import RunConfig, TrainConfig
 from .data import (Checkpoint, Montage, Recording, SegmentBatch,
                    load_checkpoint, load_segments, read_recording,
                    save_checkpoint, save_segments, write_recording)
-from .encoder import EncoderConfig, ParamStore, init_param_store, param_count
+from .encoder import EncoderConfig, ParamStore, init_param_store
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import (FeatureSet, LinearProbe, MetricsReport, compute_metrics,
-                       extract_features, fit_probe, predict_labels,
-                       predict_scores)
+                       extract_features, fit_probe, predict_scores)
 from .optim import (AdamWState, ScheduleConfig, adamw_step, ema_update,
                     init_adamw_state, lr_at, momentum_at, wd_at)
 from .preprocess import (PreprocConfig, average_reference, lowpass,

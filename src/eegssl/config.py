@@ -78,8 +78,8 @@ class TrainConfig:
             raise ValidationError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
-        if not (0.0 <= self.p_mask <= 1.0):
-            raise ValidationError("p_mask must lie in [0, 1]")
+        if not (0.0 < self.p_mask <= 1.0):  # p_mask = 0 leaves L_R undefined
+            raise ValidationError("p_mask must lie in (0, 1]")
         if self.lam < 0:
             raise ValidationError("lambda must be >= 0")
         if self.checkpoint_every_epochs < 0:

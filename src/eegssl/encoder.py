@@ -5,10 +5,11 @@ full signal with the same architecture. Both share one forward
 implementation; the target path is evaluated with constant tensors, which
 record no tape, so no gradient can ever reach the target parameters.
 
-`forward_tokens` also builds the tokens: a trainable channel map takes the
+`patch_grid` builds the encoder input: a trainable channel map takes the
 dataset montage to the mapped channels, and each mapped channel is cut into
 consecutive length-p_t patches (any tail shorter than a patch is dropped).
-Token layout is channel-major: token index = channel * n_t + window.
+`forward_tokens` encodes that grid. Token layout is channel-major: token
+index = channel * n_t + window.
 """
 
 from __future__ import annotations
@@ -112,9 +113,6 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         return ParamStore({k: v.copy() for k, v in self.tensors.items()})
 
-    def size(self) -> int:
-        return int(sum(v.size for v in self.tensors.values()))
-
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     lo, hi = ndtr(-INIT_TRUNC), ndtr(INIT_TRUNC)
@@ -170,26 +168,27 @@ def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> ParamSt
     return ParamStore(p)
 
 
-def param_count(cfg: EncoderConfig) -> int:
-    """Closed-form scalar-parameter count of one encoder (theta only)."""
-    d, h = cfg.d, cfg.hidden
-    total = cfg.mapped_channels * cfg.in_channels   # channel map
-    total += cfg.mapped_channels * d                # channel embedding
-    total += d                                      # mask token
-    total += cfg.n_t * d                            # positional embedding
-    total += d * cfg.stem_kernel + d * cfg.conv_positions + d  # stem
-    per_layer = (4 * d                              # two layer norms
-                 + 4 * (d * d + d)                  # q, k, v, o projections
-                 + (d * h + h) + (h * d + d))       # mlp
-    total += cfg.layers * per_layer
-    total += 2 * d                                  # final layer norm
-    total += d * cfg.p_t + cfg.p_t                  # reconstructor head
-    return total
+def check_layout(tensors: Mapping[str, np.ndarray], reference: ParamStore,
+                 group: str) -> None:
+    """Reject checkpoint `group` unless its tensors have exactly the names and
+    shapes of `reference`; the error names the first tensor that differs."""
+    for name in sorted(set(tensors) | set(reference.names())):
+        if name not in tensors:
+            problem = "is missing"
+        elif name not in reference:
+            problem = "is not an encoder parameter"
+        elif np.shape(tensors[name]) != reference[name].shape:
+            problem = (f"has shape {np.shape(tensors[name])}, "
+                       f"expected {reference[name].shape}")
+        else:
+            continue
+        raise ValidationError(
+            f"checkpoint tensor {group + name!r} {problem}: the checkpoint "
+            f"does not match the configured encoder")
 
 
-def first_layer_names(cfg: EncoderConfig) -> tuple:
-    """Tensors counted as the 'first layer' for gradient statistics."""
-    return ("stem.weight", "stem.pool", "stem.bias")
+# Tensors counted as the 'first layer' for gradient statistics.
+FIRST_LAYER_NAMES = ("stem.weight", "stem.pool", "stem.bias")
 
 
 def last_layer_names(cfg: EncoderConfig) -> tuple:
@@ -264,12 +263,9 @@ def _mlp(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str) -> ad.Tensor:
     return ad.add(ad.matmul(hidden, p[prefix + "mlp.w2"]), p[prefix + "mlp.b2"])
 
 
-def forward_tokens(p: Mapping[str, ad.Tensor], x: np.ndarray,
-                   mask: Optional[np.ndarray], cfg: EncoderConfig) -> ad.Tensor:
-    """Batched encoder forward: (B, M, T) -> token sequence (B, N, d).
-
-    `mask` is a boolean (B, M', n_t) array or None (target path, no masking).
-    """
+def patch_grid(p: Mapping[str, ad.Tensor], x: np.ndarray,
+               cfg: EncoderConfig) -> ad.Tensor:
+    """Channel map and patching: (B, M, T) -> patch grid (B, M', n_t, p_t)."""
     if x.ndim != 3:
         raise ValidationError("expected a (batch, channels, time) array")
     b, m, t = x.shape
@@ -279,14 +275,22 @@ def forward_tokens(p: Mapping[str, ad.Tensor], x: np.ndarray,
         raise ValidationError(
             f"segment of {t} samples does not give n_t={cfg.n_t} windows of "
             f"length {cfg.p_t}")
+    x_const = ad.constant(np.ascontiguousarray(x[:, :, :cfg.segment_samples]))
+    mapped = ad.matmul(p["channel_map"], x_const)              # (B, M', T)
+    return ad.reshape(mapped, (b, cfg.mapped_channels, cfg.n_t, cfg.p_t))
+
+
+def forward_tokens(p: Mapping[str, ad.Tensor], patches: ad.Tensor,
+                   mask: Optional[np.ndarray], cfg: EncoderConfig) -> ad.Tensor:
+    """Encoder forward: patch grid (B, M', n_t, p_t) -> tokens (B, N, d).
+
+    `mask` is a boolean (B, M', n_t) array or None (target path, no masking).
+    """
+    b = patches.shape[0]
     if mask is not None and mask.shape != (b, cfg.mapped_channels, cfg.n_t):
         raise ValidationError("mask shape does not match the patch grid")
 
-    mp, n_t, p_t, d = cfg.mapped_channels, cfg.n_t, cfg.p_t, cfg.d
-    x_const = ad.constant(np.ascontiguousarray(x[:, :, :n_t * p_t]))
-    mapped = ad.matmul(p["channel_map"], x_const)              # (B, M', T)
-    patches = ad.reshape(mapped, (b, mp, n_t, p_t))
-
+    mp, n_t, d = cfg.mapped_channels, cfg.n_t, cfg.d
     tokens = _stem_tokens(patches, p, cfg)                     # (B, M', n_t, d)
     if mask is not None:
         tokens = ad.where(mask[..., None], p["mask_token"], tokens)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .data import Checkpoint, SegmentBatch, XI_PREFIX
-from .encoder import EncoderConfig, ParamStore, forward_tokens, wrap_constants
+from .encoder import (EncoderConfig, ParamStore, check_layout, forward_tokens,
+                      init_param_store, patch_grid, wrap_constants)
 from .errors import ValidationError
 from .seeding import TAG_PROBE, make_rng
 
@@ -74,27 +75,19 @@ class LinearProbe:
     classes: np.ndarray  # label value per column
 
 
-def _xi_store(source: Union[Checkpoint, ParamStore]) -> ParamStore:
-    if isinstance(source, ParamStore):
-        return source
-    tensors = source.group(XI_PREFIX)
-    if not tensors:
-        raise ValidationError("checkpoint carries no target-encoder tensors")
-    return ParamStore(tensors)
-
-
-def extract_features(batch: SegmentBatch, checkpoint: Union[Checkpoint, ParamStore],
+def extract_features(batch: SegmentBatch, checkpoint: Checkpoint,
                      cfg: EncoderConfig) -> FeatureSet:
     """Target-encoder forward without masking, mean over tokens per segment."""
-    store = _xi_store(checkpoint)
+    tensors = checkpoint.group(XI_PREFIX)
+    check_layout(tensors, init_param_store(cfg, seed=0), XI_PREFIX)
     if batch.labels is None:
         raise ValidationError("feature extraction needs labeled segments")
-    x = np.ascontiguousarray(batch.segments, dtype=store["channel_map"].dtype)
-    params = wrap_constants(store)
+    x = np.ascontiguousarray(batch.segments, dtype=tensors["channel_map"].dtype)
+    params = wrap_constants(ParamStore(tensors))
     rows = []
     for lo in range(0, x.shape[0], _FEATURE_CHUNK):
-        tokens = forward_tokens(params, x[lo:lo + _FEATURE_CHUNK], None, cfg)
-        rows.append(tokens.data.mean(axis=1))
+        patches = patch_grid(params, x[lo:lo + _FEATURE_CHUNK], cfg)
+        rows.append(forward_tokens(params, patches, None, cfg).data.mean(axis=1))
     return FeatureSet(features=np.concatenate(rows, axis=0), labels=batch.labels)
 
 
@@ -144,11 +137,6 @@ def predict_scores(probe: LinearProbe, features: np.ndarray) -> np.ndarray:
     """Class probabilities (n, n_classes), columns ordered as probe.classes."""
     features = np.asarray(features, dtype=float)
     return _softmax_rows(features @ probe.weights + probe.bias)
-
-
-def predict_labels(probe: LinearProbe, features: np.ndarray) -> np.ndarray:
-    scores = predict_scores(probe, features)
-    return probe.classes[np.argmax(scores, axis=1)]
 
 
 # --- metrics -----------------------------------------------------------------

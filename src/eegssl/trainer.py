@@ -4,9 +4,9 @@ Each step runs exactly: (1) online forward on the masked input and target
 forward on the full input, (2) alignment + masked reconstruction losses,
 (3) AdamW update of theta at the scheduled lr/wd, (4) EMA update of xi at
 the scheduled momentum. Both teachers come from the target side: alignment
-regresses onto the target-encoder tokens, and reconstruction targets are
-patches of the signal under the target encoder's channel map. The target
-side never produces gradients.
+regresses onto the target-encoder tokens, and the reconstruction targets are
+the target encoder's own patch grid (`encoder.patch_grid`), built once per
+step and fed to both. The target side never produces gradients.
 
 Determinism contract: batch order is a pure function of (seed, epoch), the
 patch masks of (seed, step), so a run can resume from any checkpoint and
@@ -27,9 +27,10 @@ from . import autodiff as ad
 from .config import RunConfig
 from .data import (Checkpoint, LCMC_VERSION, MOMENT1_PREFIX, MOMENT2_PREFIX,
                    SegmentBatch, THETA_PREFIX, XI_PREFIX, save_checkpoint)
-from .encoder import (EncoderConfig, ParamStore, first_layer_names,
-                      forward_tokens, init_param_store, last_layer_names,
-                      predict_patches, wrap_constants, wrap_parameters)
+from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, ParamStore,
+                      check_layout, forward_tokens, init_param_store,
+                      last_layer_names, patch_grid, predict_patches,
+                      wrap_constants, wrap_parameters)
 from .errors import DivergenceError, ValidationError
 from .losses import alignment_loss_t, reconstruction_loss_t
 from .optim import (AdamWState, ScheduleConfig, adamw_step, ema_update,
@@ -98,24 +99,17 @@ def batch_mask(seed: int, step: int, batch: int, grid_shape: tuple,
     return rng.random((batch,) + tuple(grid_shape)) < p_mask
 
 
-def mapped_patch_targets(w_c: np.ndarray, x: np.ndarray,
-                         cfg: EncoderConfig) -> np.ndarray:
-    """Reconstruction targets: patches of W_c @ x, shape (B, M', n_t, p_t)."""
-    used = cfg.n_t * cfg.p_t
-    mapped = w_c @ x[:, :, :used]
-    return mapped.reshape(x.shape[0], cfg.mapped_channels, cfg.n_t, cfg.p_t)
-
-
 def _training_loss(params_t: Mapping[str, ad.Tensor], xi: ParamStore,
                    x: np.ndarray, mask: np.ndarray, cfg: EncoderConfig,
                    lam: float):
     """Traced total loss plus the two component values."""
-    z = forward_tokens(params_t, x, mask, cfg)                     # (B, N, d)
-    h = forward_tokens(wrap_constants(xi), x, None, cfg).data
+    z = forward_tokens(params_t, patch_grid(params_t, x, cfg), mask, cfg)
+    params_xi = wrap_constants(xi)
+    targets = patch_grid(params_xi, x, cfg)  # also the target encoder's input
+    h = forward_tokens(params_xi, targets, None, cfg).data
     loss_align = alignment_loss_t(h, z)
-    targets = mapped_patch_targets(xi["channel_map"], x, cfg)
     x_hat = predict_patches(params_t, z, cfg)
-    loss_recon = reconstruction_loss_t(x_hat, targets, mask)
+    loss_recon = reconstruction_loss_t(x_hat, targets.data, mask)
     total = ad.add(loss_align, ad.scale(loss_recon, lam))
     return total, float(loss_align.data), float(loss_recon.data)
 
@@ -158,7 +152,7 @@ def train_step(batch: np.ndarray, state: TrainState, t: int) -> TrainLogRecord:
     grads = _collect_grads(params_t)
 
     g_first, g_last, g_min, g_max = grad_stats(
-        grads, first_layer_names(enc), last_layer_names(enc))
+        grads, FIRST_LAYER_NAMES, last_layer_names(enc))
     lr = lr_at(t, state.schedule)
     wd = wd_at(t, state.schedule)
     m = momentum_at(t, state.schedule)
@@ -180,10 +174,6 @@ class GradCheckReport:
     max_rel_error: float
     fd_step: float
     coords_per_tensor: int
-
-    def worst(self) -> tuple:
-        name = max(self.per_tensor, key=self.per_tensor.get)
-        return name, self.per_tensor[name]
 
 
 def _loss_value(theta: ParamStore, xi: ParamStore, x: np.ndarray,
@@ -274,12 +264,9 @@ def restore_train_state(state: TrainState, ckpt: Checkpoint) -> int:
     """Load checkpoint tensors into `state`; returns the step to resume at."""
     groups = {prefix: ckpt.group(prefix) for prefix in
               (THETA_PREFIX, XI_PREFIX, MOMENT1_PREFIX, MOMENT2_PREFIX)}
-    expected = set(state.theta.names())
     for prefix, tensors in groups.items():
-        if set(tensors) != expected:
-            raise ValidationError(
-                f"checkpoint group {prefix!r} does not match the configured encoder")
-    for name in expected:
+        check_layout(tensors, state.theta, prefix)
+    for name in state.theta.names():
         state.theta[name] = groups[THETA_PREFIX][name]
         state.xi[name] = groups[XI_PREFIX][name]
         state.opt.m[name] = groups[MOMENT1_PREFIX][name]

@@ -16,7 +16,8 @@ from eegssl.config import RunConfig, TrainConfig
 from eegssl.data import (SegmentBatch, THETA_PREFIX, XI_PREFIX, load_checkpoint,
                          read_recording, save_checkpoint, write_recording)
 from eegssl.encoder import (EncoderConfig, ParamStore, forward_tokens,
-                            init_param_store, predict_patches, wrap_constants)
+                            init_param_store, patch_grid, predict_patches,
+                            wrap_constants)
 from eegssl.errors import FormatError, ValidationError
 from eegssl.evaluate import FeatureSet, compute_metrics, extract_features, \
     fit_probe, predict_scores
@@ -26,8 +27,7 @@ from eegssl.preprocess import PreprocConfig, average_reference, lowpass, \
     preprocess, resample
 from eegssl.seeding import make_rng
 from eegssl.synth import SynthSpec, synth_labeled_dataset, synth_recording
-from eegssl.trainer import (batch_mask, grad_check, mapped_patch_targets,
-                            run_pretraining)
+from eegssl.trainer import batch_mask, grad_check, run_pretraining
 
 GRADCHECK_CFG = EncoderConfig(d=16, layers=2, heads=4, mlp_ratio=4.0, p_t=8,
                               in_channels=4, mapped_channels=4, n_t=4,
@@ -77,7 +77,7 @@ def test_criterion_01_gradient_correctness():
     assert result.max_rel_error < 1e-4
     assert elapsed < 60.0
     report(1, f"gradcheck max rel error {result.max_rel_error:.2e} < 1e-4 "
-              f"in {elapsed:.1f}s (worst tensor: {result.worst()[0]})")
+              f"in {elapsed:.1f}s")
 
 
 def test_criterion_02_schedule_exactness():
@@ -190,8 +190,10 @@ def test_criterion_05_masking_statistics():
         perturbed[:, j * cfg.p_t:(j + 1) * cfg.p_t] += rng.standard_normal(
             (cfg.in_channels, cfg.p_t)).astype(np.float32) * 5.0
     params = wrap_constants(store)
-    a = forward_tokens(params, segment[None], mask[None], cfg).data
-    b = forward_tokens(params, perturbed[None], mask[None], cfg).data
+    a = forward_tokens(params, patch_grid(params, segment[None], cfg),
+                       mask[None], cfg).data
+    b = forward_tokens(params, patch_grid(params, perturbed[None], cfg),
+                       mask[None], cfg).data
     assert a.tobytes() == b.tobytes()
     report(5, f"masked fraction {fraction:.4f} within 0.5 +/- 0.015 on 10,000 "
               f"positions; masked-content independence bitwise exact")
@@ -212,12 +214,13 @@ def test_criterion_06_pretraining_descent(corpus, pretrain_result):
     x = corpus.segments.astype(np.float32)
     mask = batch_mask(ACCEPT_SEED, ckpt.step, x.shape[0],
                       (ACCEPT_ENC.mapped_channels, ACCEPT_ENC.n_t), 0.5)
-    targets = mapped_patch_targets(xi["channel_map"], x, ACCEPT_ENC)
+    targets = patch_grid(wrap_constants(xi), x, ACCEPT_ENC).data
     model_err, baseline_err = [], []
     params = wrap_constants(theta)
     for lo in range(0, x.shape[0], 64):
         sl = slice(lo, lo + 64)
-        z = forward_tokens(params, x[sl], mask[sl], ACCEPT_ENC)
+        z = forward_tokens(params, patch_grid(params, x[sl], ACCEPT_ENC),
+                           mask[sl], ACCEPT_ENC)
         pred = predict_patches(params, z, ACCEPT_ENC).data
         tt, mm = targets[sl], mask[sl]
         model_err.append(((pred - tt) ** 2).sum(-1)[mm])

@@ -10,10 +10,11 @@ from eegssl import cli
 from eegssl.cli import run_cli
 from eegssl.config import (RunConfig, TrainConfig, apply_overrides,
                            config_from_dict, load_config)
-from eegssl.data import SegmentBatch, load_segments, save_segments
+from eegssl.data import (SegmentBatch, load_segments, save_checkpoint,
+                         save_segments)
 from eegssl.errors import ValidationError
 from eegssl.synth import SynthSpec, synth_labeled_dataset
-from eegssl.trainer import GradCheckReport, init_train_state
+from eegssl.trainer import GradCheckReport, init_train_state, make_checkpoint
 
 
 def test_defaults_without_file():
@@ -91,6 +92,7 @@ def test_flag_overrides_win():
 @pytest.mark.parametrize("key, field, value", [
     ("p_mask", "p_mask", 1.5),
     ("p_mask", "p_mask", -0.1),
+    ("p_mask", "p_mask", 0.0),
     ("batch_size", "batch_size", 0),
     ("epochs", "epochs", 0),
     ("lambda", "lam", -1.0),
@@ -184,6 +186,20 @@ def test_full_pipeline(tmp_path, config_path, capsys):
     assert run_cli(["inspect", str(rec)]) == 0
     assert run_cli(["inspect", str(ckpt)]) == 0
     assert run_cli(["inspect", str(seg)]) == 0
+
+
+def test_probe_checkpoint_of_another_encoder_exits_1(tmp_path, config_path, capsys):
+    # a d=32 checkpoint probed under the config's d=16 encoder
+    wide = config_from_dict(dict(SMALL_CONFIG, encoder=dict(SMALL_CONFIG["encoder"], d=32)))
+    ckpt = tmp_path / "wide.lcmc"
+    save_checkpoint(make_checkpoint(init_train_state(wide, 1), 0), ckpt)
+    spec = SynthSpec(seed=3, channel_count=4, duration_s=4.0, sample_rate_hz=256.0)
+    labeled = tmp_path / "labeled.lcms"
+    save_segments(synth_labeled_dataset(spec, 2, 4, (8.0, 12.0), 4.0), labeled)
+    code = run_cli(["probe", str(ckpt), str(labeled), "--config", config_path])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'xi/channel_embed' has shape (4, 32), expected (4, 16)" in err
 
 
 def test_pretrain_missing_config_exits_2(tmp_path, capsys):

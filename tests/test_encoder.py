@@ -1,11 +1,14 @@
-"""Encoder forward-pass contracts: masking, equivariance, parameter counts."""
+"""Encoder contracts: the patch grid, masking, equivariance, parameter
+counts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegssl import autodiff as ad
 from eegssl.encoder import (EncoderConfig, _stem_tokens, forward_tokens,
-                            init_param_store, param_count, predict_patches,
+                            init_param_store, patch_grid, predict_patches,
                             wrap_constants)
 from eegssl.errors import ValidationError
 from eegssl.trainer import batch_mask
@@ -15,8 +18,9 @@ CFG = EncoderConfig(d=16, layers=2, heads=4, mlp_ratio=4.0, p_t=8,
 
 
 def encode(segment, store, mask=None, cfg=CFG):
-    """One segment through forward_tokens on constants: (N, d) tokens."""
-    out = forward_tokens(wrap_constants(store), segment[None],
+    """One segment through the encoder on constants: (N, d) tokens."""
+    params = wrap_constants(store)
+    out = forward_tokens(params, patch_grid(params, segment[None], cfg),
                          None if mask is None else mask[None], cfg)
     return out.data[0]
 
@@ -31,12 +35,119 @@ def make_mask(shape, p_mask, seed):
     return batch_mask(seed, 0, 1, shape, p_mask)[0]
 
 
+def grid_config(in_channels, mapped_channels, p_t, n_t):
+    return EncoderConfig(d=4, layers=0, heads=1, p_t=p_t, stem_kernel=1,
+                         in_channels=in_channels,
+                         mapped_channels=mapped_channels, n_t=n_t)
+
+
+def map_patches(x, w, p_t, n_t):
+    """Patch grid of w @ x for one (channels, time) signal: (M', n_t, p_t)."""
+    w = np.asarray(w)
+    cfg = grid_config(x.shape[0], w.shape[0], p_t, n_t)
+    return patch_grid({"channel_map": ad.constant(w)}, x[None], cfg).data[0]
+
+
+def forward(cfg, x, mask=None):
+    params = wrap_constants(init_param_store(cfg, seed=0))
+    return forward_tokens(params, patch_grid(params, x, cfg), mask, cfg)
+
+
 def make_inputs(cfg=CFG, seed=0):
     rng = np.random.default_rng(seed)
     segment = rng.standard_normal((cfg.in_channels, cfg.segment_samples)).astype(np.float32)
     store = init_param_store(cfg, seed=seed)
     return segment, store
 
+
+# --- the patch grid: channel map and patching --------------------------------------
+
+def test_identity_map():
+    x = np.random.default_rng(0).standard_normal((3, 10))
+    out = map_patches(x, np.eye(3), p_t=5, n_t=2)
+    np.testing.assert_array_equal(out.reshape(3, 10), x)
+
+
+def test_zero_map():
+    x = np.ones((2, 5))
+    np.testing.assert_array_equal(map_patches(x, np.zeros((4, 2)), 5, 1), 0.0)
+
+
+def test_matches_naive_triple_loop():
+    rng = np.random.default_rng(1)
+    w = rng.standard_normal((3, 2))
+    x = rng.standard_normal((2, 5))
+    out = map_patches(x, w, p_t=5, n_t=1).reshape(3, 5)
+    expected = np.zeros((3, 5))
+    for i in range(3):
+        for t in range(5):
+            for j in range(2):
+                expected[i, t] += w[i, j] * x[j, t]
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
+def test_shape_mismatch_rejected():
+    cfg = grid_config(2, 2, p_t=5, n_t=1)
+    with pytest.raises(ValidationError, match="channels"):
+        forward(cfg, np.zeros((1, 3, 5)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.floats(-3, 3), st.floats(-3, 3))
+def test_linearity(seed, a, b):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((4, 3))
+    x = rng.standard_normal((3, 6))
+    y = rng.standard_normal((3, 6))
+    lhs = map_patches(a * x + b * y, w, 3, 2)
+    rhs = a * map_patches(x, w, 3, 2) + b * map_patches(y, w, 3, 2)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-6)
+
+
+def test_patchify_shape():
+    patches = map_patches(np.zeros((2, 8)), np.eye(2), p_t=4, n_t=2)
+    assert patches.shape == (2, 2, 4)
+
+
+def test_patchify_roundtrip():
+    x = np.arange(24.0).reshape(2, 12)
+    patches = map_patches(x, np.eye(2), p_t=4, n_t=3)
+    np.testing.assert_array_equal(patches.reshape(2, 12), x)
+
+
+def test_patchify_floor_discards_tail():
+    x = np.arange(20.0).reshape(2, 10)
+    patches = map_patches(x, np.eye(2), p_t=4, n_t=2)
+    assert patches.shape == (2, 2, 4)
+    kept = patches.ravel()
+    assert 8.0 not in kept and 9.0 not in kept    # samples 8, 9 of each channel
+    assert 18.0 not in kept and 19.0 not in kept
+    # the encoder accepts the segment and drops the same tail
+    assert forward(grid_config(2, 2, 4, 2), x[None]).shape == (1, 4, 4)
+
+
+def test_patchify_preserves_samples_exactly():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((3, 17)).astype(np.float32)
+    patches = map_patches(x, np.eye(3, dtype=np.float32), p_t=5, n_t=3)
+    np.testing.assert_array_equal(patches[:, 0, :], x[:, :5])
+    np.testing.assert_array_equal(patches[:, 2, :], x[:, 10:15])
+
+
+def test_patchify_invalid_length():
+    with pytest.raises(ValidationError):
+        grid_config(2, 2, p_t=0, n_t=1)
+    with pytest.raises(ValidationError):
+        forward(grid_config(2, 2, p_t=4, n_t=1), np.zeros((1, 2, 3)))
+
+
+def test_mask_pattern_shape_validated():
+    cfg = grid_config(2, 2, p_t=4, n_t=2)
+    with pytest.raises(ValidationError, match="mask shape"):
+        forward(cfg, np.zeros((1, 2, 8)), np.zeros((2, 2), bool))  # no batch axis
+
+
+# --- the encoder forward -----------------------------------------------------------
 
 def test_output_shape_and_determinism():
     segment, store = make_inputs()
@@ -207,25 +318,13 @@ def test_stem_matches_conv_then_pool():
     np.testing.assert_allclose(tokens, expected, rtol=1e-12)
 
 
-def test_param_count_matches_store():
-    for cfg in (CFG,
-                EncoderConfig(d=16, layers=0, heads=4, mlp_ratio=4.0, p_t=8,
-                              in_channels=4, mapped_channels=4, n_t=4,
-                              stem_kernel=7),
-                EncoderConfig()):
-        store = init_param_store(cfg, seed=0)
-        assert param_count(cfg) == store.size()
-
-
 def test_param_count_block_share_grows_4x_with_d():
     def blocks(d):
-        with_layers = param_count(EncoderConfig(
-            d=d, layers=4, heads=4, mlp_ratio=4.0, p_t=64, in_channels=8,
-            mapped_channels=8, n_t=16, stem_kernel=7))
-        without = param_count(EncoderConfig(
-            d=d, layers=0, heads=4, mlp_ratio=4.0, p_t=64, in_channels=8,
-            mapped_channels=8, n_t=16, stem_kernel=7))
-        return with_layers - without
+        sizes = [sum(v.size for _, v in init_param_store(EncoderConfig(
+            d=d, layers=layers, heads=4, mlp_ratio=4.0, p_t=64, in_channels=8,
+            mapped_channels=8, n_t=16, stem_kernel=7), seed=0).items())
+            for layers in (4, 0)]
+        return sizes[0] - sizes[1]
 
     d = 64
 

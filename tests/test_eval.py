@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegssl.config import RunConfig
 from eegssl.data import SegmentBatch
-from eegssl.encoder import EncoderConfig, init_param_store
+from eegssl.encoder import EncoderConfig
 from eegssl.errors import ValidationError
 from eegssl.evaluate import (FeatureSet, compute_metrics, extract_features,
-                             fit_probe, predict_labels, predict_scores)
+                             fit_probe, predict_scores)
+from eegssl.trainer import init_train_state, make_checkpoint
 
 ENC = EncoderConfig(d=16, layers=1, heads=4, mlp_ratio=2.0, p_t=8,
                     in_channels=4, mapped_channels=4, n_t=4, stem_kernel=7)
@@ -60,11 +62,17 @@ def labeled_batch(n=6, seed=0):
     return SegmentBatch(segments=segs, sample_rate_hz=256.0, labels=labels)
 
 
+def fresh_checkpoint(seed=1):
+    """The checkpoint of an untrained ENC run."""
+    state = init_train_state(RunConfig(seed=seed, encoder=ENC), steps_per_epoch=1)
+    return make_checkpoint(state, step=0)
+
+
 def test_feature_shape_and_determinism():
     batch = labeled_batch()
-    store = init_param_store(ENC, seed=1)
-    a = extract_features(batch, store, ENC)
-    b = extract_features(batch, store, ENC)
+    ckpt = fresh_checkpoint()
+    a = extract_features(batch, ckpt, ENC)
+    b = extract_features(batch, ckpt, ENC)
     assert a.features.shape == (6, ENC.d)
     assert a.features.tobytes() == b.features.tobytes()
 
@@ -72,19 +80,19 @@ def test_feature_shape_and_determinism():
 def test_identical_segments_identical_rows():
     batch = labeled_batch()
     batch.segments[3] = batch.segments[0]
-    store = init_param_store(ENC, seed=1)
-    feats = extract_features(batch, store, ENC)
+    ckpt = fresh_checkpoint()
+    feats = extract_features(batch, ckpt, ENC)
     np.testing.assert_array_equal(feats.features[0], feats.features[3])
 
 
 def test_permuting_segments_permutes_rows():
     batch = labeled_batch()
-    store = init_param_store(ENC, seed=1)
-    feats = extract_features(batch, store, ENC)
+    ckpt = fresh_checkpoint()
+    feats = extract_features(batch, ckpt, ENC)
     perm = np.array([4, 2, 0, 5, 1, 3])
     permuted = SegmentBatch(segments=batch.segments[perm],
                             sample_rate_hz=256.0, labels=batch.labels[perm])
-    feats_p = extract_features(permuted, store, ENC)
+    feats_p = extract_features(permuted, ckpt, ENC)
     np.testing.assert_array_equal(feats_p.features, feats.features[perm])
 
 
@@ -104,7 +112,8 @@ def separable_features(n_per=40, d=8, margin=1.0, seed=0):
 def test_separable_reaches_perfect_training_accuracy():
     train = separable_features()
     probe = fit_probe(train, epochs=500, seed=0)
-    pred = predict_labels(probe, train.features)
+    scores = predict_scores(probe, train.features)
+    pred = probe.classes[np.argmax(scores, axis=1)]
     ba, _, _ = oracle_metrics(pred, train.labels)
     assert ba == 1.0
 
@@ -115,7 +124,8 @@ def test_shuffled_labels_stay_near_chance():
     shuffled = FeatureSet(train.features, rng.permutation(train.labels))
     probe = fit_probe(shuffled, epochs=300, seed=0)
     holdout = separable_features(n_per=100, seed=3)
-    pred = predict_labels(probe, holdout.features)
+    scores = predict_scores(probe, holdout.features)
+    pred = probe.classes[np.argmax(scores, axis=1)]
     ba, _, _ = oracle_metrics(pred, holdout.labels)
     assert 0.35 <= ba <= 0.65
 

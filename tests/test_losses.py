@@ -187,11 +187,6 @@ def test_total_linear_in_recon():
         3.0 * (base.L_total - base.L_A), rel=1e-5)
 
 
-def test_total_negative_lambda_rejected():
-    with pytest.raises(ValidationError):
-        TrainConfig(lam=-1.0)
-
-
 def test_loss_report_invariant():
     # the step log record is the training loss report: non-negative parts,
     # finite values only

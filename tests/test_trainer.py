@@ -136,6 +136,24 @@ def test_mask_derived_from_seed_and_step():
     assert batch_mask(1, 5, 4, (4, 4), 1.0).all()         # everything masked
 
 
+def test_mask_fraction_binomial_bound():
+    # 10,000 positions at p=0.5: 3 sigma is 0.015
+    fraction = batch_mask(7, 0, 1, (100, 100), 0.5).mean()
+    assert abs(fraction - 0.5) < 0.015
+
+
+def test_mask_seed_reproducible_bitwise():
+    a = batch_mask(9, 0, 1, (16, 16), 0.3)
+    b = batch_mask(9, 0, 1, (16, 16), 0.3)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_mask_distinct_seeds_differ():
+    a = batch_mask(1, 0, 1, (8, 8), 0.5)
+    b = batch_mask(2, 0, 1, (8, 8), 0.5)
+    assert (a != b).any()
+
+
 # --- the training tape -----------------------------------------------------------------
 
 def training_graph(cfg, b=2):
@@ -309,6 +327,15 @@ def test_checkpoint_restore_roundtrip():
     rebuilt = make_checkpoint(state, step)
     for name, v in ckpt.tensors.items():
         assert rebuilt.tensors[name].tobytes() == v.tobytes()
+
+
+def test_restore_rejects_checkpoint_of_another_encoder():
+    ckpt = make_checkpoint(init_train_state(small_config(), 1), 0)
+    wide = RunConfig(encoder=EncoderConfig(d=32, layers=2, heads=4, p_t=8,
+                                           in_channels=4, mapped_channels=4,
+                                           n_t=4, stem_kernel=7))
+    with pytest.raises(ValidationError, match="does not match the configured encoder"):
+        restore_train_state(init_train_state(wide, 2), ckpt)
 
 
 def test_log_file_written_jsonl(tmp_path):
