@@ -190,7 +190,8 @@ def test_full_pipeline(tmp_path, config_path, capsys):
 
 def test_probe_checkpoint_of_another_encoder_exits_1(tmp_path, config_path, capsys):
     # a d=32 checkpoint probed under the config's d=16 encoder
-    wide = config_from_dict(dict(SMALL_CONFIG, encoder=dict(SMALL_CONFIG["encoder"], d=32)))
+    wide = config_from_dict(
+        dict(SMALL_CONFIG, encoder=dict(SMALL_CONFIG["encoder"], d=32)))
     ckpt = tmp_path / "wide.lcmc"
     save_checkpoint(make_checkpoint(init_train_state(wide, 1), 0), ckpt)
     spec = SynthSpec(seed=3, channel_count=4, duration_s=4.0, sample_rate_hz=256.0)

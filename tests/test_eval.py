@@ -62,9 +62,9 @@ def labeled_batch(n=6, seed=0):
     return SegmentBatch(segments=segs, sample_rate_hz=256.0, labels=labels)
 
 
-def fresh_checkpoint(seed=1):
+def fresh_checkpoint():
     """The checkpoint of an untrained ENC run."""
-    state = init_train_state(RunConfig(seed=seed, encoder=ENC), steps_per_epoch=1)
+    state = init_train_state(RunConfig(seed=1, encoder=ENC), steps_per_epoch=1)
     return make_checkpoint(state, step=0)
 
 
