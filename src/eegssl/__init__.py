@@ -9,7 +9,7 @@ from .config import RunConfig, TrainConfig
 from .data import (Checkpoint, Montage, Recording, SegmentBatch,
                    load_checkpoint, load_segments, read_recording,
                    save_checkpoint, save_segments, write_recording)
-from .encoder import EncoderConfig, ParamStore, init_param_store
+from .encoder import EncoderConfig, init_param_store
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import (FeatureSet, LinearProbe, MetricsReport, compute_metrics,
                        extract_features, fit_probe, predict_scores)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -152,9 +153,10 @@ def _cmd_probe(args) -> int:
 def _cmd_gradcheck(args) -> int:
     raw = {} if args.config is None else read_config_file(args.config)
     cfg = apply_overrides(config_from_dict(raw), seed=args.seed)
-    # the default encoder is too large to finite-difference quickly
-    enc = cfg.encoder if "encoder" in raw else GRADCHECK_SMALL
-    report = grad_check(enc, seed=cfg.seed, p_mask=cfg.train.p_mask, lam=cfg.train.lam)
+    if "encoder" not in raw:
+        # the default encoder is too large to finite-difference quickly
+        cfg = replace(cfg, encoder=GRADCHECK_SMALL)
+    report = grad_check(cfg)
     for name in sorted(report.per_tensor):
         print(f"{report.per_tensor[name]:12.3e}  {name}")
     ok = report.max_rel_error < GRADCHECK_TOLERANCE

@@ -81,46 +81,13 @@ class EncoderConfig:
         return self.n_t * self.p_t
 
 
-class ParamStore:
-    """Ordered name -> ndarray map for one encoder's parameters."""
-
-    def __init__(self, tensors: dict):
-        self.tensors = dict(tensors)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-    def __setitem__(self, name: str, value: np.ndarray):
-        if name not in self.tensors:
-            raise KeyError(f"unknown parameter {name!r}")
-        old = self.tensors[name]
-        value = np.asarray(value)
-        if value.shape != old.shape or value.dtype != old.dtype:
-            raise ValidationError(
-                f"parameter {name!r} update changed shape/dtype "
-                f"({old.shape}/{old.dtype} -> {value.shape}/{value.dtype})")
-        self.tensors[name] = value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
-    def names(self) -> list:
-        return list(self.tensors)
-
-    def items(self):
-        return self.tensors.items()
-
-    def copy(self) -> "ParamStore":
-        return ParamStore({k: v.copy() for k, v in self.tensors.items()})
-
-
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     lo, hi = ndtr(-INIT_TRUNC), ndtr(INIT_TRUNC)
     u = rng.random(shape) * (hi - lo) + lo
     return ndtri(u) * std
 
 
-def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> ParamStore:
+def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> dict:
     """Truncated-normal weights (std 0.02), zero biases, unit LN gains."""
     rng = make_rng(seed, TAG_INIT)
     d, h = cfg.d, cfg.hidden
@@ -165,14 +132,14 @@ def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> ParamSt
     p["final_ln.bias"] = zeros(d)
     p["recon.weight"] = tn(d, cfg.p_t)
     p["recon.bias"] = zeros(cfg.p_t)
-    return ParamStore(p)
+    return p
 
 
-def check_layout(tensors: Mapping[str, np.ndarray], reference: ParamStore,
-                 group: str) -> None:
+def check_layout(tensors: Mapping[str, np.ndarray],
+                 reference: Mapping[str, np.ndarray], group: str) -> None:
     """Reject checkpoint `group` unless its tensors have exactly the names and
     shapes of `reference`; the error names the first tensor that differs."""
-    for name in sorted(set(tensors) | set(reference.names())):
+    for name in sorted(set(tensors) | set(reference)):
         if name not in tensors:
             problem = "is missing"
         elif name not in reference:
@@ -191,25 +158,18 @@ def check_layout(tensors: Mapping[str, np.ndarray], reference: ParamStore,
 FIRST_LAYER_NAMES = ("stem.weight", "stem.pool", "stem.bias")
 
 
-def last_layer_names(cfg: EncoderConfig) -> tuple:
-    """Final transformer block plus the reconstructor head."""
-    names = []
-    if cfg.layers > 0:
-        pre = f"layers.{cfg.layers - 1}."
-        names.extend(pre + s for s in (
-            "ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
-            "attn.wv", "attn.bv", "attn.wo", "attn.bo", "ln2.gain", "ln2.bias",
-            "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))
-    names.extend(("recon.weight", "recon.bias"))
-    return tuple(names)
+def last_layer_names(params: Mapping[str, np.ndarray], cfg: EncoderConfig) -> tuple:
+    """Final transformer block plus the reconstructor head, in store order."""
+    prefixes = (f"layers.{cfg.layers - 1}.", "recon.")
+    return tuple(name for name in params if name.startswith(prefixes))
 
 
-def wrap_parameters(store: ParamStore) -> dict:
+def wrap_parameters(store: Mapping[str, np.ndarray]) -> dict:
     """Tensors with gradient tracking, for the online/training path."""
     return {k: ad.parameter(v) for k, v in store.items()}
 
 
-def wrap_constants(store: ParamStore) -> dict:
+def wrap_constants(store: Mapping[str, np.ndarray]) -> dict:
     """Plain constant tensors, for target/evaluation forwards."""
     return {k: ad.constant(v) for k, v in store.items()}
 

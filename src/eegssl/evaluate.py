@@ -9,14 +9,14 @@ the returned weights so the probe stays a plain linear classifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .data import Checkpoint, SegmentBatch, XI_PREFIX
-from .encoder import (EncoderConfig, ParamStore, check_layout, forward_tokens,
+from .encoder import (EncoderConfig, check_layout, forward_tokens,
                       init_param_store, patch_grid, wrap_constants)
 from .errors import ValidationError
 from .seeding import TAG_PROBE, make_rng
@@ -61,11 +61,7 @@ class MetricsReport:
             raise ValidationError("AUROC out of range")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "balanced_accuracy": self.balanced_accuracy,
-            "cohens_kappa": self.cohens_kappa,
-            "weighted_f1": self.weighted_f1,
-            "auroc": self.auroc})
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ def extract_features(batch: SegmentBatch, checkpoint: Checkpoint,
     if batch.labels is None:
         raise ValidationError("feature extraction needs labeled segments")
     x = np.ascontiguousarray(batch.segments, dtype=tensors["channel_map"].dtype)
-    params = wrap_constants(ParamStore(tensors))
+    params = wrap_constants(tensors)
     rows = []
     for lo in range(0, x.shape[0], _FEATURE_CHUNK):
         patches = patch_grid(params, x[lo:lo + _FEATURE_CHUNK], cfg)

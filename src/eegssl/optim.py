@@ -22,7 +22,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .encoder import ParamStore
 from .errors import DivergenceError, ValidationError
 
 MODE_WARMUP_COSINE = "warmup-cosine"
@@ -108,14 +107,13 @@ def momentum_at(t: int, cfg: ScheduleConfig) -> float:
 
 @dataclass
 class AdamWState:
-    """Per-parameter first/second moments and the shared step counter."""
+    """Per-parameter first and second moments."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    t: int = 0
 
 
-def init_adamw_state(store: ParamStore) -> AdamWState:
+def init_adamw_state(store: Mapping[str, np.ndarray]) -> AdamWState:
     return AdamWState(
         m={k: np.zeros_like(v) for k, v in store.items()},
         v={k: np.zeros_like(v) for k, v in store.items()})
@@ -130,19 +128,22 @@ def default_decay_exempt(name: str) -> bool:
     return leaf in _NO_DECAY_LEAVES or name in ("channel_embed", "mask_token")
 
 
-def adamw_step(params: ParamStore, grads: Mapping[str, np.ndarray],
-               state: AdamWState, lr: float, wd: float) -> None:
-    """One bias-corrected AdamW update, decoupled weight decay, in place."""
-    state.t += 1
-    t = state.t
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    for name in params.names():
+def _check_like(a: np.ndarray, b: np.ndarray, what: str) -> None:
+    if a.shape != b.shape or a.dtype != b.dtype:
+        raise ValidationError(f"{what}: {a.shape}/{a.dtype} against {b.shape}/{b.dtype}")
+
+
+def adamw_step(params: dict, grads: Mapping[str, np.ndarray],
+               state: AdamWState, step: int, lr: float, wd: float) -> None:
+    """AdamW update number `step` (1-based): bias-corrected, decoupled weight
+    decay, in place. A gradient must match its parameter's shape and dtype."""
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
+    for name in params:
         g = np.asarray(grads[name])
         if not np.isfinite(g).all():
             raise DivergenceError(f"gradient overflow at tensor {name}")
-        if g.shape != params[name].shape:
-            raise ValidationError(f"gradient shape mismatch for {name!r}")
+        _check_like(g, params[name], f"gradient mismatch for {name!r}")
         state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
         state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[name] / bc1
@@ -153,7 +154,7 @@ def adamw_step(params: ParamStore, grads: Mapping[str, np.ndarray],
         params[name] = params[name] - lr * update
 
 
-def ema_update(theta: ParamStore, xi: ParamStore, m: float) -> None:
+def ema_update(theta: Mapping[str, np.ndarray], xi: dict, m: float) -> None:
     """xi <- m*xi + (1-m)*theta, elementwise on every tensor, in place.
 
     Written in delta form so theta == xi is an exact fixed point; m == 1.0
@@ -163,7 +164,6 @@ def ema_update(theta: ParamStore, xi: ParamStore, m: float) -> None:
         raise ValidationError("momentum must lie in [0, 1]")
     if m == 1.0:
         return
-    for name in xi.names():
-        if theta[name].shape != xi[name].shape:
-            raise ValidationError(f"theta/xi shape mismatch for {name!r}")
+    for name in xi:
+        _check_like(theta[name], xi[name], f"theta/xi mismatch for {name!r}")
         xi[name] = xi[name] + (1.0 - m) * (theta[name] - xi[name])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -27,10 +27,10 @@ from . import autodiff as ad
 from .config import RunConfig
 from .data import (Checkpoint, LCMC_VERSION, MOMENT1_PREFIX, MOMENT2_PREFIX,
                    SegmentBatch, THETA_PREFIX, XI_PREFIX, save_checkpoint)
-from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, ParamStore,
-                      check_layout, forward_tokens, init_param_store,
-                      last_layer_names, patch_grid, predict_patches,
-                      wrap_constants, wrap_parameters)
+from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, check_layout,
+                      forward_tokens, init_param_store, last_layer_names,
+                      patch_grid, predict_patches, wrap_constants,
+                      wrap_parameters)
 from .errors import DivergenceError, ValidationError
 from .losses import alignment_loss_t, reconstruction_loss_t
 from .optim import (AdamWState, ScheduleConfig, adamw_step, ema_update,
@@ -62,20 +62,15 @@ class TrainLogRecord:
             raise ValidationError("g_min must be <= g_max")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "epoch": self.epoch, "step": self.step,
-            "L_A": self.L_A, "L_R": self.L_R, "L_total": self.L_total,
-            "lr": self.lr, "wd": self.wd, "m": self.m,
-            "g_first_mean": self.g_first_mean, "g_last_mean": self.g_last_mean,
-            "g_min": self.g_min, "g_max": self.g_max})
+        return json.dumps(asdict(self))
 
 
 @dataclass
 class TrainState:
     cfg: RunConfig
     schedule: ScheduleConfig  # effective: total_epochs/steps_per_epoch resolved
-    theta: ParamStore
-    xi: ParamStore
+    theta: dict
+    xi: dict
     opt: AdamWState
 
 
@@ -87,7 +82,8 @@ def init_train_state(cfg: RunConfig, steps_per_epoch: int) -> TrainState:
     schedule = replace(cfg.schedule, total_epochs=epochs,
                        steps_per_epoch=steps_per_epoch)
     theta = init_param_store(cfg.encoder, cfg.seed)
-    xi = theta.copy()  # copy-init makes the EMA contraction exact from step 0
+    # copy-init makes the EMA contraction exact from step 0
+    xi = {k: v.copy() for k, v in theta.items()}
     return TrainState(cfg=cfg, schedule=schedule, theta=theta, xi=xi,
                       opt=init_adamw_state(theta))
 
@@ -99,9 +95,9 @@ def batch_mask(seed: int, step: int, batch: int, grid_shape: tuple,
     return rng.random((batch,) + tuple(grid_shape)) < p_mask
 
 
-def _training_loss(params_t: Mapping[str, ad.Tensor], xi: ParamStore,
-                   x: np.ndarray, mask: np.ndarray, cfg: EncoderConfig,
-                   lam: float):
+def _training_loss(params_t: Mapping[str, ad.Tensor],
+                   xi: Mapping[str, np.ndarray], x: np.ndarray,
+                   mask: np.ndarray, cfg: EncoderConfig, lam: float):
     """Traced total loss plus the two component values."""
     z = forward_tokens(params_t, patch_grid(params_t, x, cfg), mask, cfg)
     params_xi = wrap_constants(xi)
@@ -114,9 +110,16 @@ def _training_loss(params_t: Mapping[str, ad.Tensor], xi: ParamStore,
     return total, float(loss_align.data), float(loss_recon.data)
 
 
-def _collect_grads(params_t: Mapping[str, ad.Tensor]) -> dict:
-    return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in params_t.items()}
+def _loss_and_grads(theta: Mapping[str, np.ndarray],
+                    xi: Mapping[str, np.ndarray], x: np.ndarray,
+                    mask: np.ndarray, cfg: EncoderConfig, lam: float) -> tuple:
+    """(L_total, L_A, L_R, per-tensor theta gradients) from the reverse-mode tape."""
+    params_t = wrap_parameters(theta)
+    total_t, loss_align, loss_recon = _training_loss(params_t, xi, x, mask, cfg, lam)
+    total_t.backward()
+    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+             for name, t in params_t.items()}
+    return float(total_t.data), loss_align, loss_recon, grads
 
 
 def grad_stats(grads: Mapping[str, np.ndarray],
@@ -142,21 +145,17 @@ def train_step(batch: np.ndarray, state: TrainState, t: int) -> TrainLogRecord:
 
     mask = batch_mask(cfg.seed, t, x.shape[0],
                       (enc.mapped_channels, enc.n_t), cfg.train.p_mask)
-    params_t = wrap_parameters(state.theta)
-    total_t, loss_align, loss_recon = _training_loss(
-        params_t, state.xi, x, mask, enc, cfg.train.lam)
-    total = float(total_t.data)
+    total, loss_align, loss_recon, grads = _loss_and_grads(
+        state.theta, state.xi, x, mask, enc, cfg.train.lam)
     if not math.isfinite(total):
         raise DivergenceError(f"loss divergence at step {t}")
-    total_t.backward()
-    grads = _collect_grads(params_t)
 
     g_first, g_last, g_min, g_max = grad_stats(
-        grads, FIRST_LAYER_NAMES, last_layer_names(enc))
+        grads, FIRST_LAYER_NAMES, last_layer_names(state.theta, enc))
     lr = lr_at(t, state.schedule)
     wd = wd_at(t, state.schedule)
     m = momentum_at(t, state.schedule)
-    adamw_step(state.theta, grads, state.opt, lr, wd)
+    adamw_step(state.theta, grads, state.opt, t + 1, lr, wd)
     ema_update(state.theta, state.xi, m)
 
     return TrainLogRecord(
@@ -168,51 +167,40 @@ def train_step(batch: np.ndarray, state: TrainState, t: int) -> TrainLogRecord:
 
 # --- gradient verification ---------------------------------------------------
 
+FD_STEP = 1e-5
+FD_COORDS_PER_TENSOR = 32
+
+
 @dataclass(frozen=True)
 class GradCheckReport:
     per_tensor: dict
     max_rel_error: float
-    fd_step: float
-    coords_per_tensor: int
 
 
-def _loss_value(theta: ParamStore, xi: ParamStore, x: np.ndarray,
-                mask: np.ndarray, cfg: EncoderConfig, lam: float) -> float:
-    total, _, _ = _training_loss(wrap_constants(theta), xi, x, mask, cfg, lam)
-    return float(total.data)
-
-
-def analytic_training_grads(theta: ParamStore, xi: ParamStore, x: np.ndarray,
-                            mask: np.ndarray, cfg: EncoderConfig,
-                            lam: float) -> tuple:
-    """(total loss, per-tensor gradients) from the reverse-mode tape."""
-    params_t = wrap_parameters(theta)
-    total_t, _, _ = _training_loss(params_t, xi, x, mask, cfg, lam)
-    total_t.backward()
-    return float(total_t.data), _collect_grads(params_t)
-
-
-def fd_compare(theta: ParamStore, xi: ParamStore, x: np.ndarray,
-               mask: np.ndarray, cfg: EncoderConfig, lam: float,
-               grads: Mapping[str, np.ndarray], seed: int,
-               coords_per_tensor: int = 32, fd_step: float = 1e-5) -> dict:
+def _fd_compare(theta: dict, xi: Mapping[str, np.ndarray], x: np.ndarray,
+                mask: np.ndarray, cfg: RunConfig,
+                grads: Mapping[str, np.ndarray]) -> dict:
     """Max relative error per tensor between `grads` and central differences."""
-    rng = make_rng(seed, TAG_GRADCHECK, 1)
+    def loss_value() -> float:
+        total, _, _ = _training_loss(wrap_constants(theta), xi, x, mask,
+                                     cfg.encoder, cfg.train.lam)
+        return float(total.data)
+
+    rng = make_rng(cfg.seed, TAG_GRADCHECK, 1)
     errors = {}
-    for name in theta.names():
-        tensor = theta[name]
+    for name, tensor in theta.items():
         flat = tensor.ravel()
-        n_coords = min(coords_per_tensor, flat.size)
+        n_coords = min(FD_COORDS_PER_TENSOR, flat.size)
         idx = rng.choice(flat.size, size=n_coords, replace=False)
         worst = 0.0
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + fd_step
-            plus = _loss_value(theta, xi, x, mask, cfg, lam)
-            flat[i] = orig - fd_step
-            minus = _loss_value(theta, xi, x, mask, cfg, lam)
+            flat[i] = orig + FD_STEP
+            plus = loss_value()
+            flat[i] = orig - FD_STEP
+            minus = loss_value()
             flat[i] = orig
-            fd = (plus - minus) / (2.0 * fd_step)
+            fd = (plus - minus) / (2.0 * FD_STEP)
             a = float(np.asarray(grads[name]).ravel()[i])
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-4)
             worst = max(worst, rel)
@@ -220,29 +208,26 @@ def fd_compare(theta: ParamStore, xi: ParamStore, x: np.ndarray,
     return errors
 
 
-def grad_check(cfg: EncoderConfig, seed: int = 0, p_mask: float = 0.5,
-               lam: float = 1.0, coords_per_tensor: int = 32,
-               fd_step: float = 1e-5) -> GradCheckReport:
-    """Check every analytic theta gradient against central differences.
+def grad_check(cfg: RunConfig) -> GradCheckReport:
+    """Check every analytic theta gradient of the training loss against
+    central differences, at cfg's encoder, seed, p_mask and lambda.
 
     Runs in float64 on one random segment; the finite-difference tolerance is
     unreachable at 32-bit precision.
     """
-    theta = init_param_store(cfg, seed, dtype=np.float64)
-    xi = init_param_store(cfg, seed + 1, dtype=np.float64)
-    rng = make_rng(seed, TAG_GRADCHECK, 0)
-    x = rng.standard_normal((1, cfg.in_channels, cfg.segment_samples))
-    mask = rng.random((1, cfg.mapped_channels, cfg.n_t)) < p_mask
+    enc = cfg.encoder
+    theta = init_param_store(enc, cfg.seed, dtype=np.float64)
+    xi = init_param_store(enc, cfg.seed + 1, dtype=np.float64)
+    rng = make_rng(cfg.seed, TAG_GRADCHECK, 0)
+    x = rng.standard_normal((1, enc.in_channels, enc.segment_samples))
+    mask = rng.random((1, enc.mapped_channels, enc.n_t)) < cfg.train.p_mask
     # both populations must be non-empty or parts of the loss vanish
     mask[0, 0, 0] = True
     mask[0, -1, -1] = False
 
-    _, grads = analytic_training_grads(theta, xi, x, mask, cfg, lam)
-    errors = fd_compare(theta, xi, x, mask, cfg, lam, grads, seed,
-                        coords_per_tensor, fd_step)
-    return GradCheckReport(per_tensor=errors,
-                           max_rel_error=max(errors.values()),
-                           fd_step=fd_step, coords_per_tensor=coords_per_tensor)
+    _, _, _, grads = _loss_and_grads(theta, xi, x, mask, enc, cfg.train.lam)
+    errors = _fd_compare(theta, xi, x, mask, cfg, grads)
+    return GradCheckReport(per_tensor=errors, max_rel_error=max(errors.values()))
 
 
 # --- full pretraining loop ----------------------------------------------------
@@ -266,12 +251,11 @@ def restore_train_state(state: TrainState, ckpt: Checkpoint) -> int:
               (THETA_PREFIX, XI_PREFIX, MOMENT1_PREFIX, MOMENT2_PREFIX)}
     for prefix, tensors in groups.items():
         check_layout(tensors, state.theta, prefix)
-    for name in state.theta.names():
-        state.theta[name] = groups[THETA_PREFIX][name]
-        state.xi[name] = groups[XI_PREFIX][name]
-        state.opt.m[name] = groups[MOMENT1_PREFIX][name]
-        state.opt.v[name] = groups[MOMENT2_PREFIX][name]
-    state.opt.t = ckpt.step
+    # same names as the state, so update() keeps the store order
+    state.theta.update(groups[THETA_PREFIX])
+    state.xi.update(groups[XI_PREFIX])
+    state.opt.m.update(groups[MOMENT1_PREFIX])
+    state.opt.v.update(groups[MOMENT2_PREFIX])
     return ckpt.step
 
 

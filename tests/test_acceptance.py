@@ -15,9 +15,8 @@ from eegssl import autodiff as ad
 from eegssl.config import RunConfig, TrainConfig
 from eegssl.data import (SegmentBatch, THETA_PREFIX, XI_PREFIX, load_checkpoint,
                          read_recording, save_checkpoint, write_recording)
-from eegssl.encoder import (EncoderConfig, ParamStore, forward_tokens,
-                            init_param_store, patch_grid, predict_patches,
-                            wrap_constants)
+from eegssl.encoder import (EncoderConfig, forward_tokens, init_param_store,
+                            patch_grid, predict_patches, wrap_constants)
 from eegssl.errors import FormatError, ValidationError
 from eegssl.evaluate import FeatureSet, compute_metrics, extract_features, \
     fit_probe, predict_scores
@@ -72,7 +71,7 @@ def pretrain_result(corpus):
 
 def test_criterion_01_gradient_correctness():
     start = time.perf_counter()
-    result = grad_check(GRADCHECK_CFG, seed=0)
+    result = grad_check(RunConfig(encoder=GRADCHECK_CFG))
     elapsed = time.perf_counter() - start
     assert result.max_rel_error < 1e-4
     assert elapsed < 60.0
@@ -106,14 +105,12 @@ def test_criterion_02_schedule_exactness():
 @pytest.mark.parametrize("m", [0.996, 0.999, 1.0])
 def test_criterion_03_ema_contraction(m):
     rng = np.random.default_rng(0)
-    theta = ParamStore({"a": rng.standard_normal((6, 5)),
-                        "b": rng.standard_normal(17)})
-    xi = ParamStore({"a": rng.standard_normal((6, 5)),
-                     "b": rng.standard_normal(17)})
-    initial = {k: xi[k] - theta[k] for k in xi.names()}
+    theta = {"a": rng.standard_normal((6, 5)), "b": rng.standard_normal(17)}
+    xi = {"a": rng.standard_normal((6, 5)), "b": rng.standard_normal(17)}
+    initial = {k: xi[k] - theta[k] for k in xi}
     for k in range(1, 21):
         ema_update(theta, xi, m)
-        for name in xi.names():
+        for name in xi:
             expected = (m ** k) * initial[name]
             if m == 1.0:
                 np.testing.assert_array_equal(xi[name] - theta[name],
@@ -209,8 +206,8 @@ def test_criterion_06_pretraining_descent(corpus, pretrain_result):
     assert elapsed < 600.0
 
     ckpt = pretrain_result["ckpt"]
-    theta = ParamStore(ckpt.group(THETA_PREFIX))
-    xi = ParamStore(ckpt.group(XI_PREFIX))
+    theta = ckpt.group(THETA_PREFIX)
+    xi = ckpt.group(XI_PREFIX)
     x = corpus.segments.astype(np.float32)
     mask = batch_mask(ACCEPT_SEED, ckpt.step, x.shape[0],
                       (ACCEPT_ENC.mapped_channels, ACCEPT_ENC.n_t), 0.5)

@@ -269,16 +269,15 @@ def test_gradcheck_config_validated(tmp_path, capsys, text, code):
 def test_gradcheck_uses_train_settings(tmp_path, monkeypatch):
     calls = []
 
-    def fake_grad_check(enc, **kwargs):
-        calls.append(kwargs)
-        return GradCheckReport(per_tensor={"w": 0.0}, max_rel_error=0.0,
-                               fd_step=1e-5, coords_per_tensor=32)
+    def fake_grad_check(cfg):
+        calls.append((cfg.encoder, cfg.seed, cfg.train.p_mask, cfg.train.lam))
+        return GradCheckReport(per_tensor={"w": 0.0}, max_rel_error=0.0)
 
     monkeypatch.setattr(cli, "grad_check", fake_grad_check)
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"seed": 5, "train": {"p_mask": 0.25, "lambda": 2.5}}))
     assert run_cli(["gradcheck", "--config", str(path)]) == 0
-    assert calls == [{"seed": 5, "p_mask": 0.25, "lam": 2.5}]
+    assert calls == [(cli.GRADCHECK_SMALL, 5, 0.25, 2.5)]
 
 
 def test_help_lists_documented_flags(capsys):

@@ -231,7 +231,7 @@ def test_degenerate_forward_zero_gains():
                         in_channels=2, mapped_channels=2, n_t=2, stem_kernel=7)
     store = init_param_store(cfg, seed=0)
     rng = np.random.default_rng(1)
-    for name in store.names():
+    for name in store:
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("bias", "bq", "bk", "bv", "bo", "b1", "b2"):
             store[name] = rng.standard_normal(store[name].shape).astype(np.float32)
@@ -250,7 +250,7 @@ def test_degenerate_forward_unit_gains_hand_rolled():
                         in_channels=2, mapped_channels=2, n_t=2, stem_kernel=7)
     store = init_param_store(cfg, seed=0)
     rng = np.random.default_rng(2)
-    for name in store.names():
+    for name in store:
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("bias", "bq", "bk", "bv", "bo", "b1", "b2"):
             store[name] = rng.standard_normal(store[name].shape).astype(np.float32)

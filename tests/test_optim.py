@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from eegssl.encoder import ParamStore
 from eegssl.errors import DivergenceError, ValidationError
 from eegssl.optim import (ScheduleConfig, adamw_step,
                           default_decay_exempt, ema_update, init_adamw_state,
@@ -113,22 +112,21 @@ def test_schedule_invariants():
 # --- AdamW ---------------------------------------------------------------------------
 
 def single_param(value):
-    store = ParamStore({"w": np.array([value], dtype=np.float64)})
+    store = {"w": np.array([value], dtype=np.float64)}
     return store, init_adamw_state(store)
 
 
 def test_zero_gradient_no_decay_keeps_params():
     store, state = single_param(1.5)
     before = store["w"].copy()
-    adamw_step(store, {"w": np.zeros(1)}, state, lr=1e-3, wd=0.0)
+    adamw_step(store, {"w": np.zeros(1)}, state, step=1, lr=1e-3, wd=0.0)
     np.testing.assert_array_equal(store["w"], before)
-    assert state.t == 1
 
 
 def test_zero_lr_updates_moments_only():
     store, state = single_param(1.5)
     before = store["w"].copy()
-    adamw_step(store, {"w": np.ones(1)}, state, lr=0.0, wd=0.1)
+    adamw_step(store, {"w": np.ones(1)}, state, step=1, lr=0.0, wd=0.1)
     np.testing.assert_array_equal(store["w"], before)
     assert state.m["w"][0] != 0.0 and state.v["w"][0] != 0.0
 
@@ -136,18 +134,18 @@ def test_zero_lr_updates_moments_only():
 def test_first_step_scalar_reference():
     # theta=1, g=1, lr=1e-3, wd=0: theta' = 1 - 1e-3 * (1 / (1 + 1e-8))
     store, state = single_param(1.0)
-    adamw_step(store, {"w": np.ones(1)}, state, lr=1e-3, wd=0.0)
+    adamw_step(store, {"w": np.ones(1)}, state, step=1, lr=1e-3, wd=0.0)
     expected = 1.0 - 1e-3 * (1.0 / (1.0 + 1e-8))
     assert store["w"][0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_first_step_update_magnitude_bounded():
     rng = np.random.default_rng(0)
-    store = ParamStore({"w": rng.standard_normal(100)})
+    store = {"w": rng.standard_normal(100)}
     state = init_adamw_state(store)
     g = rng.standard_normal(100) * 50.0
     before = store["w"].copy()
-    adamw_step(store, {"w": g}, state, lr=1e-2, wd=0.0)
+    adamw_step(store, {"w": g}, state, step=1, lr=1e-2, wd=0.0)
     assert np.abs(store["w"] - before).max() <= 1e-2 * (1.0 + 1e-6)
 
 
@@ -156,14 +154,14 @@ def test_adam_direction_scale_invariant_at_t1():
     updates = []
     for c in (1.0, 100.0):
         store, state = single_param(2.0)
-        adamw_step(store, {"w": np.array([0.3]) * c}, state, lr=1e-3, wd=0.0)
+        adamw_step(store, {"w": np.array([0.3]) * c}, state, step=1, lr=1e-3, wd=0.0)
         updates.append(store["w"][0])
     assert updates[0] == pytest.approx(updates[1], rel=1e-9)
 
 
 def test_decoupled_weight_decay():
     store, state = single_param(2.0)
-    adamw_step(store, {"w": np.zeros(1)}, state, lr=0.1, wd=0.5)
+    adamw_step(store, {"w": np.zeros(1)}, state, step=1, lr=0.1, wd=0.5)
     # zero gradient: only the decay term theta -= lr * wd * theta
     assert store["w"][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
@@ -171,7 +169,15 @@ def test_decoupled_weight_decay():
 def test_nonfinite_gradient_flagged_with_name():
     store, state = single_param(1.0)
     with pytest.raises(DivergenceError, match="gradient overflow at tensor w"):
-        adamw_step(store, {"w": np.array([np.inf])}, state, lr=1e-3, wd=0.0)
+        adamw_step(store, {"w": np.array([np.inf])}, state, step=1, lr=1e-3, wd=0.0)
+
+
+def test_gradient_of_another_dtype_rejected():
+    store = {"w": np.ones(3, dtype=np.float32)}
+    state = init_adamw_state(store)
+    with pytest.raises(ValidationError, match="gradient mismatch for 'w'"):
+        adamw_step(store, {"w": np.ones(3)}, state, step=1, lr=1e-3, wd=0.0)
+    assert store["w"].dtype == np.float32
 
 
 def test_decay_exemptions():
@@ -192,10 +198,10 @@ def test_decay_exemptions():
 
 def two_stores(seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    theta = ParamStore({"a": rng.standard_normal((3, 4)).astype(dtype),
-                        "b": rng.standard_normal(5).astype(dtype)})
-    xi = ParamStore({"a": rng.standard_normal((3, 4)).astype(dtype),
-                     "b": rng.standard_normal(5).astype(dtype)})
+    theta = {"a": rng.standard_normal((3, 4)).astype(dtype),
+             "b": rng.standard_normal(5).astype(dtype)}
+    xi = {"a": rng.standard_normal((3, 4)).astype(dtype),
+          "b": rng.standard_normal(5).astype(dtype)}
     return theta, xi
 
 
@@ -208,16 +214,16 @@ def test_m_one_is_bitwise_fixed_point():
 
 def test_equal_stores_unchanged_for_any_m():
     theta, _ = two_stores()
-    xi = theta.copy()
+    xi = {k: v.copy() for k, v in theta.items()}
     for m in (0.0, 0.5, 0.996):
         ema_update(theta, xi, m)
-        for name in xi.names():
+        for name in xi:
             np.testing.assert_array_equal(xi[name], theta[name])
 
 
 def test_scalar_arithmetic():
-    theta = ParamStore({"w": np.array([0.0])})
-    xi = ParamStore({"w": np.array([1.0])})
+    theta = {"w": np.array([0.0])}
+    xi = {"w": np.array([1.0])}
     ema_update(theta, xi, 0.996)
     assert xi["w"][0] == pytest.approx(0.996, abs=1e-12)
 
@@ -225,10 +231,10 @@ def test_scalar_arithmetic():
 @pytest.mark.parametrize("m", [0.996, 0.999, 1.0])
 def test_contraction_exact_rate(m):
     theta, xi = two_stores(seed=3)
-    initial = {k: xi[k] - theta[k] for k in xi.names()}
+    initial = {k: xi[k] - theta[k] for k in xi}
     for k in range(1, 21):
         ema_update(theta, xi, m)
-        for name in xi.names():
+        for name in xi:
             expected = (m ** k) * initial[name]
             actual = xi[name] - theta[name]
             if m == 1.0:
@@ -241,3 +247,11 @@ def test_momentum_out_of_range():
     theta, xi = two_stores()
     with pytest.raises(ValidationError):
         ema_update(theta, xi, 1.5)
+
+
+def test_ema_dtype_mismatch_rejected():
+    theta, _ = two_stores(dtype=np.float64)
+    _, xi = two_stores(dtype=np.float32)
+    with pytest.raises(ValidationError, match="theta/xi mismatch for 'a'"):
+        ema_update(theta, xi, 0.996)
+    assert xi["a"].dtype == np.float32
