@@ -22,11 +22,12 @@ Layout (all keys optional, defaults are the module defaults):
       "probe":    {"epochs": 500, "lr": 0.5, "train_fraction": 0.5}
     }
 
-Unknown keys are rejected. The single top-level seed drives every random
-stream; schedule total_epochs / steps_per_epoch are derived from the training
-run and therefore rejected here. Each section is the dataclass that checks its
-own values; cross-section rules (schedule.warmup_epochs below train.epochs)
-are checked when a run starts.
+Unknown keys are rejected, and so is a float or bool under a key whose
+default is an integer (the seed too). The single top-level seed drives every
+random stream; schedule total_epochs / steps_per_epoch are derived from the
+training run and therefore rejected here. Each section is the dataclass that
+checks its own values; cross-section rules (schedule.warmup_epochs below
+train.epochs) are checked when a run starts.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ class SynthSection:
     background_exponent: Optional[float] = 1.0
     oscillations: tuple = ()
     scale_to_mV: float = 1.0
+
+    def __post_init__(self):
+        if not (self.scale_to_mV > 0):
+            raise ValidationError("scale_to_mV must be positive")
+        try:
+            self.spec(0)  # the SynthSpec checks
+        except (TypeError, ValueError) as exc:  # also a malformed oscillation
+            raise ValidationError(f"invalid synth section: {exc}") from exc
 
     def spec(self, seed: int) -> SynthSpec:
         oscs = tuple(
@@ -122,16 +131,23 @@ _SECTIONS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build_section(name: str, cls, payload: dict):
     if not isinstance(payload, dict):
         raise ValidationError(f"config section {name!r} must be an object")
-    allowed = {f.name for f in fields(cls)} - _REJECTED.get(name, set())
+    defaults = {f.name: f.default for f in fields(cls)
+                if f.name not in _REJECTED.get(name, set())}
     aliases = _KEY_ALIASES.get(name, {})
     kwargs = {}
     for key, value in payload.items():
         target = aliases.get(key, key)
-        if target not in allowed:
+        if target not in defaults:
             raise ValidationError(f"unknown key {key!r} in config section {name!r}")
+        if _is_int(defaults[target]) and not _is_int(value):
+            raise ValidationError(f"{name}.{key} must be an integer")
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[target] = value
@@ -149,7 +165,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     for name, cls in _SECTIONS.items():
         sections[name] = _build_section(name, cls, raw.get(name, {}))
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ValidationError("seed must be an integer")
     return RunConfig(seed=seed, **sections)
 

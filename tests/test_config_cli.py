@@ -125,6 +125,32 @@ def test_long_warmup_parses_and_starts():
         config_from_dict({"schedule": {"warmup_epochs": -1}})
 
 
+INTEGER_KEY_CASES = pytest.mark.parametrize("bad", [
+    {"train": {"batch_size": 2.5}},
+    {"train": {"epochs": 2.0}},
+    {"encoder": {"d": 16.0}},
+    {"seed": True},
+], ids=["batch_size-float", "epochs-float", "d-float", "seed-bool"])
+
+
+@INTEGER_KEY_CASES
+def test_integer_keys_reject_floats_and_bools(bad):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        config_from_dict(bad)
+
+
+@pytest.mark.parametrize("synth, message", [
+    ({"channel_count": 0}, "channel_count must be positive"),
+    ({"scale_to_mV": 0.0}, "scale_to_mV must be positive"),
+    ({"oscillations": [[200.0, 1.0, None]]}, "Nyquist"),
+    ({"oscillations": [[10.0]]}, "not enough values"),
+], ids=["channel_count", "scale_to_mV", "oscillation-above-nyquist",
+        "oscillation-malformed"])
+def test_synth_section_validated_at_parse(synth, message):
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict({"synth": synth})
+
+
 # --- CLI -----------------------------------------------------------------------------
 
 SMALL_CONFIG = {
@@ -222,6 +248,33 @@ def test_pretrain_epochs_not_above_warmup_exits_1(tmp_path, config_path, capsys)
     err = capsys.readouterr().err
     assert "schedule.warmup_epochs" in err and "train.epochs" in err
     assert "total_epochs" not in err
+
+
+@INTEGER_KEY_CASES
+def test_pretrain_integer_key_of_another_type_exits_1(tmp_path, capsys, bad):
+    seg = tmp_path / "seg.lcms"
+    segments = np.random.default_rng(0).standard_normal((8, 4, 1024))
+    save_segments(SegmentBatch(segments.astype(np.float32), 256.0), seg)
+    raw = dict(SMALL_CONFIG)
+    for key, value in bad.items():
+        raw[key] = dict(raw[key], **value) if isinstance(value, dict) else value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    code = run_cli(["pretrain", str(seg), "--config", str(path),
+                    "--out", str(tmp_path / "o.lcmc")])
+    assert code == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_preprocess_invalid_synth_section_exits_1(tmp_path, config_path, capsys):
+    rec = tmp_path / "rec.lcmr"
+    assert run_cli(["synth", "--config", config_path, "--out", str(rec)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL_CONFIG, synth={"channel_count": 0})))
+    code = run_cli(["preprocess", str(rec), "--config", str(bad),
+                    "--out", str(tmp_path / "seg.lcms")])
+    assert code == 1
+    assert "channel_count must be positive" in capsys.readouterr().err
 
 
 def test_validation_error_exits_1(tmp_path, capsys):

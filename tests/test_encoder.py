@@ -339,17 +339,6 @@ def test_param_count_block_share_grows_4x_with_d():
     assert 3.5 < share_ratio < 4.1
 
 
-def test_shape_validation_errors():
-    segment, store = make_inputs()
-    mask = make_mask((4, 4), 0.5, seed=1)
-    with pytest.raises(ValidationError):
-        encode(segment[:3], store, mask)                      # wrong channels
-    with pytest.raises(ValidationError):
-        encode(segment[:, :16], store, mask)                  # wrong n_t
-    with pytest.raises(ValidationError):
-        encode(segment, store, np.zeros((2, 4), bool))
-
-
 def test_config_invariants():
     with pytest.raises(ValidationError):
         EncoderConfig(d=10, heads=4)
