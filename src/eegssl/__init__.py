@@ -13,8 +13,8 @@ from .encoder import EncoderConfig, init_param_store
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import (FeatureSet, LinearProbe, MetricsReport, compute_metrics,
                        extract_features, fit_probe, predict_scores)
-from .optim import (AdamWState, ScheduleConfig, adamw_step, ema_update,
-                    init_adamw_state, lr_at, momentum_at, wd_at)
+from .optim import (ScheduleConfig, adamw_step, ema_update, lr_at,
+                    momentum_at, wd_at)
 from .preprocess import (PreprocConfig, average_reference, lowpass,
                          preprocess, resample, segment)
 from .synth import Oscillation, SynthSpec, synth_labeled_dataset, synth_recording

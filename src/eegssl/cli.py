@@ -16,9 +16,9 @@ import numpy as np
 
 from .config import (RunConfig, apply_overrides, config_from_dict, load_config,
                      read_config_file)
-from .data import (LCMC_MAGIC, LCMR_MAGIC, LCMS_MAGIC, THETA_PREFIX,
-                   load_checkpoint, load_segments, read_recording,
-                   save_checkpoint, save_segments, write_recording)
+from .data import (LCMC_MAGIC, LCMR_MAGIC, LCMS_MAGIC, load_checkpoint,
+                   load_segments, read_recording, save_checkpoint,
+                   save_segments, tensor_name, write_recording)
 from .encoder import EncoderConfig
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import (FeatureSet, compute_metrics, extract_features,
@@ -177,12 +177,13 @@ def _cmd_inspect(args) -> int:
               f"{', '.join(rec.montage.channel_names)}")
     elif magic == LCMC_MAGIC:
         ckpt = load_checkpoint(args.path)
-        theta = ckpt.group(THETA_PREFIX)
-        n_params = sum(int(v.size) for v in theta.values())
-        print(f"LCMC checkpoint: step {ckpt.step}, {len(ckpt.tensors)} tensors")
+        n_params = sum(int(v.size) for v in ckpt.theta.values())
+        # xi, m and v have theta's names
+        print(f"LCMC checkpoint: step {ckpt.step}, {4 * len(ckpt.theta)} tensors")
         print(f"  online parameter count: {n_params}")
-        for name in sorted(theta):
-            print(f"  theta/{name}: {'x'.join(map(str, theta[name].shape)) or 'scalar'}")
+        for name, t in sorted(ckpt.theta.items()):
+            shape = "x".join(map(str, t.shape)) or "scalar"
+            print(f"  {tensor_name('theta', name)}: {shape}")
     elif magic == LCMS_MAGIC:
         batch = load_segments(args.path)
         n, m, t = batch.segments.shape

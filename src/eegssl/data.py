@@ -10,6 +10,8 @@ generic channel names.
 Checkpoint format (LCMC):
     magic "LCMC" | version u16 (=1) | step u64 | tensor table, sorted by name:
     name length u16 | name bytes (utf-8) | rank u8 | dims u32 each | f32 data.
+A tensor name is its group's prefix plus the parameter name: "theta/" online
+parameters, "xi/" target parameters, "opt/m/" and "opt/v/" AdamW moments.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Optional, Union
 
@@ -32,10 +34,7 @@ LCMC_VERSION = 1
 _LCMR_HEADER = struct.Struct("<4sHIdQd")
 _READ_CHUNK = 1 << 20
 
-THETA_PREFIX = "theta/"
-XI_PREFIX = "xi/"
-MOMENT1_PREFIX = "opt/m/"
-MOMENT2_PREFIX = "opt/v/"
+_GROUP_PREFIXES = {"theta": "theta/", "xi": "xi/", "m": "opt/m/", "v": "opt/v/"}
 
 ByteSink = Union[str, Path, BinaryIO]
 
@@ -139,33 +138,29 @@ class SegmentBatch:
 
 @dataclass(eq=False)
 class Checkpoint:
-    """Named training tensors plus the schedule position.
+    """Training state at a schedule position: online parameters theta, target
+    parameters xi and AdamW moments m and v, each a name -> array dict. The
+    optimizer step counter equals `step` (one AdamW step per training step)."""
 
-    Tensor names are prefixed: "theta/" online parameters, "xi/" target
-    parameters, "opt/m/" and "opt/v/" AdamW moments. The optimizer step
-    counter equals `step` (one AdamW step per training step).
-    """
-
-    format_version: int
     step: int
-    tensors: dict = field(default_factory=dict)
+    theta: dict
+    xi: dict
+    m: dict
+    v: dict
 
     def __post_init__(self):
         if self.step < 0:
             raise ValidationError("checkpoint step must be >= 0")
-        theta = {k[len(THETA_PREFIX):]: v for k, v in self.tensors.items()
-                 if k.startswith(THETA_PREFIX)}
-        xi = {k[len(XI_PREFIX):]: v for k, v in self.tensors.items()
-              if k.startswith(XI_PREFIX)}
-        for name, t in theta.items():
-            if name not in xi:
-                raise ValidationError(f"theta tensor {name!r} has no xi counterpart")
-            if xi[name].shape != t.shape:
-                raise ValidationError(f"theta/xi shape mismatch for {name!r}")
+        layout = {k: np.shape(t) for k, t in self.theta.items()}
+        for group in ("xi", "m", "v"):
+            if {k: np.shape(t) for k, t in getattr(self, group).items()} != layout:
+                raise ValidationError(
+                    f"checkpoint group {group!r} does not have theta's names and shapes")
 
-    def group(self, prefix: str) -> dict:
-        return {k[len(prefix):]: v for k, v in self.tensors.items()
-                if k.startswith(prefix)}
+
+def tensor_name(group: str, name: str) -> str:
+    """The LCMC name of tensor `name` of checkpoint group `group`."""
+    return _GROUP_PREFIXES[group] + name
 
 
 # --- low-level helpers ----------------------------------------------------
@@ -302,9 +297,11 @@ def save_checkpoint(ckpt: Checkpoint, destination: ByteSink) -> int:
     w = _CountingWriter(destination)
     w.write(LCMC_MAGIC)
     w.write(struct.pack("<HQ", LCMC_VERSION, ckpt.step))
-    for name in sorted(ckpt.tensors):
+    tensors = {tensor_name(group, name): t for group in _GROUP_PREFIXES
+               for name, t in getattr(ckpt, group).items()}
+    for name in sorted(tensors):
         # np.ascontiguousarray would promote 0-d tensors to 1-d
-        tensor = np.asarray(ckpt.tensors[name], dtype="<f4", order="C")
+        tensor = np.asarray(tensors[name], dtype="<f4", order="C")
         encoded = name.encode("utf-8")
         w.write(struct.pack("<H", len(encoded)))
         w.write(encoded)
@@ -326,7 +323,7 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
     version, step = struct.unpack("<HQ", _read_exact(source, 10, "LCMC header"))
     if version != LCMC_VERSION:
         raise FormatError("version", f"unsupported LCMC version {version}")
-    tensors: dict = {}
+    groups = {group: {} for group in _GROUP_PREFIXES}
     while True:
         head = source.read(2)
         if head == b"" or head is None:
@@ -345,11 +342,16 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
             for _ in range(rank))
         count = math.prod(dims)  # python ints: no int64 wrap-around
         raw = _read_exact(source, 4 * count, f"tensor {name!r} data")
-        if name in tensors:
+        group = next((g for g, prefix in _GROUP_PREFIXES.items()
+                      if name.startswith(prefix)), None)
+        if group is None:
+            raise FormatError("header", f"tensor {name!r} is in no checkpoint group")
+        tensors, key = groups[group], name[len(_GROUP_PREFIXES[group]):]
+        if key in tensors:
             raise FormatError("duplicate", f"duplicate tensor name {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        tensors[key] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
     try:
-        return Checkpoint(format_version=version, step=step, tensors=tensors)
+        return Checkpoint(step=step, **groups)
     except ValidationError as exc:
         raise FormatError("header", str(exc)) from None
 

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import autodiff as ad
+from .data import tensor_name
 from .errors import ValidationError
 from .seeding import TAG_INIT, make_rng
 
@@ -150,8 +151,8 @@ def check_layout(tensors: Mapping[str, np.ndarray],
         else:
             continue
         raise ValidationError(
-            f"checkpoint tensor {group + name!r} {problem}: the checkpoint "
-            f"does not match the configured encoder")
+            f"checkpoint tensor {tensor_name(group, name)!r} {problem}: the "
+            f"checkpoint does not match the configured encoder")
 
 
 # Tensors counted as the 'first layer' for gradient statistics.

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Checkpoint, SegmentBatch, XI_PREFIX
+from .data import Checkpoint, SegmentBatch
 from .encoder import (EncoderConfig, check_layout, forward_tokens,
                       init_param_store, patch_grid, wrap_constants)
 from .errors import ValidationError
@@ -74,12 +74,11 @@ class LinearProbe:
 def extract_features(batch: SegmentBatch, checkpoint: Checkpoint,
                      cfg: EncoderConfig) -> FeatureSet:
     """Target-encoder forward without masking, mean over tokens per segment."""
-    tensors = checkpoint.group(XI_PREFIX)
-    check_layout(tensors, init_param_store(cfg, seed=0), XI_PREFIX)
+    check_layout(checkpoint.xi, init_param_store(cfg, seed=0), "xi")
     if batch.labels is None:
         raise ValidationError("feature extraction needs labeled segments")
-    x = np.ascontiguousarray(batch.segments, dtype=tensors["channel_map"].dtype)
-    params = wrap_constants(tensors)
+    x = np.ascontiguousarray(batch.segments, dtype=checkpoint.xi["channel_map"].dtype)
+    params = wrap_constants(checkpoint.xi)
     rows = []
     for lo in range(0, x.shape[0], _FEATURE_CHUNK):
         patches = patch_grid(params, x[lo:lo + _FEATURE_CHUNK], cfg)

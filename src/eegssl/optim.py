@@ -17,7 +17,7 @@ EMA momentum ramps m_low -> m_high on a half-cosine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -105,20 +105,6 @@ def momentum_at(t: int, cfg: ScheduleConfig) -> float:
         1.0 - math.cos(math.pi * t / cfg.total_steps))
 
 
-@dataclass
-class AdamWState:
-    """Per-parameter first and second moments."""
-
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def init_adamw_state(store: Mapping[str, np.ndarray]) -> AdamWState:
-    return AdamWState(
-        m={k: np.zeros_like(v) for k, v in store.items()},
-        v={k: np.zeros_like(v) for k, v in store.items()})
-
-
 _NO_DECAY_LEAVES = {"bias", "gain", "bq", "bk", "bv", "bo", "b1", "b2"}
 
 
@@ -133,10 +119,11 @@ def _check_like(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what}: {a.shape}/{a.dtype} against {b.shape}/{b.dtype}")
 
 
-def adamw_step(params: dict, grads: Mapping[str, np.ndarray],
-               state: AdamWState, step: int, lr: float, wd: float) -> None:
-    """AdamW update number `step` (1-based): bias-corrected, decoupled weight
-    decay, in place. A gradient must match its parameter's shape and dtype."""
+def adamw_step(params: dict, grads: Mapping[str, np.ndarray], m: dict, v: dict,
+               step: int, lr: float, wd: float) -> None:
+    """AdamW update number `step` (1-based) of `params` and its first and
+    second moments `m` and `v`: bias-corrected, decoupled weight decay, in
+    place. A gradient must match its parameter's shape and dtype."""
     bc1 = 1.0 - ADAM_BETA1 ** step
     bc2 = 1.0 - ADAM_BETA2 ** step
     for name in params:
@@ -144,10 +131,10 @@ def adamw_step(params: dict, grads: Mapping[str, np.ndarray],
         if not np.isfinite(g).all():
             raise DivergenceError(f"gradient overflow at tensor {name}")
         _check_like(g, params[name], f"gradient mismatch for {name!r}")
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
+        m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
         update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if wd != 0.0 and not default_decay_exempt(name):
             update = update + wd * params[name]

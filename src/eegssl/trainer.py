@@ -25,16 +25,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig
-from .data import (Checkpoint, LCMC_VERSION, MOMENT1_PREFIX, MOMENT2_PREFIX,
-                   SegmentBatch, THETA_PREFIX, XI_PREFIX, save_checkpoint)
+from .data import Checkpoint, SegmentBatch, save_checkpoint
 from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, check_layout,
                       forward_tokens, init_param_store, last_layer_names,
                       patch_grid, predict_patches, wrap_constants,
                       wrap_parameters)
 from .errors import DivergenceError, ValidationError
 from .losses import alignment_loss_t, reconstruction_loss_t
-from .optim import (AdamWState, ScheduleConfig, adamw_step, ema_update,
-                    init_adamw_state, lr_at, momentum_at, wd_at)
+from .optim import (ScheduleConfig, adamw_step, ema_update, lr_at,
+                    momentum_at, wd_at)
 from .seeding import TAG_GRADCHECK, TAG_MASK, TAG_SHUFFLE, make_rng
 
 
@@ -71,7 +70,8 @@ class TrainState:
     schedule: ScheduleConfig  # effective: total_epochs/steps_per_epoch resolved
     theta: dict
     xi: dict
-    opt: AdamWState
+    m: dict  # AdamW first moments
+    v: dict  # AdamW second moments
 
 
 def init_train_state(cfg: RunConfig, steps_per_epoch: int) -> TrainState:
@@ -85,7 +85,8 @@ def init_train_state(cfg: RunConfig, steps_per_epoch: int) -> TrainState:
     # copy-init makes the EMA contraction exact from step 0
     xi = {k: v.copy() for k, v in theta.items()}
     return TrainState(cfg=cfg, schedule=schedule, theta=theta, xi=xi,
-                      opt=init_adamw_state(theta))
+                      m={k: np.zeros_like(v) for k, v in theta.items()},
+                      v={k: np.zeros_like(v) for k, v in theta.items()})
 
 
 def batch_mask(seed: int, step: int, batch: int, grid_shape: tuple,
@@ -155,7 +156,7 @@ def train_step(batch: np.ndarray, state: TrainState, t: int) -> TrainLogRecord:
     lr = lr_at(t, state.schedule)
     wd = wd_at(t, state.schedule)
     m = momentum_at(t, state.schedule)
-    adamw_step(state.theta, grads, state.opt, t + 1, lr, wd)
+    adamw_step(state.theta, grads, state.m, state.v, t + 1, lr, wd)
     ema_update(state.theta, state.xi, m)
 
     return TrainLogRecord(
@@ -232,30 +233,22 @@ def grad_check(cfg: RunConfig) -> GradCheckReport:
 
 # --- full pretraining loop ----------------------------------------------------
 
+_GROUPS = ("theta", "xi", "m", "v")
+
+
 def make_checkpoint(state: TrainState, step: int) -> Checkpoint:
-    tensors = {}
-    for name, v in state.theta.items():
-        tensors[THETA_PREFIX + name] = v.astype(np.float32)
-    for name, v in state.xi.items():
-        tensors[XI_PREFIX + name] = v.astype(np.float32)
-    for name, v in state.opt.m.items():
-        tensors[MOMENT1_PREFIX + name] = v.astype(np.float32)
-    for name, v in state.opt.v.items():
-        tensors[MOMENT2_PREFIX + name] = v.astype(np.float32)
-    return Checkpoint(format_version=LCMC_VERSION, step=step, tensors=tensors)
+    return Checkpoint(step, **{
+        group: {k: t.astype(np.float32) for k, t in getattr(state, group).items()}
+        for group in _GROUPS})
 
 
 def restore_train_state(state: TrainState, ckpt: Checkpoint) -> int:
     """Load checkpoint tensors into `state`; returns the step to resume at."""
-    groups = {prefix: ckpt.group(prefix) for prefix in
-              (THETA_PREFIX, XI_PREFIX, MOMENT1_PREFIX, MOMENT2_PREFIX)}
-    for prefix, tensors in groups.items():
-        check_layout(tensors, state.theta, prefix)
+    # the other groups have theta's layout (a Checkpoint invariant)
+    check_layout(ckpt.theta, state.theta, "theta")
     # same names as the state, so update() keeps the store order
-    state.theta.update(groups[THETA_PREFIX])
-    state.xi.update(groups[XI_PREFIX])
-    state.opt.m.update(groups[MOMENT1_PREFIX])
-    state.opt.v.update(groups[MOMENT2_PREFIX])
+    for group in _GROUPS:
+        getattr(state, group).update(getattr(ckpt, group))
     return ckpt.step
 
 

@@ -13,8 +13,8 @@ import pytest
 
 from eegssl import autodiff as ad
 from eegssl.config import RunConfig, TrainConfig
-from eegssl.data import (SegmentBatch, THETA_PREFIX, XI_PREFIX, load_checkpoint,
-                         read_recording, save_checkpoint, write_recording)
+from eegssl.data import (SegmentBatch, load_checkpoint, read_recording,
+                         save_checkpoint, write_recording)
 from eegssl.encoder import (EncoderConfig, forward_tokens, init_param_store,
                             patch_grid, predict_patches, wrap_constants)
 from eegssl.errors import FormatError, ValidationError
@@ -206,8 +206,7 @@ def test_criterion_06_pretraining_descent(corpus, pretrain_result):
     assert elapsed < 600.0
 
     ckpt = pretrain_result["ckpt"]
-    theta = ckpt.group(THETA_PREFIX)
-    xi = ckpt.group(XI_PREFIX)
+    theta, xi = ckpt.theta, ckpt.xi
     x = corpus.segments.astype(np.float32)
     mask = batch_mask(ACCEPT_SEED, ckpt.step, x.shape[0],
                       (ACCEPT_ENC.mapped_channels, ACCEPT_ENC.n_t), 0.5)

@@ -1,5 +1,6 @@
 """Bit-exact LCMR/LCMC/LCMS format tests: layout, roundtrips, rejection."""
 
+import hashlib
 import io
 import struct
 
@@ -143,16 +144,24 @@ def test_recording_invariants():
 
 # --- checkpoints -------------------------------------------------------------
 
+GROUPS = ("theta", "xi", "m", "v")
+
+
 def checkpoint_fixture(seed=0):
     rng = np.random.default_rng(seed)
-    tensors = {}
+    groups = {group: {} for group in GROUPS}
     for name, shape in (("w", (3, 4)), ("b", (4,)), ("scalar", ())):
         value = rng.standard_normal(shape).astype(np.float32)
-        tensors["theta/" + name] = value
-        tensors["xi/" + name] = value + 1.0
-        tensors["opt/m/" + name] = np.zeros(shape, np.float32)
-        tensors["opt/v/" + name] = np.zeros(shape, np.float32)
-    return Checkpoint(format_version=1, step=42, tensors=tensors)
+        groups["theta"][name] = value
+        groups["xi"][name] = value + 1.0
+        groups["m"][name] = np.zeros(shape, np.float32)
+        groups["v"][name] = np.zeros(shape, np.float32)
+    return Checkpoint(step=42, **groups)
+
+
+def one_tensor_checkpoint(step, value):
+    """Every group holds one tensor "w" equal to `value`."""
+    return Checkpoint(step, *({"w": value.copy()} for _ in GROUPS))
 
 
 def test_checkpoint_roundtrip_bitwise():
@@ -162,10 +171,19 @@ def test_checkpoint_roundtrip_bitwise():
     sink.seek(0)
     back = load_checkpoint(sink)
     assert back.step == 42
-    assert set(back.tensors) == set(ckpt.tensors)
-    for name, value in ckpt.tensors.items():
-        assert back.tensors[name].tobytes() == value.tobytes()
-        assert back.tensors[name].shape == value.shape
+    for group in GROUPS:
+        assert set(getattr(back, group)) == set(getattr(ckpt, group))
+        for name, value in getattr(ckpt, group).items():
+            assert getattr(back, group)[name].tobytes() == value.tobytes()
+            assert getattr(back, group)[name].shape == value.shape
+
+
+def test_checkpoint_bytes_pinned():
+    # the LCMC bytes of the fixture; any change to the tensor table shows here
+    sink = io.BytesIO()
+    assert save_checkpoint(checkpoint_fixture(), sink) == 465
+    assert hashlib.sha256(sink.getvalue()).hexdigest() == (
+        "9fa391e335d5309e6b53f2e7a23d136ee58270f86a4c4d0c0f2d48ff92a5286e")
 
 
 def test_checkpoint_tensor_table_sorted_by_name():
@@ -205,9 +223,7 @@ def test_checkpoint_bad_magic_and_truncation():
 
 def test_checkpoint_save_failing_midway_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "model.lcmc"
-    old = Checkpoint(format_version=1, step=1,
-                     tensors={"theta/w": np.ones(3, np.float32),
-                              "xi/w": np.ones(3, np.float32)})
+    old = one_tensor_checkpoint(1, np.ones(3, np.float32))
     save_checkpoint(old, path)
     old_bytes = path.read_bytes()
 
@@ -219,9 +235,7 @@ def test_checkpoint_save_failing_midway_keeps_old_file(tmp_path, monkeypatch):
         real_write(self, b)
 
     monkeypatch.setattr(data._CountingWriter, "write", failing_write)
-    new = Checkpoint(format_version=1, step=2,
-                     tensors={"theta/w": np.zeros(3, np.float32),
-                              "xi/w": np.zeros(3, np.float32)})
+    new = one_tensor_checkpoint(2, np.zeros(3, np.float32))
     with pytest.raises(OSError):
         save_checkpoint(new, path)
     assert path.read_bytes() == old_bytes
@@ -229,13 +243,15 @@ def test_checkpoint_save_failing_midway_keeps_old_file(tmp_path, monkeypatch):
 
 
 def test_checkpoint_theta_xi_shape_invariant():
+    w = {"w": np.zeros((2, 2), np.float32)}
     with pytest.raises(ValidationError):
-        Checkpoint(format_version=1, step=0,
-                   tensors={"theta/w": np.zeros((2, 2), np.float32)})
+        Checkpoint(0, theta=w, xi={}, m=w, v=w)
     with pytest.raises(ValidationError):
-        Checkpoint(format_version=1, step=0,
-                   tensors={"theta/w": np.zeros((2, 2), np.float32),
-                            "xi/w": np.zeros((2, 3), np.float32)})
+        Checkpoint(0, theta=w, xi={"w": np.zeros((2, 3), np.float32)}, m=w, v=w)
+    with pytest.raises(ValidationError, match="group 'm'"):
+        Checkpoint(0, theta=w, xi=w, m={}, v=w)
+    with pytest.raises(ValidationError, match="group 'v'"):
+        Checkpoint(0, theta=w, xi=w, m=w, v={"w": w["w"], "extra": w["w"]})
 
 
 # --- segment archive ----------------------------------------------------------
@@ -264,6 +280,12 @@ def test_segments_unlabeled_roundtrip():
 
 # --- declared sizes ---------------------------------------------------------------
 
+def lcmc_scalars(*names):
+    """LCMC bytes at step 0 with one 1-element tensor per name, in the given order."""
+    return b"LCMC" + struct.pack("<HQ", 1, 0) + b"".join(
+        struct.pack("<H", len(n)) + n + struct.pack("<BIf", 1, 1, 1.0) for n in names)
+
+
 CRAFTED = {
     # name: (file bytes, expected FormatError kind)
     # one tensor of 65536^4 = 2^64 elements, which wraps to 0 in int64
@@ -275,6 +297,11 @@ CRAFTED = {
                            + struct.pack("<Bf", 0, 1.0), "header"),
     "lcmc-theta-without-xi": (b"LCMC" + struct.pack("<HQH", 1, 0, 7) + b"theta/w"
                               + struct.pack("<BIf", 1, 1, 1.0), "header"),
+    # all four groups plus a name in none of them
+    "lcmc-name-outside-groups": (lcmc_scalars(b"opt/m/w", b"opt/v/w", b"opt/x/w",
+                                              b"theta/w", b"xi/w"), "header"),
+    # theta and xi match, but the AdamW moments are absent
+    "lcmc-moments-missing": (lcmc_scalars(b"theta/w", b"xi/w"), "header"),
     "lcms-labels": (struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1, 1, 1,
                                 256.0, 1), "truncated"),
     "lcms-has-labels-7": (struct.pack("<4sHIIIdB", b"LCMS", 1, 1, 1, 1, 256.0, 7)

@@ -5,8 +5,8 @@ import pytest
 
 from eegssl.errors import DivergenceError, ValidationError
 from eegssl.optim import (ScheduleConfig, adamw_step,
-                          default_decay_exempt, ema_update, init_adamw_state,
-                          lr_at, momentum_at, wd_at)
+                          default_decay_exempt, ema_update, lr_at,
+                          momentum_at, wd_at)
 
 
 def sched(**kw):
@@ -111,30 +111,35 @@ def test_schedule_invariants():
 
 # --- AdamW ---------------------------------------------------------------------------
 
+def zero_moments(store):
+    return ({k: np.zeros_like(v) for k, v in store.items()},
+            {k: np.zeros_like(v) for k, v in store.items()})
+
+
 def single_param(value):
     store = {"w": np.array([value], dtype=np.float64)}
-    return store, init_adamw_state(store)
+    return (store, *zero_moments(store))
 
 
 def test_zero_gradient_no_decay_keeps_params():
-    store, state = single_param(1.5)
+    store, m, v = single_param(1.5)
     before = store["w"].copy()
-    adamw_step(store, {"w": np.zeros(1)}, state, step=1, lr=1e-3, wd=0.0)
+    adamw_step(store, {"w": np.zeros(1)}, m, v, step=1, lr=1e-3, wd=0.0)
     np.testing.assert_array_equal(store["w"], before)
 
 
 def test_zero_lr_updates_moments_only():
-    store, state = single_param(1.5)
+    store, m, v = single_param(1.5)
     before = store["w"].copy()
-    adamw_step(store, {"w": np.ones(1)}, state, step=1, lr=0.0, wd=0.1)
+    adamw_step(store, {"w": np.ones(1)}, m, v, step=1, lr=0.0, wd=0.1)
     np.testing.assert_array_equal(store["w"], before)
-    assert state.m["w"][0] != 0.0 and state.v["w"][0] != 0.0
+    assert m["w"][0] != 0.0 and v["w"][0] != 0.0
 
 
 def test_first_step_scalar_reference():
     # theta=1, g=1, lr=1e-3, wd=0: theta' = 1 - 1e-3 * (1 / (1 + 1e-8))
-    store, state = single_param(1.0)
-    adamw_step(store, {"w": np.ones(1)}, state, step=1, lr=1e-3, wd=0.0)
+    store, m, v = single_param(1.0)
+    adamw_step(store, {"w": np.ones(1)}, m, v, step=1, lr=1e-3, wd=0.0)
     expected = 1.0 - 1e-3 * (1.0 / (1.0 + 1e-8))
     assert store["w"][0] == pytest.approx(expected, abs=1e-15)
 
@@ -142,10 +147,10 @@ def test_first_step_scalar_reference():
 def test_first_step_update_magnitude_bounded():
     rng = np.random.default_rng(0)
     store = {"w": rng.standard_normal(100)}
-    state = init_adamw_state(store)
+    m, v = zero_moments(store)
     g = rng.standard_normal(100) * 50.0
     before = store["w"].copy()
-    adamw_step(store, {"w": g}, state, step=1, lr=1e-2, wd=0.0)
+    adamw_step(store, {"w": g}, m, v, step=1, lr=1e-2, wd=0.0)
     assert np.abs(store["w"] - before).max() <= 1e-2 * (1.0 + 1e-6)
 
 
@@ -153,30 +158,30 @@ def test_adam_direction_scale_invariant_at_t1():
     # multiplying gradients by c > 0 leaves the first update unchanged
     updates = []
     for c in (1.0, 100.0):
-        store, state = single_param(2.0)
-        adamw_step(store, {"w": np.array([0.3]) * c}, state, step=1, lr=1e-3, wd=0.0)
+        store, m, v = single_param(2.0)
+        adamw_step(store, {"w": np.array([0.3]) * c}, m, v, step=1, lr=1e-3, wd=0.0)
         updates.append(store["w"][0])
     assert updates[0] == pytest.approx(updates[1], rel=1e-9)
 
 
 def test_decoupled_weight_decay():
-    store, state = single_param(2.0)
-    adamw_step(store, {"w": np.zeros(1)}, state, step=1, lr=0.1, wd=0.5)
+    store, m, v = single_param(2.0)
+    adamw_step(store, {"w": np.zeros(1)}, m, v, step=1, lr=0.1, wd=0.5)
     # zero gradient: only the decay term theta -= lr * wd * theta
     assert store["w"][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
 def test_nonfinite_gradient_flagged_with_name():
-    store, state = single_param(1.0)
+    store, m, v = single_param(1.0)
     with pytest.raises(DivergenceError, match="gradient overflow at tensor w"):
-        adamw_step(store, {"w": np.array([np.inf])}, state, step=1, lr=1e-3, wd=0.0)
+        adamw_step(store, {"w": np.array([np.inf])}, m, v, step=1, lr=1e-3, wd=0.0)
 
 
 def test_gradient_of_another_dtype_rejected():
     store = {"w": np.ones(3, dtype=np.float32)}
-    state = init_adamw_state(store)
+    m, v = zero_moments(store)
     with pytest.raises(ValidationError, match="gradient mismatch for 'w'"):
-        adamw_step(store, {"w": np.ones(3)}, state, step=1, lr=1e-3, wd=0.0)
+        adamw_step(store, {"w": np.ones(3)}, m, v, step=1, lr=1e-3, wd=0.0)
     assert store["w"].dtype == np.float32
 
 

@@ -102,7 +102,7 @@ def test_lr_zero_leaves_theta_bitwise():
     assert after == before
     # xi moved toward theta? theta == xi initially, so xi also unchanged;
     # optimizer moments must have been updated
-    assert any(state.opt.v[k].any() for k in state.opt.v)
+    assert any(state.v[k].any() for k in state.v)
 
 
 def test_thirty_steps_descend_on_fixed_batch():
@@ -318,8 +318,9 @@ def test_checkpoint_restore_roundtrip():
     step = restore_train_state(state, ckpt)
     assert step == ckpt.step
     rebuilt = make_checkpoint(state, step)
-    for name, v in ckpt.tensors.items():
-        assert rebuilt.tensors[name].tobytes() == v.tobytes()
+    for group in ("theta", "xi", "m", "v"):
+        for name, v in getattr(ckpt, group).items():
+            assert getattr(rebuilt, group)[name].tobytes() == v.tobytes()
 
 
 def test_restore_rejects_checkpoint_of_another_encoder():
