@@ -178,7 +178,6 @@ def _cmd_inspect(args) -> int:
     elif magic == LCMC_MAGIC:
         ckpt = load_checkpoint(args.path)
         n_params = sum(int(v.size) for v in ckpt.theta.values())
-        # xi, m and v have theta's names
         print(f"LCMC checkpoint: step {ckpt.step}, {4 * len(ckpt.theta)} tensors")
         print(f"  online parameter count: {n_params}")
         for name, t in sorted(ckpt.theta.items()):

@@ -22,20 +22,21 @@ Layout (all keys optional, defaults are the module defaults):
       "probe":    {"epochs": 500, "lr": 0.5, "train_fraction": 0.5}
     }
 
-Unknown keys are rejected, and so is a float or bool under a key whose
-default is an integer (the seed too). The single top-level seed drives every
-random stream; schedule total_epochs / steps_per_epoch are derived from the
-training run and therefore rejected here. Each section is the dataclass that
-checks its own values; cross-section rules (schedule.warmup_epochs below
-train.epochs) are checked when a run starts.
+Unknown keys are rejected, and so is a value of another type than its key
+declares (`_TYPE_RULES`; JSON NaN and Infinity are not finite). The single
+top-level seed drives every random stream; schedule total_epochs and
+steps_per_epoch come from the training run and are rejected here. Each section
+is the dataclass that checks its own values; cross-section rules
+(schedule.warmup_epochs below train.epochs) are checked when a run starts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 from .encoder import EncoderConfig
 from .errors import FormatError, ValidationError
@@ -135,19 +136,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:  # False for NaN, infinities, bools and strings
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+# declared field type -> (check of a JSON value, what the value must be)
+_TYPE_RULES = {
+    int: (_is_int, "an integer"),
+    float: (_is_finite, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    Optional[str]: (lambda v: v is None or isinstance(v, str), "a string or null"),
+    Optional[float]: (lambda v: v is None or _is_finite(v), "a finite number or null"),
+    Optional[tuple]: (lambda v: v is None or isinstance(v, (list, tuple))
+                      and all(isinstance(c, str) for c in v), "a list of strings or null"),
+}
+
+
 def _build_section(name: str, cls, payload: dict):
     if not isinstance(payload, dict):
         raise ValidationError(f"config section {name!r} must be an object")
-    defaults = {f.name: f.default for f in fields(cls)
-                if f.name not in _REJECTED.get(name, set())}
+    hints = get_type_hints(cls)
     aliases = _KEY_ALIASES.get(name, {})
     kwargs = {}
     for key, value in payload.items():
         target = aliases.get(key, key)
-        if target not in defaults:
+        if target not in hints or target in _REJECTED.get(name, ()):
             raise ValidationError(f"unknown key {key!r} in config section {name!r}")
-        if _is_int(defaults[target]) and not _is_int(value):
-            raise ValidationError(f"{name}.{key} must be an integer")
+        rule = _TYPE_RULES.get(hints[target])  # none for oscillations and mode
+        if rule is not None and not rule[0](value):
+            raise ValidationError(f"{name}.{key} must be {rule[1]}")
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[target] = value

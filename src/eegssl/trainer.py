@@ -204,7 +204,7 @@ def _fd_compare(theta: dict, xi: Mapping[str, np.ndarray], x: np.ndarray,
             fd = (plus - minus) / (2.0 * FD_STEP)
             a = float(np.asarray(grads[name]).ravel()[i])
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-4)
-            worst = max(worst, rel)
+            worst = max(worst, rel if math.isfinite(rel) else math.inf)  # NaN too
         errors[name] = worst
     return errors
 

@@ -139,6 +139,28 @@ def test_integer_keys_reject_floats_and_bools(bad):
         config_from_dict(bad)
 
 
+TYPED_KEY_CASES = pytest.mark.parametrize("bad, key", [
+    ({"train": {"p_mask": "x"}}, "train.p_mask"),
+    ({"train": {"lambda": float("nan")}}, "train.lambda"),
+    ({"probe": {"lr": True}}, "probe.lr"),
+    ({"preproc": {"apply_bandpass": 3}}, "preproc.apply_bandpass"),
+    ({"train": {"log_path": 1}}, "train.log_path"),
+    ({"train": {"checkpoint_dir": ["runs"]}}, "train.checkpoint_dir"),
+    ({"synth": {"background_exponent": "x"}}, "synth.background_exponent"),
+    ({"synth": {"duration_s": float("inf")}}, "synth.duration_s"),
+    ({"preproc": {"channel_selection": "ch0"}}, "preproc.channel_selection"),
+    ({"preproc": {"channel_selection": ["ch0", 1]}}, "preproc.channel_selection"),
+], ids=["float-string", "float-nan", "float-bool", "bool-int", "log_path-int",
+        "checkpoint_dir-list", "background_exponent-string", "float-infinity",
+        "channel_selection-string", "channel_selection-int-entry"])
+
+
+@TYPED_KEY_CASES
+def test_keys_reject_values_of_another_type(bad, key):
+    with pytest.raises(ValidationError, match=f"{key} must be"):
+        config_from_dict(bad)
+
+
 @pytest.mark.parametrize("synth, message", [
     ({"channel_count": 0}, "channel_count must be positive"),
     ({"scale_to_mV": 0.0}, "scale_to_mV must be positive"),
@@ -264,6 +286,16 @@ def test_pretrain_integer_key_of_another_type_exits_1(tmp_path, capsys, bad):
                     "--out", str(tmp_path / "o.lcmc")])
     assert code == 1
     assert "must be an integer" in capsys.readouterr().err
+
+
+@TYPED_KEY_CASES
+def test_key_of_another_type_exits_1(tmp_path, capsys, bad, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(bad))  # NaN and Infinity as JSON extensions
+    code = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "x.lcmr")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be" in err
 
 
 def test_preprocess_invalid_synth_section_exits_1(tmp_path, config_path, capsys):

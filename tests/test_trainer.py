@@ -263,6 +263,20 @@ def test_corrupted_gradient_is_flagged(monkeypatch):
     assert max(v for k, v in errors.items() if k != "recon.weight") < 1e-4
 
 
+def test_nan_gradient_is_flagged(monkeypatch):
+    exact = eegssl.trainer._loss_and_grads
+
+    def corrupted(*args):
+        *losses, grads = exact(*args)
+        grads["recon.weight"] = grads["recon.weight"] * np.nan
+        return (*losses, grads)
+
+    monkeypatch.setattr(eegssl.trainer, "_loss_and_grads", corrupted)
+    report = grad_check(RunConfig(encoder=SMALL_ENC))
+    assert report.per_tensor["recon.weight"] == np.inf
+    assert report.max_rel_error == np.inf
+
+
 # --- full runs -----------------------------------------------------------------------
 
 def test_same_seed_runs_bitwise_identical():
