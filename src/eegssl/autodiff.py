@@ -2,8 +2,8 @@
 
 Exactly the ops the encoder and losses run, each with its own closed-form
 backward: broadcasting `add`/`sub`/`mul`, `scale` by a python float,
-`matmul`, `reshape`, `transpose`, a full `sum_`, `gelu`, fused multi-head
-`attention`, masked `where` and `layer_norm`. Gradients are accumulated on
+`matmul`, `reshape`, `transpose`, a full `sum_`, `gelu`, fused criss-cross
+multi-head `attention`, masked `where` and `layer_norm`. Gradients are accumulated on
 a tape built during the forward pass; `backward()` walks it once in reverse
 topological order and frees each node as it goes. An op records a tape node
 only when one of its inputs requires grad, so a forward over `constant`
@@ -183,29 +183,70 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(head_dim)) v over stacked (..., N, head_dim) heads.
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """softmax(q k^T / sqrt(head_dim)) v over contiguous (..., L, head_dim)
+    stacks. Returns the output and `backward(g, q, k, v) -> (gq, gk, gv)`.
 
-    The scale, max-shift, exp and normalize run in place on one (..., N, N)
-    buffer, and the backward keeps only those probabilities, not the scores.
+    The scale, max-shift, exp and normalize run in place on one (..., L, L)
+    buffer; the backward keeps only those probabilities, not the scores, and
+    is handed q, k and v again instead of holding them.
     """
     s = 1.0 / math.sqrt(q.shape[-1])
-    probs = q.data @ k.data.swapaxes(-1, -2)
+    probs = q @ k.swapaxes(-1, -2)
     probs *= s
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = probs @ v.data
 
-    def backward(g):
+    def backward(g, q, k, v):
         gv = probs.swapaxes(-1, -2) @ g
-        gs = g @ v.data.swapaxes(-1, -2)                  # d/d probs
+        gs = g @ v.swapaxes(-1, -2)                       # d/d probs
         gs -= (gs * probs).sum(axis=-1, keepdims=True)    # softmax backward
         gs *= probs
         gs *= s                                           # d/d scores
-        gq = gs @ k.data
-        gk = (q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        gq = gs @ k
+        gk = (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
         return gq, gk, gv
+
+    return probs @ v, backward
+
+
+# Criss-cross head groups on a (B, C, T, H, head_dim) token grid: the axes
+# that bring each half of the heads to a (..., L, head_dim) stack. The first
+# half attends along time within a channel, (B, C, H/2, T, head_dim); the
+# second across channels within a window, (B, T, H/2, C, head_dim).
+_HEAD_GROUP_AXES = ((0, 1, 3, 2, 4), (0, 2, 3, 1, 4))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Criss-cross multi-head attention over a (B, C, T, H, head_dim) grid of
+    C channels by T windows; H must be even.
+
+    Each head group runs `_attend` on contiguous copies of its heads, and
+    both results land in one grid-shaped output. The backward keeps the two
+    probability buffers and rebuilds the copies from q, k and v.
+    """
+    half = q.shape[3] // 2
+    groups = tuple(zip((np.s_[..., :half, :], np.s_[..., half:, :]), _HEAD_GROUP_AXES))
+
+    def stack(x, heads, axes):
+        return np.ascontiguousarray(x[heads].transpose(axes))
+
+    out = np.empty(q.shape, dtype=v.data.dtype)
+    backwards = []
+    for heads, axes in groups:
+        o, backward = _attend(*(stack(t.data, heads, axes) for t in (q, k, v)))
+        out[heads] = o.transpose(np.argsort(axes))
+        backwards.append(backward)
+
+    def backward(g):
+        grads = [np.empty(q.shape, dtype=g.dtype) for _ in range(3)]
+        for (heads, axes), group_backward in zip(groups, backwards):
+            parts = group_backward(stack(g, heads, axes),
+                                   *(stack(t.data, heads, axes) for t in (q, k, v)))
+            for grad, part in zip(grads, parts):
+                grad[heads] = part.transpose(np.argsort(axes))
+        return grads
 
     return _make(out, (q, k, v), backward)
 

@@ -64,7 +64,7 @@ class SynthSection:
 
     def spec(self, seed: int) -> SynthSpec:
         oscs = tuple(
-            (float(f), float(a), None if ch is None else tuple(ch))
+            (f, a, None if ch is None else tuple(ch))
             for f, a, ch in (tuple(o) for o in self.oscillations))
         return SynthSpec(seed=seed, channel_count=self.channel_count,
                          duration_s=self.duration_s,

@@ -57,6 +57,9 @@ class EncoderConfig:
             raise ValidationError("layers must be >= 0")
         if self.d % self.heads != 0:
             raise ValidationError("d must be divisible by heads")
+        if self.heads % 2 != 0:
+            raise ValidationError(
+                "heads must be even: half attend along time, half across channels")
         if self.p_t < self.stem_kernel:
             raise ValidationError("patch length must be >= stem kernel width")
 
@@ -206,16 +209,16 @@ def _affine_ln(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
 
 def _attention(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str,
                cfg: EncoderConfig) -> ad.Tensor:
-    b, n, d = x.shape
-    heads, hd = cfg.heads, cfg.head_dim
+    """Criss-cross attention: the channel-major (B, N, d) projections are a
+    (B, M', n_t, heads, head_dim) grid as they stand, which `ad.attention`
+    takes; half the heads attend along time, half across channels."""
+    grid = (x.shape[0], cfg.mapped_channels, cfg.n_t, cfg.heads, cfg.head_dim)
 
-    def split(t):
-        return ad.transpose(ad.reshape(t, (b, n, heads, hd)), (0, 2, 1, 3))
+    def project(name):
+        w, bias = p[prefix + "attn.w" + name], p[prefix + "attn.b" + name]
+        return ad.reshape(ad.add(ad.matmul(x, w), bias), grid)
 
-    q = split(ad.add(ad.matmul(x, p[prefix + "attn.wq"]), p[prefix + "attn.bq"]))
-    k = split(ad.add(ad.matmul(x, p[prefix + "attn.wk"]), p[prefix + "attn.bk"]))
-    v = split(ad.add(ad.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]))
-    mixed = ad.reshape(ad.transpose(ad.attention(q, k, v), (0, 2, 1, 3)), (b, n, d))
+    mixed = ad.reshape(ad.attention(project("q"), project("k"), project("v")), x.shape)
     return ad.add(ad.matmul(mixed, p[prefix + "attn.wo"]), p[prefix + "attn.bo"])
 
 

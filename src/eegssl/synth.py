@@ -7,6 +7,9 @@ gives exact spectral control. Oscillations are pure sinusoids added on top.
 
 from __future__ import annotations
 
+import math
+import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,12 +43,26 @@ class SynthSpec:
             raise ValidationError("duration_s must be positive")
         if not (self.sample_rate_hz > 0):
             raise ValidationError("sample_rate_hz must be positive")
+        # _render holds channel_count x n_samples float64 values; a float
+        # product, so an infinite duration fails here too
+        needed = self.channel_count * self.duration_s * self.sample_rate_hz * 8
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if not (needed <= memory):
+            raise ValidationError(
+                f"duration_s={self.duration_s} needs {needed:.3g} bytes of float64 "
+                f"samples, more than the {memory} bytes of physical memory")
         oscs = tuple(
             o if isinstance(o, Oscillation) else Oscillation(*o)
             for o in self.oscillations)
         object.__setattr__(self, "oscillations", oscs)
         nyquist = self.sample_rate_hz / 2.0
         for osc in oscs:
+            for field in ("frequency_hz", "amplitude"):
+                value = getattr(osc, field)
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not math.isfinite(value)):
+                    raise ValidationError(
+                        f"oscillation {field} must be a finite number, got {value!r}")
             if osc.frequency_hz >= nyquist:
                 raise ValidationError(
                     f"oscillation at {osc.frequency_hz} Hz is at or above the "
@@ -54,6 +71,9 @@ class SynthSpec:
                 raise ValidationError("oscillation amplitude must be >= 0")
             if osc.channels is not None:
                 for ch in osc.channels:
+                    if isinstance(ch, bool) or not isinstance(ch, numbers.Integral):
+                        raise ValidationError(
+                            f"oscillation channel {ch!r} must be an integer index")
                     if not (0 <= ch < self.channel_count):
                         raise ValidationError(f"oscillation channel {ch} out of range")
 

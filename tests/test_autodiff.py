@@ -82,24 +82,58 @@ def test_gelu():
 
 def test_softmax():
     # the softmax runs inside the fused attention op; check it w.r.t. q, k, v
-    weights = ad.constant(np.random.default_rng(4).standard_normal((2, 3, 5, 4)))
+    # on (batch, channels, windows, heads, head_dim) grids with channels !=
+    # windows, so a mixed-up head group cannot pass
+    weights = ad.constant(np.random.default_rng(4).standard_normal((2, 3, 5, 4, 4)))
     check_op(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v), weights)),
-             (2, 3, 5, 4), (2, 3, 5, 4), (2, 3, 5, 4))
+             (2, 3, 5, 4, 4), (2, 3, 5, 4, 4), (2, 3, 5, 4, 4))
     check_op(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v),
                                             ad.attention(q, k, v))),
-             (1, 2, 6, 3), (1, 2, 6, 3), (1, 2, 6, 3), seed=1)
+             (1, 4, 2, 2, 3), (1, 4, 2, 2, 3), (1, 4, 2, 2, 3), seed=1)
+
+
+def composite_attention(q, k, v):
+    """Per-group numpy criss-cross attention on (B, C, T, H, hd) grids: the
+    first half of the heads along time, the second half across channels."""
+    half = q.shape[3] // 2
+    out = np.empty_like(q)
+    for heads, axes, inverse in ((np.s_[..., :half, :], (0, 1, 3, 2, 4), (0, 1, 3, 2, 4)),
+                                 (np.s_[..., half:, :], (0, 2, 3, 1, 4), (0, 3, 1, 2, 4))):
+        qg, kg, vg = (np.ascontiguousarray(x[heads].transpose(axes)) for x in (q, k, v))
+        scores = (qg @ kg.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out[heads] = ((e / e.sum(axis=-1, keepdims=True)) @ vg).transpose(inverse)
+    return out
 
 
 def test_attention_forward_matches_composite_float32():
     rng = np.random.default_rng(5)
-    q, k, v = (rng.standard_normal((2, 4, 16, 8)).astype(np.float32) * 3.0
+    q, k, v = (rng.standard_normal((2, 6, 16, 4, 8)).astype(np.float32) * 3.0
                for _ in range(3))
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(8))
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    expected = (e / e.sum(axis=-1, keepdims=True)) @ v
+    expected = composite_attention(q, k, v)
     out = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v)).data
     assert out.dtype == np.float32
     assert out.tobytes() == expected.tobytes()
+
+
+def test_attention_heads_see_their_row_and_column():
+    # perturbing v at token (c0, w0) moves the temporal heads' output only in
+    # channel c0 and the spatial heads' output only in window w0
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.standard_normal((2, 5, 7, 4, 3)) for _ in range(3))
+    c0, w0 = 2, 4
+    bumped = v.copy()
+    bumped[:, c0, w0] += 1.0
+    base = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v)).data
+    moved = ad.attention(ad.constant(q), ad.constant(k), ad.constant(bumped)).data
+    changed = (moved != base).any(axis=(0, 4))           # (channels, windows, heads)
+    temporal, spatial = changed[..., :2].any(-1), changed[..., 2:].any(-1)
+    expected_row = np.zeros((5, 7), bool)
+    expected_row[c0] = True
+    expected_col = np.zeros((5, 7), bool)
+    expected_col[:, w0] = True
+    np.testing.assert_array_equal(temporal, expected_row)
+    np.testing.assert_array_equal(spatial, expected_col)
 
 
 def test_layer_norm():

@@ -298,6 +298,26 @@ def test_key_of_another_type_exits_1(tmp_path, capsys, bad, key):
     assert err.startswith("error:") and f"{key} must be" in err
 
 
+@pytest.mark.parametrize("synth, message", [
+    ({"oscillations": [[10.0, 1.0, [0.5]]]}, "channel 0.5 must be an integer"),
+    ({"oscillations": [[10.0, 1.0, [True]]]}, "channel True must be an integer"),
+    ({"oscillations": [[True, 1.0, None]]}, "frequency_hz must be a finite number"),
+    ({"oscillations": [["10", 1.0, None]]}, "frequency_hz must be a finite number"),
+    ({"oscillations": [[10.0, float("nan"), None]]}, "amplitude must be a finite number"),
+    ({"duration_s": 1e300}, "duration_s=1e+300 needs"),
+], ids=["channel-float", "channel-bool", "frequency-bool", "frequency-string",
+        "amplitude-nan", "duration-beyond-memory"])
+def test_synth_rejects_bad_entries_with_exit_1(tmp_path, capsys, synth, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"synth": synth}))  # NaN as a JSON extension
+    out = tmp_path / "x.lcmr"
+    code = run_cli(["synth", "--config", str(path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_preprocess_invalid_synth_section_exits_1(tmp_path, config_path, capsys):
     rec = tmp_path / "rec.lcmr"
     assert run_cli(["synth", "--config", config_path, "--out", str(rec)]) == 0

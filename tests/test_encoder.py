@@ -36,7 +36,7 @@ def make_mask(shape, p_mask, seed):
 
 
 def grid_config(in_channels, mapped_channels, p_t, n_t):
-    return EncoderConfig(d=4, layers=0, heads=1, p_t=p_t, stem_kernel=1,
+    return EncoderConfig(d=4, layers=0, heads=2, p_t=p_t, stem_kernel=1,
                          in_channels=in_channels,
                          mapped_channels=mapped_channels, n_t=n_t)
 
@@ -342,6 +342,9 @@ def test_param_count_block_share_grows_4x_with_d():
 def test_config_invariants():
     with pytest.raises(ValidationError):
         EncoderConfig(d=10, heads=4)
+    # criss-cross attention splits the heads into two equal groups
+    with pytest.raises(ValidationError, match="heads must be even"):
+        EncoderConfig(d=12, heads=3)
     with pytest.raises(ValidationError):
         EncoderConfig(p_t=4, stem_kernel=7)
     with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -214,21 +215,32 @@ def test_backward_frees_training_tape_with_same_grads():
 
 
 def test_training_graph_holds_one_score_buffer_per_layer():
-    # the attention backward keeps only the probabilities, not the scores
-    b, enc = 2, SMALL_ENC
-    _, total = training_graph(small_config(), b)
-    n = enc.mapped_channels * enc.n_t
+    # the attention backward keeps only the probabilities of its two head
+    # groups, not the scores, and no full (N, N) buffer exists
+    b, enc = 2, replace(SMALL_ENC, mapped_channels=6)  # channels != windows
+    _, total = training_graph(replace(small_config(), encoder=enc), b)
+    n, mp, n_t, half = enc.n_tokens, enc.mapped_channels, enc.n_t, enc.heads // 2
     held = {}
+
+    def hold(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            held[id(obj)] = obj.shape
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                hold(item)
+        elif callable(obj):  # closures nested inside a backward
+            for cell in getattr(obj, "__closure__", None) or ():
+                hold(cell.cell_contents)
+
     for node in graph_nodes(total):
-        arrays = [node.data]
-        for cell in getattr(node._backward, "__closure__", None) or ():
-            if isinstance(cell.cell_contents, np.ndarray):
-                arrays.append(cell.cell_contents)
-        for a in arrays:
-            while isinstance(a.base, np.ndarray):
-                a = a.base
-            held[id(a)] = a.shape
-    assert list(held.values()).count((b, enc.heads, n, n)) == enc.layers
+        hold(node.data)
+        hold(node._backward)
+    shapes = list(held.values())
+    assert shapes.count((b, mp, half, n_t, n_t)) == enc.layers
+    assert shapes.count((b, n_t, half, mp, mp)) == enc.layers
+    assert (b, enc.heads, n, n) not in shapes
 
 
 # --- gradient verification ----------------------------------------------------------
