@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (RunConfig, apply_overrides, config_from_dict, load_config,
-                     read_config_file)
+from .config import RunConfig, config_from_dict, read_config_file
 from .data import (LCMC_MAGIC, LCMR_MAGIC, LCMS_MAGIC, load_checkpoint,
                    load_segments, read_recording, save_checkpoint,
                    save_segments, tensor_name, write_recording)
@@ -80,16 +79,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse dest of each override flag -> the config key it sets
+_FLAG_KEYS = {"seed": "seed", "epochs": "train.epochs",
+              "batch_size": "train.batch_size", "p_mask": "train.p_mask",
+              "lam": "train.lambda", "lr_mode": "schedule.mode"}
+
+
+def _raw_config(args):
+    """The --config file's JSON (or {}) with every given flag written into it.
+    A root or section that is not an object is left for `config_from_dict`
+    to reject."""
+    raw = {} if args.config is None else read_config_file(args.config)
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None or not isinstance(raw, dict):
+            continue
+        section, _, leaf = key.rpartition(".")
+        node = raw.setdefault(section, {}) if section else raw
+        if isinstance(node, dict):
+            node[leaf] = value
+    return raw
+
+
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    return apply_overrides(
-        cfg,
-        seed=getattr(args, "seed", None),
-        epochs=getattr(args, "epochs", None),
-        batch_size=getattr(args, "batch_size", None),
-        p_mask=getattr(args, "p_mask", None),
-        lam=getattr(args, "lam", None),
-        lr_mode=getattr(args, "lr_mode", None))
+    """The run config of file plus flags, checked once."""
+    return config_from_dict(_raw_config(args))
 
 
 def _cmd_synth(args) -> int:
@@ -151,8 +165,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    raw = {} if args.config is None else read_config_file(args.config)
-    cfg = apply_overrides(config_from_dict(raw), seed=args.seed)
+    raw = _raw_config(args)
+    cfg = config_from_dict(raw)
     if "encoder" not in raw:
         # the default encoder is too large to finite-difference quickly
         cfg = replace(cfg, encoder=GRADCHECK_SMALL)

@@ -5,7 +5,7 @@ Layout (all keys optional, defaults are the module defaults):
     {
       "seed": 0,
       "synth":    {"channel_count": 8, "duration_s": 4.0, "sample_rate_hz": 256.0,
-                   "background_exponent": 1.0, "oscillations": [[10.0, 1.0, [0]]],
+                   "background_exponent": 1.0, "oscillations": [],
                    "scale_to_mV": 1.0},
       "preproc":  {"target_rate_hz": 256.0, "segment_s": 4.0, "lowpass_hz": 38.0,
                    "apply_bandpass": true, "channel_selection": null},
@@ -23,18 +23,19 @@ Layout (all keys optional, defaults are the module defaults):
     }
 
 Unknown keys are rejected, and so is a value of another type than its key
-declares (`_TYPE_RULES`; JSON NaN and Infinity are not finite). The single
-top-level seed drives every random stream; schedule total_epochs and
-steps_per_epoch come from the training run and are rejected here. Each section
-is the dataclass that checks its own values; cross-section rules
-(schedule.warmup_epochs below train.epochs) are checked when a run starts.
+declares (`_TYPE_RULES`; JSON NaN and Infinity are not finite). The CLI writes
+its flags into the parsed file before `config_from_dict`, so a flag passes the
+same checks as the key it sets. The single top-level seed drives every random
+stream. Each section is the dataclass that checks its own values;
+cross-section rules (schedule.warmup_epochs below train.epochs) are checked
+when a run starts.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union, get_type_hints
 
@@ -107,6 +108,8 @@ class ProbeSection:
             raise ValidationError("train_fraction must lie in (0, 1)")
         if self.epochs < 1:
             raise ValidationError("probe epochs must be >= 1")
+        if not (self.lr > 0):
+            raise ValidationError("probe lr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,9 @@ class RunConfig:
     probe: ProbeSection = ProbeSection()
 
 
+# config key -> field name, where the key is a Python keyword; the field name
+# itself is not a key
 _KEY_ALIASES = {"train": {"lambda": "lam"}}
-_REJECTED = {"schedule": {"total_epochs", "steps_per_epoch"}}
 _SECTIONS = {
     "synth": SynthSection,
     "preproc": PreprocConfig,
@@ -160,7 +164,7 @@ def _build_section(name: str, cls, payload: dict):
     kwargs = {}
     for key, value in payload.items():
         target = aliases.get(key, key)
-        if target not in hints or target in _REJECTED.get(name, ()):
+        if target not in hints or key in aliases.values():
             raise ValidationError(f"unknown key {key!r} in config section {name!r}")
         rule = _TYPE_RULES.get(hints[target])  # none for oscillations and mode
         if rule is not None and not rule[0](value):
@@ -193,31 +197,3 @@ def read_config_file(path: Union[str, Path]):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError("json", f"config is not valid JSON: {exc}") from exc
-
-
-def load_config(path: Optional[Union[str, Path]]) -> RunConfig:
-    """Parse the config file; a missing path gives all-default config."""
-    if path is None:
-        return RunConfig()
-    return config_from_dict(read_config_file(path))
-
-
-def apply_overrides(cfg: RunConfig, *, seed=None, epochs=None, batch_size=None,
-                    p_mask=None, lam=None, lr_mode=None) -> RunConfig:
-    """Flag overrides win over file values."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    train_updates = {}
-    if epochs is not None:
-        train_updates["epochs"] = epochs
-    if batch_size is not None:
-        train_updates["batch_size"] = batch_size
-    if p_mask is not None:
-        train_updates["p_mask"] = p_mask
-    if lam is not None:
-        train_updates["lam"] = lam
-    if train_updates:
-        cfg = replace(cfg, train=replace(cfg.train, **train_updates))
-    if lr_mode is not None:
-        cfg = replace(cfg, schedule=replace(cfg.schedule, mode=lr_mode))
-    return cfg

@@ -53,6 +53,8 @@ class EncoderConfig:
         for name, value in positive.items():
             if not (value > 0):
                 raise ValidationError(f"{name} must be positive")
+        if not (np.isfinite(self.mlp_ratio * self.d) and self.hidden >= 1):
+            raise ValidationError("mlp_ratio * d must round to a finite width >= 1")
         if self.layers < 0:
             raise ValidationError("layers must be >= 0")
         if self.d % self.heads != 0:

@@ -12,13 +12,17 @@ which starts at w_final and ends at w_init; with the default
 w_init == w_final == 0.05 it is constant.
 
 EMA momentum ramps m_low -> m_high on a half-cosine.
+
+The schedule config holds only what a file sets. Each schedule function takes
+the run's steps_per_epoch and epochs, so T = epochs * steps_per_epoch and the
+warmup is warmup_epochs * steps_per_epoch steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -37,8 +41,6 @@ class ScheduleConfig:
     lr_max: float = 1.5e-4
     lr_final: float = 1e-6
     warmup_epochs: int = 10
-    total_epochs: Optional[int] = None  # unset until a run sizes it from train.epochs
-    steps_per_epoch: int = 1
     decay_exponent: float = 1.0
     mode: str = MODE_WARMUP_COSINE
     wd_init: float = 0.05
@@ -51,10 +53,8 @@ class ScheduleConfig:
             raise ValidationError("need 0 < lr_final <= lr_max")
         if self.warmup_epochs < 0:
             raise ValidationError("warmup_epochs must be >= 0")
-        if self.total_epochs is not None and self.warmup_epochs >= self.total_epochs:
-            raise ValidationError("need warmup_epochs < total_epochs")
-        if self.steps_per_epoch < 1:
-            raise ValidationError("steps_per_epoch must be >= 1")
+        if self.decay_exponent < 0:
+            raise ValidationError("decay_exponent must be >= 0")
         if self.mode not in (MODE_WARMUP_COSINE, MODE_POLYNOMIAL):
             raise ValidationError(f"unknown schedule mode {self.mode!r}")
         if not (0.9 <= self.m_low <= self.m_high <= 1.0):
@@ -62,47 +62,43 @@ class ScheduleConfig:
         if self.wd_init < 0 or self.wd_final < 0:
             raise ValidationError("weight decay must be >= 0")
 
-    @property
-    def total_steps(self) -> int:
-        if self.total_epochs is None:
-            raise ValidationError("schedule total_epochs is unset")
-        return self.total_epochs * self.steps_per_epoch
 
-    @property
-    def warmup_steps(self) -> int:
-        return self.warmup_epochs * self.steps_per_epoch
-
-
-def _check_step(t: int, cfg: ScheduleConfig):
-    if t < 0 or t > cfg.total_steps:
-        raise ValidationError(f"step {t} outside [0, {cfg.total_steps}]")
+def _total_steps(t: int, steps_per_epoch: int, epochs: int) -> int:
+    """The run's step count T, after checking that step t lies in [0, T]."""
+    if steps_per_epoch < 1 or epochs < 1:
+        raise ValidationError("a run needs steps_per_epoch >= 1 and epochs >= 1")
+    total = epochs * steps_per_epoch
+    if t < 0 or t > total:
+        raise ValidationError(f"step {t} outside [0, {total}]")
+    return total
 
 
-def lr_at(t: int, cfg: ScheduleConfig) -> float:
-    """Learning rate at step t (pure function of (t, cfg))."""
-    _check_step(t, cfg)
-    total = cfg.total_steps
+def lr_at(t: int, cfg: ScheduleConfig, steps_per_epoch: int, epochs: int) -> float:
+    """Learning rate at step t of a run of `epochs` x `steps_per_epoch` steps
+    (warmup-cosine needs warmup_epochs < epochs, checked when a run starts)."""
+    total = _total_steps(t, steps_per_epoch, epochs)
     if cfg.mode == MODE_POLYNOMIAL:
         return cfg.lr_max * (1.0 - t / total) ** cfg.decay_exponent
-    warmup = cfg.warmup_steps
+    warmup = cfg.warmup_epochs * steps_per_epoch
     if t < warmup:
         return cfg.lr_max * t / warmup
     s = (t - warmup) / (total - warmup)
     return cfg.lr_final + 0.5 * (cfg.lr_max - cfg.lr_final) * (1.0 + math.cos(math.pi * s))
 
 
-def wd_at(t: int, cfg: ScheduleConfig) -> float:
+def wd_at(t: int, cfg: ScheduleConfig, steps_per_epoch: int, epochs: int) -> float:
     """Cosine weight decay: w_final at t=0 down to w_init at t=T."""
-    _check_step(t, cfg)
+    total = _total_steps(t, steps_per_epoch, epochs)
     return cfg.wd_init + 0.5 * (cfg.wd_final - cfg.wd_init) * (
-        1.0 + math.cos(math.pi * t / cfg.total_steps))
+        1.0 + math.cos(math.pi * t / total))
 
 
-def momentum_at(t: int, cfg: ScheduleConfig) -> float:
+def momentum_at(t: int, cfg: ScheduleConfig, steps_per_epoch: int,
+                epochs: int) -> float:
     """EMA momentum: half-cosine ramp m_low -> m_high, monotone non-decreasing."""
-    _check_step(t, cfg)
+    total = _total_steps(t, steps_per_epoch, epochs)
     return cfg.m_low + 0.5 * (cfg.m_high - cfg.m_low) * (
-        1.0 - math.cos(math.pi * t / cfg.total_steps))
+        1.0 - math.cos(math.pi * t / total))
 
 
 _NO_DECAY_LEAVES = {"bias", "gain", "bq", "bk", "bv", "bo", "b1", "b2"}

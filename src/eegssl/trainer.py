@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -32,8 +32,7 @@ from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, check_layout,
                       wrap_parameters)
 from .errors import DivergenceError, ValidationError
 from .losses import alignment_loss_t, reconstruction_loss_t
-from .optim import (ScheduleConfig, adamw_step, ema_update, lr_at,
-                    momentum_at, wd_at)
+from .optim import adamw_step, ema_update, lr_at, momentum_at, wd_at
 from .seeding import TAG_GRADCHECK, TAG_MASK, TAG_SHUFFLE, make_rng
 
 
@@ -66,8 +65,10 @@ class TrainLogRecord:
 
 @dataclass
 class TrainState:
+    """A run in progress: its config, its batches per epoch (with
+    cfg.train.epochs this sizes the schedules), and the four tensor groups."""
     cfg: RunConfig
-    schedule: ScheduleConfig  # effective: total_epochs/steps_per_epoch resolved
+    steps_per_epoch: int
     theta: dict
     xi: dict
     m: dict  # AdamW first moments
@@ -79,12 +80,10 @@ def init_train_state(cfg: RunConfig, steps_per_epoch: int) -> TrainState:
     if warmup >= epochs:
         raise ValidationError(
             f"schedule.warmup_epochs ({warmup}) must be below train.epochs ({epochs})")
-    schedule = replace(cfg.schedule, total_epochs=epochs,
-                       steps_per_epoch=steps_per_epoch)
     theta = init_param_store(cfg.encoder, cfg.seed)
     # copy-init makes the EMA contraction exact from step 0
     xi = {k: v.copy() for k, v in theta.items()}
-    return TrainState(cfg=cfg, schedule=schedule, theta=theta, xi=xi,
+    return TrainState(cfg=cfg, steps_per_epoch=steps_per_epoch, theta=theta, xi=xi,
                       m={k: np.zeros_like(v) for k, v in theta.items()},
                       v={k: np.zeros_like(v) for k, v in theta.items()})
 
@@ -153,14 +152,15 @@ def train_step(batch: np.ndarray, state: TrainState, t: int) -> TrainLogRecord:
 
     g_first, g_last, g_min, g_max = grad_stats(
         grads, FIRST_LAYER_NAMES, last_layer_names(state.theta, enc))
-    lr = lr_at(t, state.schedule)
-    wd = wd_at(t, state.schedule)
-    m = momentum_at(t, state.schedule)
+    run = (cfg.schedule, state.steps_per_epoch, cfg.train.epochs)
+    lr = lr_at(t, *run)
+    wd = wd_at(t, *run)
+    m = momentum_at(t, *run)
     adamw_step(state.theta, grads, state.m, state.v, t + 1, lr, wd)
     ema_update(state.theta, state.xi, m)
 
     return TrainLogRecord(
-        epoch=t // state.schedule.steps_per_epoch, step=t,
+        epoch=t // state.steps_per_epoch, step=t,
         L_A=loss_align, L_R=loss_recon, L_total=total,
         lr=lr, wd=wd, m=m,
         g_first_mean=g_first, g_last_mean=g_last, g_min=g_min, g_max=g_max)

@@ -81,24 +81,22 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_schedule_exactness():
-    cfg = ScheduleConfig(lr_max=1.5e-4, lr_final=1e-6, warmup_epochs=10,
-                         total_epochs=200, steps_per_epoch=7)
-    T, W = cfg.total_steps, cfg.warmup_steps
-    assert lr_at(0, cfg) == 0.0
-    assert abs(lr_at(W, cfg) - 1.5e-4) < 1e-12
-    assert abs(lr_at(T, cfg) - 1e-6) < 1e-12
+    cfg = ScheduleConfig(lr_max=1.5e-4, lr_final=1e-6, warmup_epochs=10)
+    spe, epochs = 7, 200  # the run's steps per epoch and epochs
+    T, W = epochs * spe, cfg.warmup_epochs * spe
+    assert lr_at(0, cfg, spe, epochs) == 0.0
+    assert abs(lr_at(W, cfg, spe, epochs) - 1.5e-4) < 1e-12
+    assert abs(lr_at(T, cfg, spe, epochs) - 1e-6) < 1e-12
 
-    wd_cfg = ScheduleConfig(wd_init=0.03, wd_final=0.09, total_epochs=100,
-                            steps_per_epoch=4)
-    Tw = wd_cfg.total_steps
+    wd_cfg = ScheduleConfig(wd_init=0.03, wd_final=0.09)
+    Tw = 100 * 4
     for t in (0, Tw // 2, Tw):
         closed_form = 0.03 + 0.5 * (0.09 - 0.03) * (1 + np.cos(np.pi * t / Tw))
-        assert abs(wd_at(t, wd_cfg) - closed_form) < 1e-12
+        assert abs(wd_at(t, wd_cfg, 4, 100) - closed_form) < 1e-12
 
-    poly = ScheduleConfig(mode="polynomial", decay_exponent=1.0,
-                          total_epochs=50, steps_per_epoch=2)
-    assert lr_at(0, poly) == poly.lr_max
-    assert lr_at(poly.total_steps, poly) == 0.0
+    poly = ScheduleConfig(mode="polynomial", decay_exponent=1.0)
+    assert lr_at(0, poly, 2, 50) == poly.lr_max
+    assert lr_at(50 * 2, poly, 2, 50) == 0.0
     report(2, "lr endpoints (0, 1.5e-4, 1e-6) and cosine weight decay closed "
               "form within 1e-12; polynomial endpoints exact")
 

@@ -1,15 +1,17 @@
 """Config parsing and end-to-end CLI subcommand tests."""
 
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eegssl import cli
 from eegssl.cli import run_cli
-from eegssl.config import (RunConfig, TrainConfig, apply_overrides,
-                           config_from_dict, load_config)
+from eegssl.config import (_KEY_ALIASES, RunConfig, TrainConfig,
+                           config_from_dict)
 from eegssl.data import (SegmentBatch, load_segments, save_checkpoint,
                          save_segments)
 from eegssl.errors import ValidationError
@@ -17,8 +19,14 @@ from eegssl.synth import SynthSpec, synth_labeled_dataset
 from eegssl.trainer import GradCheckReport, init_train_state, make_checkpoint
 
 
+def load_flags(argv):
+    """The run config the CLI builds from `argv`."""
+    return cli._load(cli._build_parser().parse_args(argv))
+
+
 def test_defaults_without_file():
-    cfg = load_config(None)
+    cfg = load_flags(["synth", "--out", "x.lcmr"])
+    assert cfg == RunConfig()
     assert cfg.seed == 0
     assert cfg.encoder.d == 64
     assert cfg.schedule.lr_max == 1.5e-4
@@ -50,23 +58,27 @@ def test_unknown_keys_rejected():
     with pytest.raises(ValidationError, match="unknown key"):
         config_from_dict({"train": {"nope": 1}})
     with pytest.raises(ValidationError, match="unknown key"):
-        config_from_dict({"schedule": {"total_epochs": 10}})  # derived at run time
+        config_from_dict({"schedule": {"total_epochs": 10}})  # sized by the run
     for key in ("seed", "encoder", "schedule"):   # each has its own section
         with pytest.raises(ValidationError, match="unknown key"):
             config_from_dict({"train": {key: 1}})
+    # the field behind train.lambda is not a second spelling of it
+    with pytest.raises(ValidationError, match="unknown key 'lam'"):
+        config_from_dict({"train": {"lam": 2.0, "lambda": 3.0}})
 
 
 def test_every_section_field_is_a_config_key():
-    # every field of every section can be set from the file, so no section
-    # carries a placeholder that another section fills in
-    derived = {("schedule", "total_epochs"), ("schedule", "steps_per_epoch")}
+    # every field of every section can be set from the file under its
+    # documented key, so no section carries a placeholder that another
+    # section fills in
     default = RunConfig()
     raw = {"seed": default.seed}
     for section in fields(default):
         value = getattr(default, section.name)
         if section.name != "seed":
-            raw[section.name] = {f.name: getattr(value, f.name) for f in fields(value)
-                                 if (section.name, f.name) not in derived}
+            key_of = {f: k for k, f in _KEY_ALIASES.get(section.name, {}).items()}
+            raw[section.name] = {key_of.get(f.name, f.name): getattr(value, f.name)
+                                 for f in fields(value)}
     assert config_from_dict(raw) == default
 
 
@@ -77,10 +89,14 @@ def test_invariants_revalidated_on_load():
         config_from_dict({"encoder": {"d": 10, "heads": 4}})
 
 
-def test_flag_overrides_win():
-    cfg = load_config(None)
-    cfg = apply_overrides(cfg, seed=9, epochs=7, batch_size=2, p_mask=0.25,
-                          lam=3.0, lr_mode="polynomial")
+def test_flag_overrides_win(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 1, "schedule": {"mode": "warmup-cosine"},
+                                "train": {"epochs": 3, "batch_size": 4,
+                                          "p_mask": 0.5, "lambda": 2.0}}))
+    cfg = load_flags(["pretrain", "seg.lcms", "--config", str(path), "--out", "o",
+                      "--seed", "9", "--epochs", "7", "--batch-size", "2",
+                      "--p-mask", "0.25", "--lambda", "3", "--lr-mode", "polynomial"])
     assert cfg.seed == 9
     assert cfg.train.epochs == 7
     assert cfg.train.batch_size == 2
@@ -111,16 +127,15 @@ def test_train_config_assembly():
                             "train": {"epochs": 2, "batch_size": 4}})
     state = init_train_state(cfg, steps_per_epoch=3)
     assert state.cfg is cfg
-    assert (state.schedule.total_epochs, state.schedule.steps_per_epoch) == (2, 3)
-    assert state.schedule.warmup_epochs == 1
+    assert state.steps_per_epoch == 3
 
 
 def test_long_warmup_parses_and_starts():
-    # warmup is checked against train.epochs when the run starts, not against
-    # a schedule placeholder when the file is parsed
+    # warmup is checked against train.epochs when the run starts, not when
+    # the file is parsed
     cfg = config_from_dict({"schedule": {"warmup_epochs": 250}, "train": {"epochs": 300}})
     state = init_train_state(cfg, steps_per_epoch=2)
-    assert (state.schedule.warmup_epochs, state.schedule.total_epochs) == (250, 300)
+    assert (state.cfg.schedule.warmup_epochs, state.cfg.train.epochs) == (250, 300)
     with pytest.raises(ValidationError, match="warmup_epochs must be >= 0"):
         config_from_dict({"schedule": {"warmup_epochs": -1}})
 
@@ -173,6 +188,31 @@ def test_synth_section_validated_at_parse(synth, message):
         config_from_dict({"synth": synth})
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"probe": {"lr": -5.0}}, "probe lr"),
+    ({"probe": {"lr": 0.0}}, "probe lr"),
+    ({"encoder": {"d": 16, "mlp_ratio": 0.01}}, "mlp_ratio"),
+    ({"encoder": {"mlp_ratio": 1e308}}, "mlp_ratio"),
+    ({"schedule": {"decay_exponent": -1.0}}, "decay_exponent"),
+], ids=["probe-lr-negative", "probe-lr-zero", "mlp_ratio-zero-width",
+        "mlp_ratio-infinite-width", "decay_exponent-negative"])
+def test_out_of_range_values_rejected_at_parse(raw, key):
+    with pytest.raises(ValidationError, match=key):
+        config_from_dict(raw)
+
+
+def test_readme_defaults_parse_to_run_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = json.loads(re.search(r"Defaults shown:\s*```json\n(.*?)```", readme,
+                                 re.S).group(1))
+    assert config_from_dict(block) == RunConfig()
+    # and it lists every key of every section
+    default = RunConfig()
+    assert {name: len(section) for name, section in block.items() if name != "seed"} \
+        == {f.name: len(fields(getattr(default, f.name)))
+            for f in fields(default) if f.name != "seed"}
+
+
 # --- CLI -----------------------------------------------------------------------------
 
 SMALL_CONFIG = {
@@ -193,6 +233,13 @@ def config_path(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(SMALL_CONFIG))
     return str(path)
+
+
+def write_segments(tmp_path):
+    seg = tmp_path / "seg.lcms"
+    segments = np.random.default_rng(0).standard_normal((8, 4, 1024))
+    save_segments(SegmentBatch(segments.astype(np.float32), 256.0), seg)
+    return seg
 
 
 def test_synth_deterministic_bytes(tmp_path, config_path):
@@ -260,9 +307,7 @@ def test_pretrain_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_pretrain_epochs_not_above_warmup_exits_1(tmp_path, config_path, capsys):
-    seg = tmp_path / "seg.lcms"
-    segments = np.random.default_rng(0).standard_normal((8, 4, 1024))
-    save_segments(SegmentBatch(segments.astype(np.float32), 256.0), seg)
+    seg = write_segments(tmp_path)
     # SMALL_CONFIG warms up for 1 epoch, so a 1-epoch run has no decay phase
     code = run_cli(["pretrain", str(seg), "--config", config_path, "--epochs", "1",
                     "--out", str(tmp_path / "o.lcmc")])
@@ -274,9 +319,7 @@ def test_pretrain_epochs_not_above_warmup_exits_1(tmp_path, config_path, capsys)
 
 @INTEGER_KEY_CASES
 def test_pretrain_integer_key_of_another_type_exits_1(tmp_path, capsys, bad):
-    seg = tmp_path / "seg.lcms"
-    segments = np.random.default_rng(0).standard_normal((8, 4, 1024))
-    save_segments(SegmentBatch(segments.astype(np.float32), 256.0), seg)
+    seg = write_segments(tmp_path)
     raw = dict(SMALL_CONFIG)
     for key, value in bad.items():
         raw[key] = dict(raw[key], **value) if isinstance(value, dict) else value
@@ -316,6 +359,56 @@ def test_synth_rejects_bad_entries_with_exit_1(tmp_path, capsys, synth, message)
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, text, key, value, message", [
+    ("--lambda", "nan", "lambda", float("nan"), "train.lambda must be a finite number"),
+    ("--p-mask", "1.5", "p_mask", 1.5, "p_mask must lie in (0, 1]"),
+    ("--batch-size", "0", "batch_size", 0, "batch_size must be >= 1"),
+    ("--epochs", "0", "epochs", 0, "epochs must be >= 1"),
+], ids=["lambda-nan", "p_mask-above-1", "batch_size-0", "epochs-0"])
+def test_bad_flag_value_exits_1_like_its_file_key(tmp_path, capsys, flag, text, key,
+                                                  value, message):
+    # --seed and --lr-mode are typed and checked by argparse itself
+    seg = write_segments(tmp_path)
+    log, ckpt_dir, out = tmp_path / "log.jsonl", tmp_path / "ckpts", tmp_path / "o.lcmc"
+    train = dict(SMALL_CONFIG["train"], log_path=str(log), checkpoint_dir=str(ckpt_dir))
+    path = tmp_path / "run.json"
+    errors = []
+    for file_train, flags in ((train, [flag, text]), (dict(train, **{key: value}), [])):
+        path.write_text(json.dumps(dict(SMALL_CONFIG, train=file_train)))
+        code = run_cli(["pretrain", str(seg), "--config", str(path), "--out", str(out),
+                        *flags])
+        assert code == 1
+        assert not (out.exists() or log.exists() or ckpt_dir.exists())
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: {message}\n"] * 2
+
+
+@pytest.mark.parametrize("flag, text, key, value", [
+    ("--seed", "4", "seed", 4),
+    ("--epochs", "3", "train.epochs", 3),
+    ("--batch-size", "4", "train.batch_size", 4),
+    ("--p-mask", "0.25", "train.p_mask", 0.25),
+    ("--lambda", "2.5", "train.lambda", 2.5),
+    ("--lr-mode", "polynomial", "schedule.mode", "polynomial"),
+], ids=["seed", "epochs", "batch_size", "p_mask", "lambda", "lr_mode"])
+def test_flag_and_file_key_give_identical_checkpoints(tmp_path, flag, text, key, value):
+    seg = write_segments(tmp_path)
+    section, _, leaf = key.rpartition(".")
+    with_key = dict(SMALL_CONFIG)
+    if section:
+        with_key[section] = dict(SMALL_CONFIG[section], **{leaf: value})
+    else:
+        with_key[leaf] = value
+    checkpoints = []
+    for i, (raw, flags) in enumerate(((SMALL_CONFIG, [flag, text]), (with_key, []))):
+        path, out = tmp_path / f"run{i}.json", tmp_path / f"model{i}.lcmc"
+        path.write_text(json.dumps(raw))
+        assert run_cli(["pretrain", str(seg), "--config", str(path), "--out", str(out),
+                        *flags]) == 0
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_preprocess_invalid_synth_section_exits_1(tmp_path, config_path, capsys):

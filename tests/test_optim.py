@@ -9,9 +9,12 @@ from eegssl.optim import (ScheduleConfig, adamw_step,
                           momentum_at, wd_at)
 
 
+SPE, EPOCHS = 5, 200   # a run of 1000 steps, 50 of them warmup
+T, W = SPE * EPOCHS, SPE * 10
+
+
 def sched(**kw):
-    base = dict(lr_max=1.5e-4, lr_final=1e-6, warmup_epochs=10, total_epochs=200,
-                steps_per_epoch=5)
+    base = dict(lr_max=1.5e-4, lr_final=1e-6, warmup_epochs=10)
     base.update(kw)
     return ScheduleConfig(**base)
 
@@ -20,89 +23,86 @@ def sched(**kw):
 
 def test_warmup_cosine_endpoints():
     cfg = sched()
-    T, W = cfg.total_steps, cfg.warmup_steps
-    assert lr_at(0, cfg) == 0.0
-    assert abs(lr_at(W, cfg) - 1.5e-4) < 1e-12
-    assert abs(lr_at(T, cfg) - 1e-6) < 1e-12
+    assert lr_at(0, cfg, SPE, EPOCHS) == 0.0
+    assert abs(lr_at(W, cfg, SPE, EPOCHS) - 1.5e-4) < 1e-12
+    assert abs(lr_at(T, cfg, SPE, EPOCHS) - 1e-6) < 1e-12
 
 
 def test_warmup_is_linear():
     cfg = sched()
-    w = cfg.warmup_steps
-    assert lr_at(w // 2, cfg) == pytest.approx(1.5e-4 * (w // 2) / w)
+    assert lr_at(W // 2, cfg, SPE, EPOCHS) == pytest.approx(1.5e-4 * (W // 2) / W)
 
 
 def test_continuity_at_warmup_boundary():
     cfg = sched()
-    w = cfg.warmup_steps
-    left = lr_at(w - 1, cfg)
-    right = lr_at(w + 1, cfg)
-    peak = lr_at(w, cfg)
+    left = lr_at(W - 1, cfg, SPE, EPOCHS)
+    right = lr_at(W + 1, cfg, SPE, EPOCHS)
+    peak = lr_at(W, cfg, SPE, EPOCHS)
     assert left < peak and right < peak
-    assert peak - left < 2 * 1.5e-4 / w
-    assert abs(lr_at(w, cfg) - cfg.lr_max) < 1e-12
+    assert peak - left < 2 * 1.5e-4 / W
+    assert abs(peak - cfg.lr_max) < 1e-12
 
 
 def test_monotone_decay_after_warmup():
     cfg = sched()
-    values = [lr_at(t, cfg) for t in range(cfg.warmup_steps, cfg.total_steps + 1)]
+    values = [lr_at(t, cfg, SPE, EPOCHS) for t in range(W, T + 1)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_polynomial_mode_endpoints():
     cfg = sched(mode="polynomial", decay_exponent=1.0)
-    assert lr_at(0, cfg) == cfg.lr_max
-    assert lr_at(cfg.total_steps, cfg) == 0.0
+    assert lr_at(0, cfg, SPE, EPOCHS) == cfg.lr_max
+    assert lr_at(T, cfg, SPE, EPOCHS) == 0.0
     cfg2 = sched(mode="polynomial", decay_exponent=2.0)
-    t = cfg2.total_steps // 2
-    assert lr_at(t, cfg2) == pytest.approx(cfg2.lr_max * (1 - t / cfg2.total_steps) ** 2)
+    t = T // 2
+    assert lr_at(t, cfg2, SPE, EPOCHS) == pytest.approx(cfg2.lr_max * (1 - t / T) ** 2)
 
 
 def test_step_out_of_range_rejected():
     cfg = sched()
     for fn in (lr_at, wd_at, momentum_at):
-        fn(0, cfg)
-        fn(cfg.total_steps, cfg)
-        for t in (-1, cfg.total_steps + 1, 10 * cfg.total_steps - 1):
+        fn(0, cfg, SPE, EPOCHS)
+        fn(T, cfg, SPE, EPOCHS)
+        for t in (-1, T + 1, 10 * T - 1):
             with pytest.raises(ValidationError):
-                fn(t, cfg)
+                fn(t, cfg, SPE, EPOCHS)
+        for steps_per_epoch, epochs in ((0, EPOCHS), (SPE, 0)):  # an empty run
+            with pytest.raises(ValidationError, match="a run needs"):
+                fn(0, cfg, steps_per_epoch, epochs)
 
 
 # --- weight decay ------------------------------------------------------------------
 
 def test_wd_closed_form():
     cfg = sched(wd_init=0.02, wd_final=0.08)
-    T = cfg.total_steps
-    assert abs(wd_at(0, cfg) - 0.08) < 1e-12          # cos(0)=1 -> w_final
-    assert abs(wd_at(T, cfg) - 0.02) < 1e-12          # cos(pi)=-1 -> w_init
-    assert abs(wd_at(T // 2, cfg) - 0.05) < 1e-12     # cos(pi/2)=0 -> midpoint
+    assert abs(wd_at(0, cfg, SPE, EPOCHS) - 0.08) < 1e-12       # cos(0)=1: w_final
+    assert abs(wd_at(T, cfg, SPE, EPOCHS) - 0.02) < 1e-12       # cos(pi)=-1: w_init
+    assert abs(wd_at(T // 2, cfg, SPE, EPOCHS) - 0.05) < 1e-12  # cos(pi/2)=0: midpoint
 
 
 def test_wd_constant_when_equal():
     cfg = sched()
-    for t in (0, 17, cfg.total_steps):
-        assert wd_at(t, cfg) == pytest.approx(0.05, abs=1e-15)
+    for t in (0, 17, T):
+        assert wd_at(t, cfg, SPE, EPOCHS) == pytest.approx(0.05, abs=1e-15)
 
 
 # --- momentum -----------------------------------------------------------------------
 
 def test_momentum_endpoints():
     cfg = sched()
-    assert abs(momentum_at(0, cfg) - 0.996) < 1e-12
-    assert abs(momentum_at(cfg.total_steps, cfg) - 1.0) < 1e-12
+    assert abs(momentum_at(0, cfg, SPE, EPOCHS) - 0.996) < 1e-12
+    assert abs(momentum_at(T, cfg, SPE, EPOCHS) - 1.0) < 1e-12
 
 
 def test_momentum_monotone_nondecreasing():
     cfg = sched()
-    values = [momentum_at(t, cfg) for t in range(0, cfg.total_steps + 1, 7)]
+    values = [momentum_at(t, cfg, SPE, EPOCHS) for t in range(0, T + 1, 7)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_schedule_invariants():
     with pytest.raises(ValidationError):
         sched(lr_final=1.0)           # lr_final > lr_max
-    with pytest.raises(ValidationError):
-        sched(warmup_epochs=200)      # warmup >= total
     with pytest.raises(ValidationError):
         sched(m_low=0.5)
     with pytest.raises(ValidationError):
