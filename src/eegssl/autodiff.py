@@ -1,13 +1,16 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Exactly the ops the encoder and losses run, each with its own closed-form
-backward: broadcasting `add`/`sub`/`mul`, `scale` by a python float,
-`matmul`, `reshape`, `transpose`, a full `sum_`, `gelu`, fused criss-cross
-multi-head `attention`, masked `where` and `layer_norm`. Gradients are accumulated on
-a tape built during the forward pass; `backward()` walks it once in reverse
+backward: broadcasting `add`/`mul`, `scale` by a python float, `matmul`,
+`linear` (a matmul with its bias added in place), `reshape`, `transpose`,
+`gelu`, fused criss-cross multi-head `attention`, masked `where`,
+`layer_norm` with an optional gain and bias, and the losses' weighted
+`squared_error` against a constant target. Gradients are accumulated on a
+tape built during the forward pass; `backward()` walks it once in reverse
 topological order and frees each node as it goes. An op records a tape node
 only when one of its inputs requires grad, so a forward over `constant`
-tensors records nothing.
+tensors records nothing. The fused ops repeat the arithmetic of the op
+chains they replace, so they give the same bits with fewer buffers alive.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
@@ -121,12 +124,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                                          _unbroadcast(g, b.data.shape)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                         _unbroadcast(-g, b.data.shape)))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     return _make(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
@@ -138,18 +135,28 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), lambda g: (g * s,))
 
 
+def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Gradients of `a @ b` with respect to a and b."""
+    return (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
+            _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Stacked matrix product; both operands must have ndim >= 2."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    out = a.data @ b.data
+    return _make(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a.data, b.data))
 
-    def backward(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
-        return ga, gb
 
-    return _make(out, (a, b), backward)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` for a (..., n) x, (n, m) weight and (m,) bias. The bias is
+    added into the product in place, so the tape holds one output buffer."""
+    if x.ndim < 2 or w.ndim != 2:
+        raise ValueError("linear expects x with ndim >= 2 and a 2-D weight")
+    out = x.data @ w.data
+    out += b.data
+    return _make(out, (x, w, b), lambda g: _matmul_grads(g, x.data, w.data)
+                 + (_unbroadcast(g, b.data.shape),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -162,12 +169,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
-
-
-def sum_(a: Tensor) -> Tensor:
-    """Sum of every element, as a 0-d tensor."""
-    return _make(a.data.sum(), (a,),
-                 lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -264,17 +265,43 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def layer_norm(a: Tensor) -> Tensor:
-    """Standardize the last axis: (a - mean) / sqrt(var + LN_EPS), no affine."""
+def layer_norm(a: Tensor, gain: Tensor | None = None,
+               bias: Tensor | None = None) -> Tensor:
+    """Standardize the last axis, (a - mean) / sqrt(var + LN_EPS), then scale
+    by `gain` and shift by `bias` when they are given (both or neither)."""
     inv_n = 1.0 / a.data.shape[-1]
-    centered = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    normed = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (normed * normed).sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt(var + LN_EPS)
-    out = centered / std
+    normed /= std
+    out = normed
+    if gain is not None:
+        out = normed * gain.data
+        out += bias.data
 
     def backward(g):
+        affine = ()
+        if gain is not None:
+            affine = (_unbroadcast(g * normed, gain.data.shape),
+                      _unbroadcast(g, bias.data.shape))
+            g = g * gain.data
         g_mean = g.sum(axis=-1, keepdims=True) * inv_n
-        proj = (g * out).sum(axis=-1, keepdims=True) * inv_n
-        return ((g - g_mean - out * proj) / std,)
+        proj = (g * normed).sum(axis=-1, keepdims=True) * inv_n
+        return ((g - g_mean - normed * proj) / std,) + affine
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,) if gain is None else (a, gain, bias), backward)
+
+
+def squared_error(a: Tensor, target, weight, s: float) -> Tensor:
+    """`s * sum(weight * (a - target)**2)` as a 0-d tensor; `target` and
+    `weight` (broadcast against a) are constants. The backward doubles
+    `w * (a - target)` by addition, as `mul(d, d)` accumulates its inputs."""
+    s = float(s)  # numpy scalars would upcast float32 operands
+    diff = a.data - target
+
+    def backward(g):
+        grad = g * s * weight * diff
+        grad += grad
+        return (grad,)
+
+    return _make((diff * diff * weight).sum() * s, (a,), backward)

@@ -202,11 +202,7 @@ def _stem_tokens(patches: ad.Tensor, p: Mapping[str, ad.Tensor],
     diagonals = ad.constant(
         diagonals.reshape(k * l_out, cfg.p_t).astype(patches.data.dtype))
     kernel = ad.matmul(ad.reshape(outer, (cfg.d, k * l_out)), diagonals)  # (d, p_t)
-    return ad.add(ad.matmul(patches, ad.transpose(kernel, (1, 0))), p["stem.bias"])
-
-
-def _affine_ln(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
-    return ad.add(ad.mul(ad.layer_norm(x), gain), bias)
+    return ad.linear(patches, ad.transpose(kernel, (1, 0)), p["stem.bias"])
 
 
 def _attention(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str,
@@ -218,15 +214,15 @@ def _attention(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str,
 
     def project(name):
         w, bias = p[prefix + "attn.w" + name], p[prefix + "attn.b" + name]
-        return ad.reshape(ad.add(ad.matmul(x, w), bias), grid)
+        return ad.reshape(ad.linear(x, w, bias), grid)
 
     mixed = ad.reshape(ad.attention(project("q"), project("k"), project("v")), x.shape)
-    return ad.add(ad.matmul(mixed, p[prefix + "attn.wo"]), p[prefix + "attn.bo"])
+    return ad.linear(mixed, p[prefix + "attn.wo"], p[prefix + "attn.bo"])
 
 
 def _mlp(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str) -> ad.Tensor:
-    hidden = ad.gelu(ad.add(ad.matmul(x, p[prefix + "mlp.w1"]), p[prefix + "mlp.b1"]))
-    return ad.add(ad.matmul(hidden, p[prefix + "mlp.w2"]), p[prefix + "mlp.b2"])
+    hidden = ad.gelu(ad.linear(x, p[prefix + "mlp.w1"], p[prefix + "mlp.b1"]))
+    return ad.linear(hidden, p[prefix + "mlp.w2"], p[prefix + "mlp.b2"])
 
 
 def patch_grid(p: Mapping[str, ad.Tensor], x: np.ndarray,
@@ -266,16 +262,16 @@ def forward_tokens(p: Mapping[str, ad.Tensor], patches: ad.Tensor,
 
     for i in range(cfg.layers):
         pre = f"layers.{i}."
-        normed = _affine_ln(seq, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        normed = ad.layer_norm(seq, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         seq = ad.add(seq, _attention(normed, p, pre, cfg))
-        normed = _affine_ln(seq, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        normed = ad.layer_norm(seq, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         seq = ad.add(seq, _mlp(normed, p, pre))
-    return _affine_ln(seq, p["final_ln.gain"], p["final_ln.bias"])
+    return ad.layer_norm(seq, p["final_ln.gain"], p["final_ln.bias"])
 
 
 def predict_patches(p: Mapping[str, ad.Tensor], z: ad.Tensor,
                     cfg: EncoderConfig) -> ad.Tensor:
     """Linear head d -> p_t per token, reshaped to the patch grid."""
     b = z.shape[0]
-    pred = ad.add(ad.matmul(z, p["recon.weight"]), p["recon.bias"])
+    pred = ad.linear(z, p["recon.weight"], p["recon.bias"])
     return ad.reshape(pred, (b, cfg.mapped_channels, cfg.n_t, cfg.p_t))

@@ -5,9 +5,12 @@ Value semantics:
   reconstruction L_R = mean over masked patches of || x_hat_ij - x_ij ||^2
   total          L   = L_A + lambda * L_R   (formed in the trainer)
 
-LN here is the non-affine `ad.layer_norm` (eps 1e-5); a learnable scale
-inside the loss could shrink the objective without improving anything.
-The target branch h is always treated as a constant: no gradient crosses it.
+LN here is `ad.layer_norm` without gain or bias (eps 1e-5), the same op
+the encoder's affine layer norms run; a learnable scale inside the loss
+could shrink the objective without improving anything. Each loss is one
+`ad.squared_error` op: the alignment one against the standardized target
+tokens, the reconstruction one weighted by the 0/1 patch mask. The target
+branch h is always treated as a constant: no gradient crosses it.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ def alignment_loss_t(h: np.ndarray, z: ad.Tensor) -> ad.Tensor:
     """
     if np.shape(h) != z.shape:
         raise ValidationError("h and z must have equal shapes")
-    ln_h = ad.layer_norm(ad.constant(np.asarray(h, dtype=z.data.dtype)))
-    diff = ad.sub(ad.layer_norm(z), ln_h)
-    n_tokens = int(np.prod(diff.shape[:-1]))
-    return ad.scale(ad.sum_(ad.mul(diff, diff)), 1.0 / n_tokens)
+    ln_h = ad.layer_norm(ad.constant(np.asarray(h, dtype=z.data.dtype))).data
+    n_tokens = int(np.prod(z.shape[:-1]))
+    return ad.squared_error(ad.layer_norm(z), ln_h, 1.0, 1.0 / n_tokens)
 
 
 def reconstruction_loss_t(x_hat: ad.Tensor, target: np.ndarray,
@@ -41,7 +43,6 @@ def reconstruction_loss_t(x_hat: ad.Tensor, target: np.ndarray,
     n_masked = int(mask.sum())
     if n_masked == 0:
         raise ValidationError("reconstruction loss undefined for |M| = 0")
-    err = ad.sub(x_hat, ad.constant(np.asarray(target, dtype=x_hat.data.dtype)))
-    gate = mask[..., None].astype(x_hat.data.dtype)
-    return ad.scale(ad.sum_(ad.mul(ad.mul(err, err), ad.constant(gate))),
-                    1.0 / n_masked)
+    dtype = x_hat.data.dtype
+    return ad.squared_error(x_hat, np.asarray(target, dtype=dtype),
+                            mask[..., None].astype(dtype), 1.0 / n_masked)

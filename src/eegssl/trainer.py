@@ -1,7 +1,7 @@
 """Training procedure: dual forward, losses, AdamW + EMA updates, logging.
 
-Each step runs exactly: (1) online forward on the masked input and target
-forward on the full input, (2) alignment + masked reconstruction losses,
+Each step runs exactly: (1) target forward on the full input, then online
+forward on the masked input, (2) alignment + masked reconstruction losses,
 (3) AdamW update of theta at the scheduled lr/wd, (4) EMA update of xi at
 the scheduled momentum. Both teachers come from the target side: alignment
 regresses onto the target-encoder tokens, and the reconstruction targets are
@@ -98,11 +98,13 @@ def batch_mask(seed: int, step: int, batch: int, grid_shape: tuple,
 def _training_loss(params_t: Mapping[str, ad.Tensor],
                    xi: Mapping[str, np.ndarray], x: np.ndarray,
                    mask: np.ndarray, cfg: EncoderConfig, lam: float):
-    """Traced total loss plus the two component values."""
-    z = forward_tokens(params_t, patch_grid(params_t, x, cfg), mask, cfg)
+    """Traced total loss plus the two component values. The target forward
+    records no tape and runs first, so its buffers are freed before the
+    online forward builds the tape rather than held on top of it."""
     params_xi = wrap_constants(xi)
     targets = patch_grid(params_xi, x, cfg)  # also the target encoder's input
     h = forward_tokens(params_xi, targets, None, cfg).data
+    z = forward_tokens(params_t, patch_grid(params_t, x, cfg), mask, cfg)
     loss_align = alignment_loss_t(h, z)
     x_hat = predict_patches(params_t, z, cfg)
     loss_recon = reconstruction_loss_t(x_hat, targets.data, mask)

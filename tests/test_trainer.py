@@ -214,12 +214,9 @@ def test_backward_frees_training_tape_with_same_grads():
         assert t.grad.tobytes() == ref_params[name].grad.tobytes(), name
 
 
-def test_training_graph_holds_one_score_buffer_per_layer():
-    # the attention backward keeps only the probabilities of its two head
-    # groups, not the scores, and no full (N, N) buffer exists
-    b, enc = 2, replace(SMALL_ENC, mapped_channels=6)  # channels != windows
-    _, total = training_graph(replace(small_config(), encoder=enc), b)
-    n, mp, n_t, half = enc.n_tokens, enc.mapped_channels, enc.n_t, enc.heads // 2
+def held_shapes(total):
+    """Shapes of the distinct base arrays the training tape keeps alive:
+    node outputs and the arrays captured by each backward closure."""
     held = {}
 
     def hold(obj):
@@ -237,10 +234,35 @@ def test_training_graph_holds_one_score_buffer_per_layer():
     for node in graph_nodes(total):
         hold(node.data)
         hold(node._backward)
-    shapes = list(held.values())
+    return list(held.values())
+
+
+def test_training_graph_holds_one_score_buffer_per_layer():
+    # the attention backward keeps only the probabilities of its two head
+    # groups, not the scores, and no full (N, N) buffer exists
+    b, enc = 2, replace(SMALL_ENC, mapped_channels=6)  # channels != windows
+    _, total = training_graph(replace(small_config(), encoder=enc), b)
+    n, mp, n_t, half = enc.n_tokens, enc.mapped_channels, enc.n_t, enc.heads // 2
+    shapes = held_shapes(total)
     assert shapes.count((b, mp, half, n_t, n_t)) == enc.layers
     assert shapes.count((b, n_t, half, mp, mp)) == enc.layers
     assert (b, enc.heads, n, n) not in shapes
+
+
+def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
+    # each linear layer is one op with its bias added in place: the MLP keeps
+    # only the w1 output, gelu's Phi and the gelu output at its hidden width,
+    # and no linear weight feeds a matmul node whose output would stay held
+    b, enc = 2, SMALL_ENC
+    params, total = training_graph(small_config(), b)
+    assert enc.hidden not in (enc.n_tokens, enc.d)
+    assert held_shapes(total).count((b, enc.n_tokens, enc.hidden)) == 3 * enc.layers
+    weights = {id(t) for name, t in params.items()
+               if name.startswith("layers.") and ".w" in name or name == "recon.weight"}
+    assert len(weights) == 6 * enc.layers + 1
+    matmuls = [node for node in graph_nodes(total)
+               if getattr(node._backward, "__qualname__", "").startswith("matmul.")]
+    assert matmuls and not any(id(p) in weights for node in matmuls for p in node._parents)
 
 
 # --- gradient verification ----------------------------------------------------------
