@@ -3,8 +3,9 @@
 Exactly the ops the encoder and losses run, each with its own closed-form
 backward: broadcasting `add`/`mul`, `scale` by a python float, `matmul`,
 `linear` (a matmul with its bias added in place), `reshape`, `transpose`,
-`gelu`, fused criss-cross multi-head `attention`, masked `where`,
-`layer_norm` with an optional gain and bias, and the losses' weighted
+`gelu` in its tanh form (one `np.tanh` where the exact form needs erf),
+fused criss-cross multi-head `attention`, masked `where`, `layer_norm`
+with an optional gain and bias, and the losses' weighted
 `squared_error` against a constant target. Gradients are accumulated on a
 tape built during the forward pass; `backward()` walks it once in reverse
 topological order and frees each node as it goes. An op records a tape node
@@ -21,10 +22,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
-_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
-_INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_GELU_K = math.sqrt(2.0 / math.pi)
+_GELU_C = 0.044715
 LN_EPS = 1e-5  # layer-norm variance floor
 
 
@@ -172,14 +172,39 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF gelu: x * Phi(x)."""
+    """Tanh-form gelu (Hendrycks & Gimpel, arXiv 1606.08415):
+    0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3))).
+
+    Runs in place on two hidden-width buffers, t = tanh(.) and the output;
+    the backward keeps only t. Its derivative multiplies by the saturated
+    1 - t**2 before the x**2 factor, so every finite x has a finite gradient
+    (1 or 0 where x * x overflows) and the forward gives x or -0 there.
+    """
     x = a.data
-    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * phi_cdf
+    with np.errstate(over="ignore"):        # only where tanh saturates anyway
+        t = x * x
+    t *= _GELU_K * _GELU_C
+    t += _GELU_K
+    t *= x                                  # sqrt(2/pi) * (x + 0.044715 x^3)
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= 0.5
+    out *= x
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (phi_cdf + x * pdf),)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= x                                  # (1 - t^2) x, 0 once saturated
+        e = d * x
+        e *= x
+        e *= 1.5 * _GELU_K * _GELU_C
+        d *= 0.5 * _GELU_K
+        d += e
+        np.multiply(t, 0.5, out=e)
+        e += 0.5
+        d += e                                  # d gelu / dx
+        d *= g
+        return (d,)
 
     return _make(out, (a,), backward)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from eegssl import autodiff as ad
 
@@ -49,13 +50,40 @@ def fixed_target(shape):
     return np.cos(np.arange(int(np.prod(shape)))).reshape(shape)
 
 
-def test_add_broadcast():
-    check_op(lambda a, b: sum_sq(ad.add(a, b)), (3, 4), (4,))
+# Leading axes of an op's input: one (a 2-D x) or three (a (B, M', n_t, .)
+# patch grid), any of them possibly of size 1.
+lead_axes = st.sampled_from([1, 3]).flatmap(
+    lambda n: st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple))
 
 
-def test_mul_broadcast():
-    check_op(lambda a, b: sum_sq(ad.mul(a, b)), (2, 3), (2, 3))
-    check_op(lambda a, b: sum_sq(ad.mul(a, b), fixed_target((2, 3))), (2, 3), (3,))
+def broadcast_operands(count):
+    """`count` operand shapes that broadcast together: each takes a common
+    lead_axes + (2,) shape, drops some of its leading axes and sets some of
+    the rest to size 1."""
+    def operands(shape):
+        one = st.integers(0, len(shape)).flatmap(
+            lambda k: st.tuples(*(st.sampled_from([n, 1]) for n in shape[k:])))
+        return st.tuples(*[one] * count)
+    return lead_axes.flatmap(lambda lead: operands(lead + (2,)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes=broadcast_operands(2))
+@example(shapes=((3, 4), (4,)))
+@example(shapes=((3, 1), (1, 2)))
+def test_add_broadcast(shapes):
+    target = fixed_target(np.broadcast_shapes(*shapes))
+    check_op(lambda a, b: sum_sq(ad.add(a, b), target), *shapes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes=broadcast_operands(2))
+@example(shapes=((2, 3), (2, 3)))
+@example(shapes=((2, 3), (3,)))
+@example(shapes=((2,), (1, 3, 1, 2)))
+def test_mul_broadcast(shapes):
+    target = fixed_target(np.broadcast_shapes(*shapes))
+    check_op(lambda a, b: sum_sq(ad.mul(a, b), target), *shapes)
 
 
 def test_matmul_2d():
@@ -96,8 +124,48 @@ def test_sqrt_scale_shift_neg():
     check_op(lambda a: ad.scale(sum_sq(a), -3.0), (2, 2))
 
 
-def test_gelu():
-    check_op(lambda a: sum_sq(ad.gelu(a)), (4, 4))
+@settings(max_examples=25, deadline=None)
+@given(lead=lead_axes, d=st.integers(1, 4))
+@example(lead=(4,), d=4)
+@example(lead=(1, 2, 1), d=3)
+def test_gelu(lead, d):
+    check_op(lambda a: sum_sq(ad.gelu(a), fixed_target(lead + (d,))), lead + (d,))
+
+
+def tanh_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
+
+
+def test_gelu_matches_the_tanh_closed_form():
+    x = np.concatenate([np.linspace(-10.0, 10.0, 4001),
+                        np.random.default_rng(9).standard_normal(1000) * 3.0])
+    np.testing.assert_allclose(ad.gelu(ad.constant(x)).data, tanh_gelu(x), rtol=1e-12)
+
+
+def test_gelu_stays_near_the_exact_erf_gelu():
+    # the tanh form is a different function; bound how far it moves the model
+    x = np.linspace(-10.0, 10.0, 20001)
+    y = ad.gelu(ad.parameter(x))
+    (grad,) = y._backward(np.ones_like(x))
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    assert np.abs(y.data - x * cdf).max() < 5e-4       # measured 4.73e-4 at |x| = 2.70
+    assert np.abs(grad - (cdf + x * pdf)).max() < 1e-3  # measured 8.7e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_finite_at_extreme_inputs(dtype):
+    # where x * x overflows, gelu is x or -0 with gradient 1 or 0, as the erf
+    # form gives; at 0 and a subnormal the gradient is 1/2
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.array([1e20, -1e20, 3e38, -3e38, 0.0, tiny], dtype=dtype)
+    y = ad.gelu(ad.parameter(x))
+    (grad,) = y._backward(np.ones_like(x))
+    assert y.data.dtype == dtype and grad.dtype == dtype
+    np.testing.assert_array_equal(y.data[:5], np.maximum(x[:5], 0))
+    assert np.signbit(y.data[[1, 3]]).all()
+    assert 0.0 <= y.data[5] <= tiny
+    np.testing.assert_array_equal(grad, [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
 
 
 def test_softmax():
@@ -171,12 +239,6 @@ def test_layer_norm():
     np.testing.assert_allclose(grads[np.float32], grads[np.float64], rtol=1e-4, atol=1e-6)
 
 
-# Leading axes of a fused op's x: one (a 2-D x) or three (a (B, M', n_t, .)
-# patch grid), any of them possibly of size 1.
-lead_axes = st.sampled_from([1, 3]).flatmap(
-    lambda n: st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple))
-
-
 @settings(max_examples=25, deadline=None)
 @given(lead=lead_axes, n=st.integers(1, 4), m=st.integers(1, 4))
 @example(lead=(3,), n=4, m=2)
@@ -193,6 +255,18 @@ def test_linear(lead, n, m):
 def test_affine_layer_norm(lead, d):
     target = fixed_target(lead + (d,))
     check_op(lambda x, g, b: sum_sq(ad.layer_norm(x, g, b), target), lead + (d,), (d,), (d,))
+
+
+@settings(max_examples=10, deadline=None)
+@given(batch=st.integers(1, 2),
+       grid=st.lists(st.sampled_from([1, 3, 5]), min_size=2, max_size=2, unique=True),
+       heads=st.sampled_from([2, 4]), head_dim=st.integers(1, 3))
+@example(batch=1, grid=[5, 3], heads=2, head_dim=2)
+def test_attention_odd_grids(batch, grid, heads, head_dim):
+    # odd channel and window counts, channels != windows
+    shape = (batch, *grid, heads, head_dim)
+    target = fixed_target(shape)
+    check_op(lambda q, k, v: sum_sq(ad.attention(q, k, v), target), shape, shape, shape)
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3, 1, 4)])
@@ -225,9 +299,15 @@ def test_where():
     check_op(lambda a, b: sum_sq(ad.where(cond, a, b)), (2, 3), (2, 3))
 
 
-def test_where_broadcast_vector():
-    cond = np.array([[True], [False]])
-    check_op(lambda a, b: sum_sq(ad.where(cond, a, b)), (4,), (2, 4))
+@settings(max_examples=25, deadline=None)
+@given(shapes=broadcast_operands(3), seed=st.integers(0, 3))
+@example(shapes=((2, 1), (4,), (2, 4)), seed=0)
+@example(shapes=((3, 1), (2,), (1, 1)), seed=1)
+def test_where_broadcast_vector(shapes, seed):
+    # the condition broadcasts too
+    cond = np.random.default_rng(seed).random(shapes[0]) < 0.5
+    target = fixed_target(np.broadcast_shapes(*shapes))
+    check_op(lambda a, b: sum_sq(ad.where(cond, a, b), target), *shapes[1:])
 
 
 def test_diamond_graph_accumulates_once():

@@ -251,7 +251,7 @@ def test_training_graph_holds_one_score_buffer_per_layer():
 
 def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
     # each linear layer is one op with its bias added in place: the MLP keeps
-    # only the w1 output, gelu's Phi and the gelu output at its hidden width,
+    # only the w1 output, gelu's tanh and the gelu output at its hidden width,
     # and no linear weight feeds a matmul node whose output would stay held
     b, enc = 2, SMALL_ENC
     params, total = training_graph(small_config(), b)
