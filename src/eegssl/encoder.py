@@ -10,12 +10,16 @@ dataset montage to the mapped channels, and each mapped channel is cut into
 consecutive length-p_t patches (any tail shorter than a patch is dropped).
 `forward_tokens` encodes that grid. Token layout is channel-major: token
 index = channel * n_t + window.
+
+Training and feature extraction run a batch in micro-batches of at most
+MICRO_BATCH_TOKENS tokens (`micro_batches`), so the buffers one forward and
+backward hold are bounded by that budget, not by the batch size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -29,6 +33,7 @@ DEFAULT_PATCH_LEN = 64  # 250 ms at 256 Hz
 DEFAULT_MAPPED_CHANNELS = 32
 INIT_STD = 0.02
 INIT_TRUNC = 2.0  # truncate at +/- 2 sigma
+MICRO_BATCH_TOKENS = 1024  # 2 default segments, 8 of the acceptance encoder
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,14 @@ class EncoderConfig:
     @property
     def segment_samples(self) -> int:
         return self.n_t * self.p_t
+
+
+def micro_batches(n_segments: int, cfg: EncoderConfig) -> Iterator[slice]:
+    """Consecutive slices of a batch, each MICRO_BATCH_TOKENS tokens' worth
+    of segments (at least one segment; the last slice may be shorter)."""
+    size = max(1, MICRO_BATCH_TOKENS // cfg.n_tokens)
+    for lo in range(0, n_segments, size):
+        yield slice(lo, lo + size)
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:

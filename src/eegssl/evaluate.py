@@ -1,6 +1,9 @@
 """Frozen-feature extraction, linear probing, and classification metrics.
 
-Features are mean-pooled target-encoder tokens (no masking). The probe is
+Features are mean-pooled target-encoder tokens (no masking), encoded one
+micro-batch of about 1024 tokens at a time (`encoder.micro_batches`, the
+same slices the training step uses), so a micro-batch's buffers stay in
+cache and memory does not grow with the number of segments. The probe is
 multinomial logistic regression trained by full-batch gradient descent on
 internally standardized features; the standardization is folded back into
 the returned weights so the probe stays a plain linear classifier.
@@ -17,11 +20,10 @@ from scipy.stats import rankdata
 
 from .data import Checkpoint, SegmentBatch
 from .encoder import (EncoderConfig, check_layout, forward_tokens,
-                      init_param_store, patch_grid, wrap_constants)
+                      init_param_store, micro_batches, patch_grid,
+                      wrap_constants)
 from .errors import ValidationError
 from .seeding import TAG_PROBE, make_rng
-
-_FEATURE_CHUNK = 64
 
 
 @dataclass(eq=False)
@@ -80,8 +82,8 @@ def extract_features(batch: SegmentBatch, checkpoint: Checkpoint,
     x = np.ascontiguousarray(batch.segments, dtype=checkpoint.xi["channel_map"].dtype)
     params = wrap_constants(checkpoint.xi)
     rows = []
-    for lo in range(0, x.shape[0], _FEATURE_CHUNK):
-        patches = patch_grid(params, x[lo:lo + _FEATURE_CHUNK], cfg)
+    for part in micro_batches(x.shape[0], cfg):
+        patches = patch_grid(params, x[part], cfg)
         rows.append(forward_tokens(params, patches, None, cfg).data.mean(axis=1))
     return FeatureSet(features=np.concatenate(rows, axis=0), labels=batch.labels)
 

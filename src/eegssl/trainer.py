@@ -1,12 +1,20 @@
 """Training procedure: dual forward, losses, AdamW + EMA updates, logging.
 
-Each step runs exactly: (1) target forward on the full input, then online
-forward on the masked input, (2) alignment + masked reconstruction losses,
-(3) AdamW update of theta at the scheduled lr/wd, (4) EMA update of xi at
-the scheduled momentum. Both teachers come from the target side: alignment
-regresses onto the target-encoder tokens, and the reconstruction targets are
-the target encoder's own patch grid (`encoder.patch_grid`), built once per
-step and fed to both. The target side never produces gradients.
+Each step runs exactly: (1) for each micro-batch of the batch
+(`encoder.micro_batches`, about 1024 tokens): target forward on the full
+input, then online forward on the masked input, alignment + masked
+reconstruction losses as that micro-batch's share of the batch means, and
+backward, its gradients adding into the batch gradient; (2) AdamW update of
+theta at the scheduled lr/wd; (3) EMA update of xi at the scheduled
+momentum. Every loss term is a sum over segments with batch-wide
+normalizers (layer norm is per token, attention stays inside a segment), so
+the batch gradient is the sum of the micro-batch gradients, and the tape
+never holds more than one micro-batch. The logged L_A, L_R and L_total are
+the sums of the micro-batch shares. Both teachers come from the target side:
+alignment regresses onto the target-encoder tokens, and the reconstruction
+targets are the target encoder's own patch grid (`encoder.patch_grid`),
+built once per micro-batch and fed to both. The target side never produces
+gradients.
 
 Determinism contract: batch order is a pure function of (seed, epoch), the
 patch masks of (seed, step), so a run can resume from any checkpoint and
@@ -28,8 +36,8 @@ from .config import RunConfig
 from .data import Checkpoint, SegmentBatch, save_checkpoint
 from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, check_layout,
                       forward_tokens, init_param_store, last_layer_names,
-                      patch_grid, predict_patches, wrap_constants,
-                      wrap_parameters)
+                      micro_batches, patch_grid, predict_patches,
+                      wrap_constants, wrap_parameters)
 from .errors import DivergenceError, ValidationError
 from .losses import alignment_loss_t, reconstruction_loss_t
 from .optim import adamw_step, ema_update, lr_at, momentum_at, wd_at
@@ -97,31 +105,52 @@ def batch_mask(seed: int, step: int, batch: int, grid_shape: tuple,
 
 def _training_loss(params_t: Mapping[str, ad.Tensor],
                    xi: Mapping[str, np.ndarray], x: np.ndarray,
-                   mask: np.ndarray, cfg: EncoderConfig, lam: float):
-    """Traced total loss plus the two component values. The target forward
-    records no tape and runs first, so its buffers are freed before the
-    online forward builds the tape rather than held on top of it."""
+                   mask: np.ndarray, cfg: EncoderConfig, lam: float,
+                   n_tokens: int, n_masked: int):
+    """Traced total loss of the segments `x` plus its two component values,
+    each as a share of a batch with `n_tokens` tokens and `n_masked` masked
+    patches. The target forward records no tape and runs first, so its
+    buffers are freed before the online forward builds the tape rather than
+    held on top of it."""
     params_xi = wrap_constants(xi)
     targets = patch_grid(params_xi, x, cfg)  # also the target encoder's input
     h = forward_tokens(params_xi, targets, None, cfg).data
     z = forward_tokens(params_t, patch_grid(params_t, x, cfg), mask, cfg)
-    loss_align = alignment_loss_t(h, z)
+    loss_align = alignment_loss_t(h, z, n_tokens)
     x_hat = predict_patches(params_t, z, cfg)
-    loss_recon = reconstruction_loss_t(x_hat, targets.data, mask)
+    loss_recon = reconstruction_loss_t(x_hat, targets.data, mask, n_masked)
     total = ad.add(loss_align, ad.scale(loss_recon, lam))
     return total, float(loss_align.data), float(loss_recon.data)
+
+
+def _micro_batch_losses(params: Mapping[str, ad.Tensor],
+                        xi: Mapping[str, np.ndarray], x: np.ndarray,
+                        mask: np.ndarray, cfg: EncoderConfig, lam: float):
+    """`_training_loss` of each micro-batch of (x, mask), in order; their
+    sum is the batch loss."""
+    n_tokens, n_masked = x.shape[0] * cfg.n_tokens, int(mask.sum())
+    for part in micro_batches(x.shape[0], cfg):
+        yield _training_loss(params, xi, x[part], mask[part], cfg, lam,
+                             n_tokens, n_masked)
 
 
 def _loss_and_grads(theta: Mapping[str, np.ndarray],
                     xi: Mapping[str, np.ndarray], x: np.ndarray,
                     mask: np.ndarray, cfg: EncoderConfig, lam: float) -> tuple:
-    """(L_total, L_A, L_R, per-tensor theta gradients) from the reverse-mode tape."""
+    """(L_total, L_A, L_R, per-tensor theta gradients) from the reverse-mode
+    tape, one micro-batch at a time: each backward adds its micro-batch's
+    gradients into the parameters' `.grad`."""
     params_t = wrap_parameters(theta)
-    total_t, loss_align, loss_recon = _training_loss(params_t, xi, x, mask, cfg, lam)
-    total_t.backward()
+    total = loss_align = loss_recon = 0.0
+    for total_t, part_align, part_recon in _micro_batch_losses(
+            params_t, xi, x, mask, cfg, lam):
+        total_t.backward()
+        total += float(total_t.data)
+        loss_align += part_align
+        loss_recon += part_recon
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
              for name, t in params_t.items()}
-    return float(total_t.data), loss_align, loss_recon, grads
+    return total, loss_align, loss_recon, grads
 
 
 def grad_stats(grads: Mapping[str, np.ndarray],
@@ -185,9 +214,8 @@ def _fd_compare(theta: dict, xi: Mapping[str, np.ndarray], x: np.ndarray,
                 grads: Mapping[str, np.ndarray]) -> dict:
     """Max relative error per tensor between `grads` and central differences."""
     def loss_value() -> float:
-        total, _, _ = _training_loss(wrap_constants(theta), xi, x, mask,
-                                     cfg.encoder, cfg.train.lam)
-        return float(total.data)
+        return sum(float(total.data) for total, _, _ in _micro_batch_losses(
+            wrap_constants(theta), xi, x, mask, cfg.encoder, cfg.train.lam))
 
     rng = make_rng(cfg.seed, TAG_GRADCHECK, 1)
     errors = {}

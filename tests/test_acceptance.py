@@ -137,7 +137,7 @@ def test_criterion_04_loss_oracles():
                 return [(x - mu) / np.sqrt(var + 1e-5) for x in v]
             total += sum((a - b) ** 2 for a, b in zip(ln(list(h[i])),
                                                       ln(list(z[i]))))
-        assert float(alignment_loss_t(h, ad.constant(z)).data) == pytest.approx(
+        assert float(alignment_loss_t(h, ad.constant(z), n).data) == pytest.approx(
             total / n, rel=1e-6)
 
         m_ch = int(rng.integers(1, 4))
@@ -154,17 +154,17 @@ def test_criterion_04_loss_oracles():
                     count += 1
                     for s in range(p_t):
                         loop += (x_hat[i, j, s] - patches[i, j, s]) ** 2
-        assert float(reconstruction_loss_t(ad.constant(x_hat), patches,
-                                           mask).data) == pytest.approx(
+        assert float(reconstruction_loss_t(ad.constant(x_hat), patches, mask,
+                                           int(mask.sum())).data) == pytest.approx(
             loop / count, rel=1e-6)
 
     h = rng.standard_normal((7, 6))
-    assert float(alignment_loss_t(h, ad.constant(h)).data) == 0.0
+    assert float(alignment_loss_t(h, ad.constant(h), 7).data) == 0.0
     # per-token positive affine
-    assert float(alignment_loss_t(2.0 * h + 3.0, ad.constant(h)).data) < 1e-5
+    assert float(alignment_loss_t(2.0 * h + 3.0, ad.constant(h), 7).data) < 1e-5
     with pytest.raises(ValidationError, match=r"\|M\| = 0"):
         reconstruction_loss_t(ad.constant(np.zeros((2, 2, 3))),
-                              np.zeros((2, 2, 3)), np.zeros((2, 2), bool))
+                              np.zeros((2, 2, 3)), np.zeros((2, 2), bool), 0)
     report(4, "both losses match scalar-loop oracles on 100 random instances "
               "(rel 1e-6); L_A(h,h)=0; affine invariance < 1e-5; empty-mask "
               "error raised")

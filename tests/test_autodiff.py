@@ -119,6 +119,24 @@ def test_squared_error():
     np.testing.assert_allclose(value, 0.3 * (gate * (a - target) ** 2).sum(), rtol=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(shapes=broadcast_operands(2), zero=st.booleans())
+@example(shapes=((2, 3, 4), (2, 3, 1)), zero=False)     # the mask gate's shape
+@example(shapes=((1, 3, 2), (1,)), zero=True)
+def test_squared_error_broadcast_weights(shapes, zero):
+    # a weight that broadcasts against a, with size-1 axes; an all-zero one
+    # is a micro-batch with no masked patch
+    shape, weight_shape = np.broadcast_shapes(*shapes), shapes[1]
+    target = fixed_target(shape)
+    weight = np.zeros(weight_shape) if zero else np.abs(fixed_target(weight_shape))
+    check_op(lambda a: ad.squared_error(a, target, weight, 0.3), shape)
+    a = np.random.default_rng(1).standard_normal(shape)
+    value = ad.squared_error(ad.constant(a), target, weight, 0.3).data
+    np.testing.assert_allclose(value, 0.3 * (weight * (a - target) ** 2).sum(), rtol=1e-12)
+    if zero:
+        assert value == 0.0
+
+
 def test_sqrt_scale_shift_neg():
     check_op(lambda a: sum_sq(ad.scale(a, 2.5), fixed_target((5,))), (5,))
     check_op(lambda a: ad.scale(sum_sq(a), -3.0), (2, 2))
@@ -237,6 +255,16 @@ def test_layer_norm():
         assert out.data.dtype == dtype and x.grad.dtype == dtype
         grads[dtype] = x.grad
     np.testing.assert_allclose(grads[np.float32], grads[np.float64], rtol=1e-4, atol=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=lead_axes, d=st.integers(1, 5))
+@example(lead=(3,), d=6)
+@example(lead=(1, 2, 1), d=4)
+def test_plain_layer_norm(lead, d):
+    # the losses' standardization: no gain, no bias
+    target = fixed_target(lead + (d,))
+    check_op(lambda x: sum_sq(ad.layer_norm(x), target), lead + (d,))
 
 
 @settings(max_examples=25, deadline=None)

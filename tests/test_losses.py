@@ -15,11 +15,15 @@ from eegssl.trainer import TrainLogRecord, init_train_state, train_step
 
 
 def align(h, z):
-    return float(alignment_loss_t(h, ad.constant(z)).data)
+    # the whole input is one batch: its token count is the normalizer
+    n_tokens = int(np.prod(np.shape(z)[:-1]))
+    return float(alignment_loss_t(h, ad.constant(z), n_tokens).data)
 
 
 def recon(x_hat, patches, mask):
-    return float(reconstruction_loss_t(ad.constant(x_hat), patches, mask).data)
+    n_masked = int(np.sum(mask))
+    return float(reconstruction_loss_t(ad.constant(x_hat), patches, mask,
+                                       n_masked).data)
 
 
 def layer_norm(v):
@@ -215,7 +219,8 @@ def test_tensor_reconstruction_matches_public_value():
     patches = rng.standard_normal((1, 2, 3, 4))
     x_hat = rng.standard_normal((1, 2, 3, 4))
     mask = np.array([[[True, False, True], [False, True, False]]])
-    tensor_val = float(reconstruction_loss_t(ad.constant(x_hat), patches, mask).data)
+    tensor_val = float(reconstruction_loss_t(ad.constant(x_hat), patches, mask,
+                                             int(mask.sum())).data)
     assert tensor_val == pytest.approx(
         loop_reconstruction(x_hat[0], patches[0], mask[0]), rel=1e-9)
 
@@ -224,7 +229,7 @@ def test_alignment_stop_gradient_on_target():
     rng = np.random.default_rng(9)
     h = ad.parameter(rng.standard_normal((3, 4)))
     z = ad.parameter(rng.standard_normal((3, 4)))
-    loss = alignment_loss_t(h.data, z)
+    loss = alignment_loss_t(h.data, z, 3)
     loss.backward()
     assert h.grad is None         # target branch receives no gradient
     assert z.grad is not None

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,10 +16,12 @@ import pytest
 import eegssl
 from eegssl.config import RunConfig, TrainConfig
 from eegssl.data import SegmentBatch, save_checkpoint, save_segments
-from eegssl.encoder import EncoderConfig, wrap_parameters
+from eegssl.encoder import (MICRO_BATCH_TOKENS, EncoderConfig, init_param_store,
+                            micro_batches, wrap_parameters)
 from eegssl.errors import ValidationError
 from eegssl.optim import ScheduleConfig
-from eegssl.trainer import (GradCheckReport, _training_loss, batch_mask,
+from eegssl.trainer import (GradCheckReport, _loss_and_grads, _training_loss,
+                            batch_mask,
                             grad_check, grad_stats, init_train_state,
                             make_checkpoint, restore_train_state, run_pretraining,
                             train_step)
@@ -163,7 +166,7 @@ def training_graph(cfg, b=2):
     mask = batch_mask(cfg.seed, 0, b, (enc.mapped_channels, enc.n_t), cfg.train.p_mask)
     params = wrap_parameters(state.theta)
     total, _, _ = _training_loss(params, state.xi, small_data(b).segments, mask, enc,
-                                 cfg.train.lam)
+                                 cfg.train.lam, b * enc.n_tokens, int(mask.sum()))
     return params, total
 
 
@@ -263,6 +266,104 @@ def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
     matmuls = [node for node in graph_nodes(total)
                if getattr(node._backward, "__qualname__", "").startswith("matmul.")]
     assert matmuls and not any(id(p) in weights for node in matmuls for p in node._parents)
+
+
+# --- micro-batches ------------------------------------------------------------------
+
+# 256 tokens per segment, so a micro-batch holds 4 segments
+MICRO_ENC = EncoderConfig(d=8, layers=1, heads=2, mlp_ratio=2.0, p_t=8, in_channels=3,
+                          mapped_channels=16, n_t=16, stem_kernel=7)
+
+
+def float64_batch(b, seed=0):
+    """theta, xi, a (b, M, T) batch and its mask, in float64."""
+    enc = MICRO_ENC
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, enc.in_channels, enc.segment_samples))
+    mask = batch_mask(seed, 0, b, (enc.mapped_channels, enc.n_t), 0.5)
+    return (init_param_store(enc, seed, np.float64),
+            init_param_store(enc, seed + 1, np.float64), x, mask)
+
+
+def chunked_and_whole(monkeypatch, theta, xi, x, mask, lam=0.7):
+    """`_loss_and_grads` as training runs it, and with the whole batch as
+    one micro-batch."""
+    chunked = _loss_and_grads(theta, xi, x, mask, MICRO_ENC, lam)
+    monkeypatch.setattr(eegssl.encoder, "MICRO_BATCH_TOKENS",
+                        x.shape[0] * MICRO_ENC.n_tokens)
+    whole = _loss_and_grads(theta, xi, x, mask, MICRO_ENC, lam)
+    return chunked, whole
+
+
+def assert_same_losses_and_grads(chunked, whole):
+    *losses, grads = chunked
+    *ref_losses, ref_grads = whole
+    assert losses == pytest.approx(ref_losses, rel=1e-10)
+    assert grads.keys() == ref_grads.keys()
+    # the key biases' gradient is 0 up to rounding (softmax ignores a shift
+    # shared by a row's scores), so entries are compared relative to the
+    # largest gradient as well as to themselves
+    floor = 1e-10 * max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=1e-10, atol=floor,
+                                   err_msg=name)
+
+
+def test_micro_batches_cover_the_batch_by_token_budget():
+    per_chunk = MICRO_BATCH_TOKENS // MICRO_ENC.n_tokens
+    assert per_chunk == 4
+    assert list(micro_batches(10, MICRO_ENC)) == [slice(0, 4), slice(4, 8), slice(8, 12)]
+    assert list(micro_batches(0, MICRO_ENC)) == []
+    # a segment above the budget still makes a micro-batch of one
+    wide = replace(MICRO_ENC, mapped_channels=128)
+    assert list(micro_batches(2, wide)) == [slice(0, 1), slice(1, 2)]
+
+
+def test_micro_batched_losses_and_grads_match_one_batch(monkeypatch):
+    # 10 segments: micro-batches of 4, 4 and 2
+    theta, xi, x, mask = float64_batch(10)
+    assert_same_losses_and_grads(*chunked_and_whole(monkeypatch, theta, xi, x, mask))
+
+
+def test_micro_batch_without_masked_patch_adds_zero(monkeypatch):
+    theta, xi, x, mask = float64_batch(10, seed=1)
+    mask[:4] = False                      # the whole first micro-batch
+    assert mask.any()
+    params = wrap_parameters(theta)
+    _, part_align, part_recon = _training_loss(
+        params, xi, x[:4], mask[:4], MICRO_ENC, 0.7, 10 * MICRO_ENC.n_tokens,
+        int(mask.sum()))
+    assert part_recon == 0.0 and part_align > 0.0
+    assert_same_losses_and_grads(*chunked_and_whole(monkeypatch, theta, xi, x, mask))
+
+
+def test_all_empty_batch_mask_rejected():
+    theta, xi, x, mask = float64_batch(10)
+    with pytest.raises(ValidationError, match=r"\|M\| = 0"):
+        _loss_and_grads(theta, xi, x, np.zeros_like(mask), MICRO_ENC, 1.0)
+
+
+def test_training_memory_bounded_by_one_micro_batch():
+    # the tape holds one micro-batch at a time, so four micro-batches' worth
+    # of segments peaks about where one does (numpy reports its buffers to
+    # tracemalloc)
+    enc = SMALL_ENC
+    per_chunk = MICRO_BATCH_TOKENS // enc.n_tokens
+    state = init_train_state(small_config(), 1)
+
+    def peak(b):
+        x = small_data(b).segments
+        mask = batch_mask(0, 0, b, (enc.mapped_channels, enc.n_t), 0.5)
+        tracemalloc.start()
+        try:
+            _loss_and_grads(state.theta, state.xi, x, mask, enc, 1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(per_chunk)  # warm-up: one-time allocations are not a batch's
+    one, four = peak(per_chunk), peak(4 * per_chunk)
+    assert four <= 1.25 * one, (one, four)
 
 
 # --- gradient verification ----------------------------------------------------------
