@@ -1,9 +1,9 @@
 """Frozen-feature extraction, linear probing, and classification metrics.
 
 Features are mean-pooled target-encoder tokens (no masking), encoded one
-micro-batch of about 1024 tokens at a time (`encoder.micro_batches`, the
-same slices the training step uses), so a micro-batch's buffers stay in
-cache and memory does not grow with the number of segments. The probe is
+micro-batch of at most 1024 tokens at a time (`encoder.micro_batches`, the
+slices the training step uses), so the encoder's buffers stay the size of
+one micro-batch whatever the number of segments. The probe is
 multinomial logistic regression trained by full-batch gradient descent on
 internally standardized features; the standardization is folded back into
 the returned weights so the probe stays a plain linear classifier.

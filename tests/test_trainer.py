@@ -21,8 +21,7 @@ from eegssl.encoder import (MICRO_BATCH_TOKENS, EncoderConfig, init_param_store,
 from eegssl.errors import ValidationError
 from eegssl.optim import ScheduleConfig
 from eegssl.trainer import (GradCheckReport, _loss_and_grads, _training_loss,
-                            batch_mask,
-                            grad_check, grad_stats, init_train_state,
+                            batch_mask, grad_check, grad_stats, init_train_state,
                             make_checkpoint, restore_train_state, run_pretraining,
                             train_step)
 
