@@ -244,37 +244,40 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
 _HEAD_GROUP_AXES = ((0, 1, 3, 2, 4), (0, 2, 3, 1, 4))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Criss-cross multi-head attention over a (B, C, T, H, head_dim) grid of
-    C channels by T windows; H must be even.
+def attention(qkv: Tensor) -> Tensor:
+    """Criss-cross multi-head attention on a (B, C, T, 3, H, head_dim) grid
+    of q, k and v over C channels by T windows; H must be even. Returns the
+    (B, C, T, H, head_dim) grid of head outputs.
 
-    Each head group runs `_attend` on contiguous copies of its heads, and
-    both results land in one grid-shaped output. The backward keeps the two
-    probability buffers and rebuilds the copies from q, k and v.
+    Each head group runs `_attend` on one contiguous copy of its q, k and v
+    heads, and both results land in one grid-shaped output. The backward
+    keeps the two probability buffers and rebuilds the copies from qkv.
     """
-    half = q.shape[3] // 2
-    groups = tuple(zip((np.s_[..., :half, :], np.s_[..., half:, :]), _HEAD_GROUP_AXES))
+    half = qkv.shape[4] // 2
+    qkv_first = np.moveaxis(qkv.data, 3, 0)                 # (3, B, C, T, H, hd)
+    groups = tuple((heads, axes, (0,) + tuple(a + 1 for a in axes)) for heads, axes
+                   in zip((np.s_[..., :half, :], np.s_[..., half:, :]), _HEAD_GROUP_AXES))
 
     def stack(x, heads, axes):
         return np.ascontiguousarray(x[heads].transpose(axes))
 
-    out = np.empty(q.shape, dtype=v.data.dtype)
+    out = np.empty(qkv.shape[:3] + qkv.shape[4:], dtype=qkv.data.dtype)
     backwards = []
-    for heads, axes in groups:
-        o, backward = _attend(*(stack(t.data, heads, axes) for t in (q, k, v)))
+    for heads, axes, qkv_axes in groups:
+        o, backward = _attend(*stack(qkv_first, heads, qkv_axes))
         out[heads] = o.transpose(np.argsort(axes))
         backwards.append(backward)
 
     def backward(g):
-        grads = [np.empty(q.shape, dtype=g.dtype) for _ in range(3)]
-        for (heads, axes), group_backward in zip(groups, backwards):
-            parts = group_backward(stack(g, heads, axes),
-                                   *(stack(t.data, heads, axes) for t in (q, k, v)))
-            for grad, part in zip(grads, parts):
-                grad[heads] = part.transpose(np.argsort(axes))
-        return grads
+        grad = np.empty(qkv.shape, dtype=g.dtype)
+        grad_first = np.moveaxis(grad, 3, 0)
+        for (heads, axes, qkv_axes), group_backward in zip(groups, backwards):
+            parts = group_backward(stack(g, heads, axes), *stack(qkv_first, heads, qkv_axes))
+            for grad_part, part in zip(grad_first, parts):
+                grad_part[heads] = part.transpose(np.argsort(axes))
+        return (grad,)
 
-    return _make(out, (q, k, v), backward)
+    return _make(out, (qkv,), backward)
 
 
 def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:

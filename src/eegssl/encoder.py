@@ -133,20 +133,16 @@ def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> dict:
         pre = f"layers.{i}."
         p[pre + "ln1.gain"] = ones(d)
         p[pre + "ln1.bias"] = zeros(d)
-        p[pre + "attn.wq"] = tn(d, d)
-        p[pre + "attn.bq"] = zeros(d)
-        p[pre + "attn.wk"] = tn(d, d)
-        p[pre + "attn.bk"] = zeros(d)
-        p[pre + "attn.wv"] = tn(d, d)
-        p[pre + "attn.bv"] = zeros(d)
-        p[pre + "attn.wo"] = tn(d, d)
-        p[pre + "attn.bo"] = zeros(d)
+        p[pre + "attn.qkv.weight"] = np.concatenate([tn(d, d) for _ in range(3)], axis=1)
+        p[pre + "attn.qkv.bias"] = zeros(3 * d)
+        p[pre + "attn.out.weight"] = tn(d, d)
+        p[pre + "attn.out.bias"] = zeros(d)
         p[pre + "ln2.gain"] = ones(d)
         p[pre + "ln2.bias"] = zeros(d)
-        p[pre + "mlp.w1"] = tn(d, h)
-        p[pre + "mlp.b1"] = zeros(h)
-        p[pre + "mlp.w2"] = tn(h, d)
-        p[pre + "mlp.b2"] = zeros(d)
+        p[pre + "mlp.fc1.weight"] = tn(d, h)
+        p[pre + "mlp.fc1.bias"] = zeros(h)
+        p[pre + "mlp.fc2.weight"] = tn(h, d)
+        p[pre + "mlp.fc2.bias"] = zeros(d)
     p["final_ln.gain"] = ones(d)
     p["final_ln.bias"] = zeros(d)
     p["recon.weight"] = tn(d, cfg.p_t)
@@ -218,24 +214,25 @@ def _stem_tokens(patches: ad.Tensor, p: Mapping[str, ad.Tensor],
     return ad.linear(patches, ad.transpose(kernel, (1, 0)), p["stem.bias"])
 
 
+def _linear(x: ad.Tensor, p: Mapping[str, ad.Tensor], name: str) -> ad.Tensor:
+    """Linear layer `name`: x @ `<name>.weight` + `<name>.bias`."""
+    return ad.linear(x, p[name + ".weight"], p[name + ".bias"])
+
+
 def _attention(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str,
                cfg: EncoderConfig) -> ad.Tensor:
-    """Criss-cross attention: the channel-major (B, N, d) projections are a
-    (B, M', n_t, heads, head_dim) grid as they stand, which `ad.attention`
-    takes; half the heads attend along time, half across channels."""
-    grid = (x.shape[0], cfg.mapped_channels, cfg.n_t, cfg.heads, cfg.head_dim)
-
-    def project(name):
-        w, bias = p[prefix + "attn.w" + name], p[prefix + "attn.b" + name]
-        return ad.reshape(ad.linear(x, w, bias), grid)
-
-    mixed = ad.reshape(ad.attention(project("q"), project("k"), project("v")), x.shape)
-    return ad.linear(mixed, p[prefix + "attn.wo"], p[prefix + "attn.bo"])
+    """Criss-cross attention: the channel-major (B, N, 3d) q|k|v projection
+    is a (B, M', n_t, 3, heads, head_dim) grid as it stands, which
+    `ad.attention` takes; half the heads attend along time, half across
+    channels."""
+    grid = (x.shape[0], cfg.mapped_channels, cfg.n_t, 3, cfg.heads, cfg.head_dim)
+    qkv = ad.reshape(_linear(x, p, prefix + "attn.qkv"), grid)
+    mixed = ad.reshape(ad.attention(qkv), x.shape)
+    return _linear(mixed, p, prefix + "attn.out")
 
 
 def _mlp(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str) -> ad.Tensor:
-    hidden = ad.gelu(ad.linear(x, p[prefix + "mlp.w1"], p[prefix + "mlp.b1"]))
-    return ad.linear(hidden, p[prefix + "mlp.w2"], p[prefix + "mlp.b2"])
+    return _linear(ad.gelu(_linear(x, p, prefix + "mlp.fc1")), p, prefix + "mlp.fc2")
 
 
 def patch_grid(p: Mapping[str, ad.Tensor], x: np.ndarray,
@@ -286,5 +283,5 @@ def predict_patches(p: Mapping[str, ad.Tensor], z: ad.Tensor,
                     cfg: EncoderConfig) -> ad.Tensor:
     """Linear head d -> p_t per token, reshaped to the patch grid."""
     b = z.shape[0]
-    pred = ad.linear(z, p["recon.weight"], p["recon.bias"])
+    pred = _linear(z, p, "recon")
     return ad.reshape(pred, (b, cfg.mapped_channels, cfg.n_t, cfg.p_t))

@@ -101,7 +101,7 @@ def momentum_at(t: int, cfg: ScheduleConfig, steps_per_epoch: int,
         1.0 - math.cos(math.pi * t / total))
 
 
-_NO_DECAY_LEAVES = {"bias", "gain", "bq", "bk", "bv", "bo", "b1", "b2"}
+_NO_DECAY_LEAVES = {"bias", "gain"}
 
 
 def default_decay_exempt(name: str) -> bool:

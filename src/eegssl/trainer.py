@@ -251,7 +251,7 @@ def grad_check(cfg: RunConfig) -> GradCheckReport:
     xi = init_param_store(enc, cfg.seed + 1, dtype=np.float64)
     rng = make_rng(cfg.seed, TAG_GRADCHECK, 0)
     x = rng.standard_normal((1, enc.in_channels, enc.segment_samples))
-    mask = rng.random((1, enc.mapped_channels, enc.n_t)) < cfg.train.p_mask
+    mask = batch_mask(cfg.seed, 0, 1, (enc.mapped_channels, enc.n_t), cfg.train.p_mask)
     # both populations must be non-empty or parts of the loss vanish
     mask[0, 0, 0] = True
     mask[0, -1, -1] = False

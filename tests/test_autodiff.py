@@ -188,13 +188,11 @@ def test_gelu_finite_at_extreme_inputs(dtype):
 
 def test_softmax():
     # the softmax runs inside the fused attention op; check it w.r.t. q, k, v
-    # on (batch, channels, windows, heads, head_dim) grids with channels !=
-    # windows, so a mixed-up head group cannot pass
+    # on (batch, channels, windows, q|k|v, heads, head_dim) grids with
+    # channels != windows, so a mixed-up head group cannot pass
     target = np.random.default_rng(4).standard_normal((2, 3, 5, 4, 4))
-    check_op(lambda q, k, v: sum_sq(ad.attention(q, k, v), target),
-             (2, 3, 5, 4, 4), (2, 3, 5, 4, 4), (2, 3, 5, 4, 4))
-    check_op(lambda q, k, v: sum_sq(ad.attention(q, k, v)),
-             (1, 4, 2, 2, 3), (1, 4, 2, 2, 3), (1, 4, 2, 2, 3), seed=1)
+    check_op(lambda qkv: sum_sq(ad.attention(qkv), target), (2, 3, 5, 3, 4, 4))
+    check_op(lambda qkv: sum_sq(ad.attention(qkv)), (1, 4, 2, 3, 2, 3), seed=1)
 
 
 def composite_attention(q, k, v):
@@ -211,12 +209,17 @@ def composite_attention(q, k, v):
     return out
 
 
+def fused(q, k, v):
+    """The (B, C, T, 3, H, hd) q|k|v grid that `ad.attention` takes."""
+    return ad.constant(np.stack((q, k, v), axis=3))
+
+
 def test_attention_forward_matches_composite_float32():
     rng = np.random.default_rng(5)
     q, k, v = (rng.standard_normal((2, 6, 16, 4, 8)).astype(np.float32) * 3.0
                for _ in range(3))
     expected = composite_attention(q, k, v)
-    out = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v)).data
+    out = ad.attention(fused(q, k, v)).data
     assert out.dtype == np.float32
     assert out.tobytes() == expected.tobytes()
 
@@ -229,8 +232,8 @@ def test_attention_heads_see_their_row_and_column():
     c0, w0 = 2, 4
     bumped = v.copy()
     bumped[:, c0, w0] += 1.0
-    base = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v)).data
-    moved = ad.attention(ad.constant(q), ad.constant(k), ad.constant(bumped)).data
+    base = ad.attention(fused(q, k, v)).data
+    moved = ad.attention(fused(q, k, bumped)).data
     changed = (moved != base).any(axis=(0, 4))           # (channels, windows, heads)
     temporal, spatial = changed[..., :2].any(-1), changed[..., 2:].any(-1)
     expected_row = np.zeros((5, 7), bool)
@@ -292,9 +295,9 @@ def test_affine_layer_norm(lead, d):
 @example(batch=1, grid=[5, 3], heads=2, head_dim=2)
 def test_attention_odd_grids(batch, grid, heads, head_dim):
     # odd channel and window counts, channels != windows
-    shape = (batch, *grid, heads, head_dim)
-    target = fixed_target(shape)
-    check_op(lambda q, k, v: sum_sq(ad.attention(q, k, v), target), shape, shape, shape)
+    target = fixed_target((batch, *grid, heads, head_dim))
+    check_op(lambda qkv: sum_sq(ad.attention(qkv), target),
+             (batch, *grid, 3, heads, head_dim))
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3, 1, 4)])

@@ -12,8 +12,8 @@ from eegssl import cli
 from eegssl.cli import run_cli
 from eegssl.config import (_KEY_ALIASES, RunConfig, TrainConfig,
                            config_from_dict)
-from eegssl.data import (SegmentBatch, load_segments, save_checkpoint,
-                         save_segments)
+from eegssl.data import (Checkpoint, SegmentBatch, load_segments,
+                         save_checkpoint, save_segments)
 from eegssl.errors import ValidationError
 from eegssl.synth import SynthSpec, synth_labeled_dataset
 from eegssl.trainer import GradCheckReport, init_train_state, make_checkpoint
@@ -283,19 +283,46 @@ def test_full_pipeline(tmp_path, config_path, capsys):
     assert run_cli(["inspect", str(seg)]) == 0
 
 
+_PARENT_NAMES = {"attn.out.weight": "attn.wo", "attn.out.bias": "attn.bo",
+                 "mlp.fc1.weight": "mlp.w1", "mlp.fc1.bias": "mlp.b1",
+                 "mlp.fc2.weight": "mlp.w2", "mlp.fc2.bias": "mlp.b2"}
+
+
+def parent_layout(store):
+    """`store` under the earlier block names: separate attn.wq/bq, wk/bk and
+    wv/bv projections, attn.wo/bo and mlp.w1/b1, w2/b2."""
+    out = {}
+    for name, t in store.items():
+        pre, tail = re.fullmatch(r"(layers\.\d+\.|)(.*)", name).groups()
+        if tail in ("attn.qkv.weight", "attn.qkv.bias"):
+            kind = tail[len("attn.qkv.")]                      # "w" or "b"
+            for which, part in zip("qkv", np.split(t, 3, axis=-1)):
+                out[f"{pre}attn.{kind}{which}"] = part
+        else:
+            out[pre + _PARENT_NAMES.get(tail, tail)] = t
+    return out
+
+
 def test_probe_checkpoint_of_another_encoder_exits_1(tmp_path, config_path, capsys):
-    # a d=32 checkpoint probed under the config's d=16 encoder
-    wide = config_from_dict(
-        dict(SMALL_CONFIG, encoder=dict(SMALL_CONFIG["encoder"], d=32)))
-    ckpt = tmp_path / "wide.lcmc"
-    save_checkpoint(make_checkpoint(init_train_state(wide, 1), 0), ckpt)
     spec = SynthSpec(seed=3, channel_count=4, duration_s=4.0, sample_rate_hz=256.0)
     labeled = tmp_path / "labeled.lcms"
     save_segments(synth_labeled_dataset(spec, 2, 4, (8.0, 12.0), 4.0), labeled)
-    code = run_cli(["probe", str(ckpt), str(labeled), "--config", config_path])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "'xi/channel_embed' has shape (4, 32), expected (4, 16)" in err
+    # a d=32 checkpoint probed under the config's d=16 encoder
+    wide = config_from_dict(
+        dict(SMALL_CONFIG, encoder=dict(SMALL_CONFIG["encoder"], d=32)))
+    wide_ckpt = make_checkpoint(init_train_state(wide, 1), 0)
+    # the config's own encoder under the earlier separate-projection names
+    own = make_checkpoint(init_train_state(config_from_dict(SMALL_CONFIG), 1), 0)
+    parent_ckpt = Checkpoint(0, **{group: parent_layout(getattr(own, group))
+                                   for group in ("theta", "xi", "m", "v")})
+    for ckpt, expected in (
+            (wide_ckpt, "'xi/channel_embed' has shape (4, 32), expected (4, 16)"),
+            (parent_ckpt, "'xi/layers.0.attn.bk' is not an encoder parameter")):
+        path = tmp_path / "other.lcmc"
+        save_checkpoint(ckpt, path)
+        code = run_cli(["probe", str(path), str(labeled), "--config", config_path])
+        assert code == 1
+        assert expected in capsys.readouterr().err
 
 
 def test_pretrain_missing_config_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eegssl.encoder
 from eegssl import autodiff as ad
 from eegssl.encoder import (EncoderConfig, _stem_tokens, forward_tokens,
                             init_param_store, patch_grid, predict_patches,
@@ -233,7 +234,7 @@ def test_degenerate_forward_zero_gains():
     rng = np.random.default_rng(1)
     for name in store:
         leaf = name.rsplit(".", 1)[-1]
-        if leaf in ("bias", "bq", "bk", "bv", "bo", "b1", "b2"):
+        if leaf == "bias":
             store[name] = rng.standard_normal(store[name].shape).astype(np.float32)
         else:
             store[name] = np.zeros_like(store[name])
@@ -252,7 +253,7 @@ def test_degenerate_forward_unit_gains_hand_rolled():
     rng = np.random.default_rng(2)
     for name in store:
         leaf = name.rsplit(".", 1)[-1]
-        if leaf in ("bias", "bq", "bk", "bv", "bo", "b1", "b2"):
+        if leaf == "bias":
             store[name] = rng.standard_normal(store[name].shape).astype(np.float32)
         elif leaf == "gain":
             store[name] = np.ones_like(store[name])
@@ -265,10 +266,11 @@ def test_degenerate_forward_unit_gains_hand_rolled():
         return (v - v.mean()) / np.sqrt(((v - v.mean()) ** 2).mean() + eps)
 
     # every token equals stem.bias; attention mixes identical values through
-    # zero wo (leaving bo), and the mlp contributes only b2 through zero w2
+    # zero attn.out.weight (leaving attn.out.bias), and the mlp contributes
+    # only mlp.fc2.bias through zero mlp.fc2.weight
     token = store["stem.bias"].astype(np.float64)
-    token = token + store["layers.0.attn.bo"]
-    token = token + store["layers.0.mlp.b2"]
+    token = token + store["layers.0.attn.out.bias"]
+    token = token + store["layers.0.mlp.fc2.bias"]
     expected = ln(token) + store["final_ln.bias"]
     np.testing.assert_allclose(out, np.tile(expected, (cfg.n_tokens, 1)),
                                rtol=1e-5, atol=1e-6)
@@ -316,6 +318,47 @@ def test_stem_matches_conv_then_pool():
                                        for u in range(cfg.conv_positions)) + bias[c]
     assert tokens.dtype == np.float64
     np.testing.assert_allclose(tokens, expected, rtol=1e-12)
+
+
+def test_block_names_follow_the_linear_rule():
+    # twelve tensors per block; each linear layer is <name>.weight/<name>.bias
+    store = init_param_store(CFG, seed=0)
+    block = [name[len("layers.1."):] for name in store if name.startswith("layers.1.")]
+    assert block == ["ln1.gain", "ln1.bias", "attn.qkv.weight", "attn.qkv.bias",
+                     "attn.out.weight", "attn.out.bias", "ln2.gain", "ln2.bias",
+                     "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight", "mlp.fc2.bias"]
+    assert store["layers.1.attn.qkv.weight"].shape == (CFG.d, 3 * CFG.d)
+    assert store["layers.1.attn.qkv.bias"].shape == (3 * CFG.d,)
+
+
+def test_block_matches_three_separate_projections_float64(monkeypatch):
+    # the fused q|k|v projection against q, k and v projected one by one
+    # from the column slices of attn.qkv.weight, each heads-major
+    cfg = EncoderConfig(d=8, layers=1, heads=4, mlp_ratio=2.0, p_t=8, in_channels=2,
+                        mapped_channels=3, n_t=5, stem_kernel=7)
+    store = init_param_store(cfg, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(8)
+    for name in store:
+        if name.endswith(".bias"):
+            store[name] = rng.standard_normal(store[name].shape)
+    x = rng.standard_normal((2, cfg.in_channels, cfg.segment_samples))
+    params = wrap_constants(store)
+
+    def three_projections(seq, p, prefix, cfg):
+        w, bias = store[prefix + "attn.qkv.weight"], store[prefix + "attn.qkv.bias"]
+        grid = (seq.shape[0], cfg.mapped_channels, cfg.n_t, cfg.heads, cfg.head_dim)
+        q, k, v = (ad.linear(seq, ad.constant(w[:, cols]), ad.constant(bias[cols]))
+                   .data.reshape(grid)
+                   for cols in (np.s_[:cfg.d], np.s_[cfg.d:2 * cfg.d], np.s_[2 * cfg.d:]))
+        mixed = ad.attention(ad.constant(np.stack((q, k, v), axis=3))).data
+        return ad.linear(ad.constant(mixed.reshape(seq.shape)),
+                         p[prefix + "attn.out.weight"], p[prefix + "attn.out.bias"])
+
+    fused = forward_tokens(params, patch_grid(params, x, cfg), None, cfg).data
+    monkeypatch.setattr(eegssl.encoder, "_attention", three_projections)
+    composite = forward_tokens(params, patch_grid(params, x, cfg), None, cfg).data
+    assert fused.dtype == np.float64
+    np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=1e-12)
 
 
 def test_param_count_block_share_grows_4x_with_d():

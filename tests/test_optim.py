@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eegssl.encoder import EncoderConfig, init_param_store
 from eegssl.errors import DivergenceError, ValidationError
 from eegssl.optim import (ScheduleConfig, adamw_step,
                           default_decay_exempt, ema_update, lr_at,
@@ -189,14 +190,24 @@ def test_decay_exemptions():
     assert default_decay_exempt("layers.0.ln1.gain")
     assert default_decay_exempt("layers.0.ln1.bias")
     assert default_decay_exempt("stem.bias")
-    assert default_decay_exempt("layers.1.attn.bq")
-    assert default_decay_exempt("layers.1.mlp.b2")
+    assert default_decay_exempt("layers.1.attn.qkv.bias")
+    assert default_decay_exempt("layers.1.mlp.fc2.bias")
     assert default_decay_exempt("channel_embed")
     assert default_decay_exempt("mask_token")
     assert not default_decay_exempt("channel_map")
-    assert not default_decay_exempt("layers.0.attn.wq")
+    assert not default_decay_exempt("layers.0.attn.qkv.weight")
     assert not default_decay_exempt("pos_embed")
     assert not default_decay_exempt("recon.weight")
+
+
+def test_decay_rule_follows_the_store_names():
+    # every bias and gain, the channel embedding and the mask token skip
+    # decay; every other encoder tensor decays
+    names = list(init_param_store(EncoderConfig(), seed=0))
+    exempt = {name for name in names if name.endswith((".bias", ".gain"))}
+    exempt |= {"channel_embed", "mask_token"}
+    assert {name for name in names if default_decay_exempt(name)} == exempt
+    assert len(names) - len(exempt) == 4 + 4 * EncoderConfig().layers + 1
 
 
 # --- EMA -----------------------------------------------------------------------------

@@ -253,18 +253,28 @@ def test_training_graph_holds_one_score_buffer_per_layer():
 
 def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
     # each linear layer is one op with its bias added in place: the MLP keeps
-    # only the w1 output, gelu's tanh and the gelu output at its hidden width,
+    # only the fc1 output, gelu's tanh and the gelu output at its hidden width,
     # and no linear weight feeds a matmul node whose output would stay held
     b, enc = 2, SMALL_ENC
     params, total = training_graph(small_config(), b)
     assert enc.hidden not in (enc.n_tokens, enc.d)
     assert held_shapes(total).count((b, enc.n_tokens, enc.hidden)) == 3 * enc.layers
     weights = {id(t) for name, t in params.items()
-               if name.startswith("layers.") and ".w" in name or name == "recon.weight"}
-    assert len(weights) == 6 * enc.layers + 1
+               if name.startswith("layers.") and name.endswith(".weight")
+               or name == "recon.weight"}
+    assert len(weights) == 4 * enc.layers + 1
     matmuls = [node for node in graph_nodes(total)
                if getattr(node._backward, "__qualname__", "").startswith("matmul.")]
     assert matmuls and not any(id(p) in weights for node in matmuls for p in node._parents)
+
+
+def test_training_graph_runs_four_linear_ops_per_layer():
+    # per block one q|k|v projection, the attention output and the two MLP
+    # layers; plus the stem and the reconstruction head
+    _, total = training_graph(small_config())
+    linears = [node for node in graph_nodes(total)
+               if getattr(node._backward, "__qualname__", "").startswith("linear.")]
+    assert len(linears) == 4 * SMALL_ENC.layers + 2
 
 
 # --- micro-batches ------------------------------------------------------------------
