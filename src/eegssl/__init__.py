@@ -15,8 +15,7 @@ from .evaluate import (FeatureSet, LinearProbe, MetricsReport, compute_metrics,
                        extract_features, fit_probe, predict_scores)
 from .optim import (ScheduleConfig, adamw_step, ema_update, lr_at,
                     momentum_at, wd_at)
-from .preprocess import (PreprocConfig, average_reference, lowpass,
-                         preprocess, resample, segment)
+from .preprocess import PreprocConfig, lowpass, preprocess, resample
 from .synth import Oscillation, SynthSpec, synth_labeled_dataset, synth_recording
 from .trainer import (GradCheckReport, TrainLogRecord, TrainState, grad_check,
                       grad_stats, run_pretraining, train_step)

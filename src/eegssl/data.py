@@ -182,6 +182,33 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return b"".join(chunks)
 
 
+def _read_f32(f: BinaryIO, count: int, what: str) -> np.ndarray:
+    """Read `count` little-endian float32 values into one writable array.
+
+    A seekable source is first checked to hold the declared bytes and is
+    then read straight into one preallocated array. Any other source is read
+    in bounded chunks by `_read_exact` and copied once. Either way a short
+    file ends in FormatError before anything of the declared size is
+    allocated.
+    """
+    nbytes = 4 * count
+    if not f.seekable():
+        return np.frombuffer(_read_exact(f, nbytes, what), dtype="<f4").astype(np.float32)
+    here = f.tell()
+    if f.seek(0, os.SEEK_END) - here < nbytes:
+        raise FormatError("truncated", f"truncated file while reading {what}")
+    f.seek(here)
+    out = np.empty(count, dtype="<f4")
+    view = memoryview(out).cast("B")
+    done = 0
+    while done < nbytes:
+        got = f.readinto(view[done:])
+        if not got:
+            raise FormatError("truncated", f"truncated file while reading {what}")
+        done += got
+    return out.astype(np.float32, copy=False)
+
+
 class _CountingWriter:
     def __init__(self, f: BinaryIO):
         self.f = f
@@ -245,8 +272,7 @@ def read_recording(source: ByteSink) -> Recording:
         raise FormatError("version", f"unsupported LCMR version {version}")
     if m < 1 or t < 1:
         raise FormatError("header", f"invalid dimensions {m}x{t}")
-    payload = _read_exact(source, 4 * m * t, "sample payload")
-    samples = np.frombuffer(payload, dtype="<f4").reshape(m, t).astype(np.float32)
+    samples = _read_f32(source, m * t, "sample payload").reshape(m, t)
     if not np.isfinite(samples).all():
         raise ValidationError("recording payload contains non-finite samples")
     try:
@@ -341,7 +367,7 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
             struct.unpack("<I", _read_exact(source, 4, "tensor dims"))[0]
             for _ in range(rank))
         count = math.prod(dims)  # python ints: no int64 wrap-around
-        raw = _read_exact(source, 4 * count, f"tensor {name!r} data")
+        data = _read_f32(source, count, f"tensor {name!r} data").reshape(dims)
         group = next((g for g, prefix in _GROUP_PREFIXES.items()
                       if name.startswith(prefix)), None)
         if group is None:
@@ -349,7 +375,7 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
         tensors, key = groups[group], name[len(_GROUP_PREFIXES[group]):]
         if key in tensors:
             raise FormatError("duplicate", f"duplicate tensor name {name!r}")
-        tensors[key] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        tensors[key] = data
     try:
         return Checkpoint(step=step, **groups)
     except ValidationError as exc:
@@ -396,8 +422,7 @@ def load_segments(source: ByteSink) -> SegmentBatch:
     if has_labels:
         raw = _read_exact(source, 2 * n, "labels")
         labels = np.frombuffer(raw, dtype="<u2").astype(np.int64)
-    raw = _read_exact(source, 4 * n * m * t, "segment payload")
-    segments = np.frombuffer(raw, dtype="<f4").reshape(n, m, t).astype(np.float32)
+    segments = _read_f32(source, n * m * t, "segment payload").reshape(n, m, t)
     try:
         return SegmentBatch(segments=segments, sample_rate_hz=rate, labels=labels)
     except ValidationError as exc:

@@ -6,10 +6,20 @@ reference -> low-pass (optional) -> resample -> segmentation.
 The "0-38 Hz bandpass" is realized as a zero-phase Butterworth low-pass
 (forward-backward). Order 8 is required to push the 256 Hz / 50 Hz stopband
 past 40 dB; order 4 only reaches ~24 dB after both passes.
+
+Memory: after the average reference, every step acts on one channel row
+alone, so `preprocess` runs one channel at a time and writes each result
+straight into the float32 (n, M, L) segment array. Besides the float32
+recording it reads and that output, it holds about 5 float64 rows of one
+channel's length (the reference, the row, and the filter's and resampler's
+working copies), however many channels there are. A 1 h, 8-channel, 500 Hz
+recording is 57.6 MB of float32 samples, gives 29.5 MB of segments and
+needs about 72 MB of rows (14.4 MB each).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,14 +53,18 @@ class PreprocConfig:
             object.__setattr__(self, "channel_selection", tuple(self.channel_selection))
 
 
-def average_reference(x: np.ndarray) -> np.ndarray:
-    """Subtract the cross-channel mean at every timestep."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValidationError("expected a (channels, time) matrix")
-    if x.shape[0] < 2:
-        raise ValidationError("average reference needs at least 2 channels")
-    return x - x.mean(axis=0, keepdims=True)
+# Filter designs, built once per rate and shared by every call: preprocess
+# filters one channel at a time, and scipy only reads them.
+@functools.lru_cache(maxsize=16)
+def _lowpass_sos(rate_hz: float, cutoff_hz: float) -> np.ndarray:
+    return signal.butter(LOWPASS_ORDER, cutoff_hz, btype="low", fs=rate_hz,
+                         output="sos")
+
+
+@functools.lru_cache(maxsize=16)
+def _resample_prototype(max_rate: int) -> np.ndarray:
+    n_taps = RESAMPLE_TAPS_PER_PHASE * max_rate + 1
+    return signal.firwin(n_taps, 1.0 / max_rate, window=("kaiser", RESAMPLE_KAISER_BETA))
 
 
 def lowpass(x: np.ndarray, rate_hz: float, cutoff_hz: float) -> np.ndarray:
@@ -63,8 +77,12 @@ def lowpass(x: np.ndarray, rate_hz: float, cutoff_hz: float) -> np.ndarray:
     if x.shape[-1] <= padlen:
         raise ValidationError(
             f"recording shorter than filter warm-up length ({padlen + 1} samples)")
-    sos = signal.butter(LOWPASS_ORDER, cutoff_hz, btype="low", fs=rate_hz, output="sos")
-    return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
+    return signal.sosfiltfilt(_lowpass_sos(rate_hz, cutoff_hz), x, axis=-1,
+                              padtype="even", padlen=padlen)
+
+
+def _resampled_length(t: int, from_hz: float, to_hz: float) -> int:
+    return int(np.floor(t * to_hz / from_hz + 1e-9))
 
 
 def resample(x: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
@@ -79,48 +97,56 @@ def resample(x: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
         return x.copy()
     ratio = Fraction(to_hz / from_hz).limit_denominator(1 << 14)
     up, down = ratio.numerator, ratio.denominator
-    max_rate = max(up, down)
-    n_taps = RESAMPLE_TAPS_PER_PHASE * max_rate + 1
-    proto = signal.firwin(n_taps, 1.0 / max_rate, window=("kaiser", RESAMPLE_KAISER_BETA))
-    y = signal.resample_poly(x, up, down, axis=-1, window=proto)
-    target = int(np.floor(x.shape[-1] * to_hz / from_hz + 1e-9))
+    y = signal.resample_poly(x, up, down, axis=-1,
+                             window=_resample_prototype(max(up, down)))
+    target = _resampled_length(x.shape[-1], from_hz, to_hz)
     if y.shape[-1] < target:
         raise ValidationError("resampling ratio approximation produced too few samples")
     return y[..., :target]
 
 
-def segment(x: np.ndarray, rate_hz: float, segment_s: float) -> SegmentBatch:
-    """Cut into non-overlapping segments of segment_s; remainder discarded."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValidationError("expected a (channels, time) matrix")
+def _segment_grid(t: int, rate_hz: float, segment_s: float) -> tuple:
+    """(count, length) of the non-overlapping segments of segment_s that fit
+    in t samples at rate_hz; the remainder is discarded."""
     length = segment_s * rate_hz
     l_int = int(round(length))
     if l_int < 1 or abs(length - l_int) > 1e-9:
         raise ValidationError(
             f"segment_s * rate_hz must be a positive integer, got {length}")
-    m, t = x.shape
     if t < l_int:
         raise ValidationError("recording shorter than one segment")
-    n = t // l_int
-    segments = x[:, :n * l_int].reshape(m, n, l_int).transpose(1, 0, 2)
-    return SegmentBatch(segments=np.ascontiguousarray(segments, dtype=np.float32),
-                        sample_rate_hz=rate_hz)
+    return t // l_int, l_int
 
 
 def preprocess(rec: Recording, cfg: PreprocConfig) -> SegmentBatch:
-    """Full pipeline from a Recording to fixed-length segments."""
-    x = np.asarray(rec.samples, dtype=float)
-    if cfg.channel_selection is not None:
-        indices = []
-        for name in cfg.channel_selection:
-            if name not in rec.montage.channel_names:
-                raise ValidationError(f"channel {name!r} not present in montage")
-            indices.append(rec.montage.channel_names.index(name))
-        x = x[indices]
-    x = x * rec.scale_to_mV
-    x = average_reference(x)
-    if cfg.apply_bandpass:
-        x = lowpass(x, rec.sample_rate_hz, cfg.lowpass_hz)
-    x = resample(x, rec.sample_rate_hz, cfg.target_rate_hz)
-    return segment(x, cfg.target_rate_hz, cfg.segment_s)
+    """Full pipeline from a Recording to fixed-length float32 segments."""
+    names = rec.montage.channel_names
+    indices = []
+    for name in names if cfg.channel_selection is None else cfg.channel_selection:
+        if name not in names:
+            raise ValidationError(f"channel {name!r} not present in montage")
+        indices.append(names.index(name))
+    if len(indices) < 2:
+        raise ValidationError("average reference needs at least 2 channels")
+
+    def scaled(i: int) -> np.ndarray:
+        return np.asarray(rec.samples[i], dtype=float) * rec.scale_to_mV
+
+    # The cross-channel mean, summed in channel order as mean(axis=0) does.
+    reference = scaled(indices[0])
+    for i in indices[1:]:
+        reference += scaled(i)
+    reference /= len(indices)
+
+    rate, target = rec.sample_rate_hz, cfg.target_rate_hz
+    n, length = _segment_grid(_resampled_length(rec.n_samples, rate, target),
+                              target, cfg.segment_s)
+    segments = np.empty((n, len(indices), length), dtype=np.float32)
+    for row, i in enumerate(indices):
+        x = scaled(i)
+        x -= reference
+        if cfg.apply_bandpass:
+            x = lowpass(x, rate, cfg.lowpass_hz)
+        x = resample(x, rate, target)
+        segments[:, row, :] = x[:n * length].reshape(n, length)
+    return SegmentBatch(segments=segments, sample_rate_hz=target)

@@ -13,8 +13,9 @@ import pytest
 
 from eegssl import autodiff as ad
 from eegssl.config import RunConfig, TrainConfig
-from eegssl.data import (SegmentBatch, load_checkpoint, read_recording,
-                         save_checkpoint, write_recording)
+from eegssl.data import (Recording, SegmentBatch, default_montage,
+                         load_checkpoint, read_recording, save_checkpoint,
+                         write_recording)
 from eegssl.encoder import (EncoderConfig, forward_tokens, init_param_store,
                             patch_grid, predict_patches, wrap_constants)
 from eegssl.errors import FormatError, ValidationError
@@ -22,8 +23,7 @@ from eegssl.evaluate import FeatureSet, compute_metrics, extract_features, \
     fit_probe, predict_scores
 from eegssl.losses import alignment_loss_t, reconstruction_loss_t
 from eegssl.optim import ScheduleConfig, ema_update, lr_at, wd_at
-from eegssl.preprocess import PreprocConfig, average_reference, lowpass, \
-    preprocess, resample
+from eegssl.preprocess import PreprocConfig, lowpass, preprocess, resample
 from eegssl.seeding import make_rng
 from eegssl.synth import SynthSpec, synth_labeled_dataset, synth_recording
 from eegssl.trainer import (batch_mask, grad_check, init_train_state,
@@ -382,9 +382,12 @@ def test_criterion_10_preprocessing_dsp():
 
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 64)) * 4.0
-    ref = average_reference(x)
+    # the pipeline with the rate kept and the low-pass off: the re-reference
+    # alone, then one 64-sample float32 segment
+    ref = preprocess(Recording(default_montage(8), 256.0, 1.0, x),
+                     PreprocConfig(segment_s=0.25, apply_bandpass=False)).segments[0]
     rms = np.sqrt((x ** 2).mean())
-    assert np.abs(ref.mean(axis=0)).max() < 1e-6 * rms
+    assert np.abs(ref.mean(axis=0, dtype=float)).max() < 1e-6 * rms
 
     tone = np.sin(2 * np.pi * 20.0 * np.arange(2048) / 512.0)
     down = resample(tone, 512.0, 256.0)

@@ -86,26 +86,35 @@ def test_mul_broadcast(shapes):
     check_op(lambda a, b: sum_sq(ad.mul(a, b), target), *shapes)
 
 
-def test_matmul_2d():
-    check_op(lambda a, b: sum_sq(ad.matmul(a, b), fixed_target((3, 2))), (3, 4), (4, 2))
+@settings(max_examples=25, deadline=None)
+@given(lead=lead_axes, k=st.integers(1, 4), m=st.integers(1, 4), stacked=st.booleans())
+@example(lead=(3,), k=4, m=2, stacked=False)
+@example(lead=(5, 3), k=4, m=2, stacked=False)      # one weight for a batch
+@example(lead=(2, 3, 4), k=5, m=4, stacked=True)
+def test_matmul(lead, k, m, stacked):
+    # a is lead + (k,), its last lead axis the rows; b is one (k, m) matrix,
+    # or one per leading index when stacked
+    b_shape = (lead[:-1] if stacked else ()) + (k, m)
+    target = fixed_target(lead + (m,))
+    check_op(lambda a, b: sum_sq(ad.matmul(a, b), target), lead + (k,), b_shape)
 
 
-def test_matmul_batched_weight_broadcast():
-    check_op(lambda a, b: sum_sq(ad.matmul(a, b)), (5, 3, 4), (4, 2))
+def permuted_shape(shape):
+    return st.tuples(st.just(shape), st.permutations(range(len(shape))).map(tuple))
 
 
-def test_matmul_stacked():
-    check_op(lambda a, b: sum_sq(ad.matmul(a, b), fixed_target((2, 3, 4, 4))),
-             (2, 3, 4, 5), (2, 3, 5, 4))
-
-
-def test_reshape_transpose_slice():
-    weights = np.random.default_rng(1).standard_normal((3, 4, 2))
+@settings(max_examples=25, deadline=None)
+@given(case=st.tuples(lead_axes, st.integers(1, 4)).flatmap(
+    lambda c: permuted_shape(c[0] + (c[1],))))
+@example(case=((2, 3, 4), (1, 2, 0)))
+def test_reshape_transpose_slice(case):
+    shape, axes = case
+    weights = fixed_target(tuple(shape[i] for i in axes))
 
     def build(a):
-        t = ad.transpose(ad.reshape(a, (2, 3, 4)), (1, 2, 0))
+        t = ad.transpose(ad.reshape(a, shape), axes)
         return ad.squared_error(t, 0.0, weights, 1.0)
-    check_op(build, (24,))
+    check_op(build, (int(np.prod(shape)),))
 
 
 def test_squared_error():
@@ -137,9 +146,15 @@ def test_squared_error_broadcast_weights(shapes, zero):
         assert value == 0.0
 
 
-def test_sqrt_scale_shift_neg():
-    check_op(lambda a: sum_sq(ad.scale(a, 2.5), fixed_target((5,))), (5,))
-    check_op(lambda a: ad.scale(sum_sq(a), -3.0), (2, 2))
+@settings(max_examples=25, deadline=None)
+@given(lead=lead_axes, d=st.integers(1, 4),
+       s=st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+@example(lead=(), d=5, s=2.5)
+@example(lead=(2,), d=2, s=-3.0)
+def test_sqrt_scale_shift_neg(lead, d, s):
+    shape = lead + (d,)
+    check_op(lambda a: sum_sq(ad.scale(a, s), fixed_target(shape)), shape)
+    check_op(lambda a: ad.scale(sum_sq(a), s), shape)   # a scaled loss
 
 
 @settings(max_examples=25, deadline=None)

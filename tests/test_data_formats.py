@@ -3,6 +3,7 @@
 import hashlib
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,54 @@ def test_declared_sizes_not_trusted(name, tmp_path, capsys):
     assert run_cli(["inspect", str(path)]) == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
+class Unseekable(io.RawIOBase):
+    """A byte stream that can only be read forward, like a pipe."""
+
+    def __init__(self, raw: bytes):
+        self._f = io.BytesIO(raw)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._f.readinto(b)
+
+
+def test_unseekable_streams_roundtrip_and_reject_truncation():
+    rec = small_recording(m=3, t=50)
+    batch = SegmentBatch(np.arange(24, dtype=np.float32).reshape(2, 3, 4), 128.0,
+                         labels=np.array([1, 0]))
+    ckpt = checkpoint_fixture()
+    for value, write, read in ((rec, write_recording, read_recording),
+                               (batch, save_segments, load_segments),
+                               (ckpt, save_checkpoint, load_checkpoint)):
+        sink = io.BytesIO()
+        write(value, sink)
+        raw = sink.getvalue()
+        back = read(Unseekable(raw))
+        again = io.BytesIO()
+        write(back, again)
+        assert again.getvalue() == raw
+        with pytest.raises(FormatError) as err:
+            read(Unseekable(raw[:-3]))
+        assert err.value.kind == "truncated"
+
+
+@pytest.mark.parametrize("stream", [io.BytesIO, Unseekable], ids=["seekable", "unseekable"])
+def test_huge_declared_payload_allocates_nothing_of_its_size(stream):
+    # 2**40 declared samples (4 TiB) on a file that holds four bytes of them
+    raw = struct.pack("<4sHIdQd", b"LCMR", 1, 1, 256.0, 2 ** 40, 1.0) + b"\x00" * 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            read_recording(stream(raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.kind == "truncated"
+    assert peak < 1 << 22
 
 
 @pytest.mark.parametrize("channels", ["a,a", ""], ids=["duplicate", "empty"])
