@@ -86,11 +86,21 @@ def test_mul_broadcast(shapes):
     check_op(lambda a, b: sum_sq(ad.mul(a, b), target), *shapes)
 
 
+def test_matmul_2d():
+    check_op(lambda a, b: sum_sq(ad.matmul(a, b), fixed_target((3, 2))), (3, 4), (4, 2))
+
+
+def test_matmul_batched_weight_broadcast():
+    check_op(lambda a, b: sum_sq(ad.matmul(a, b)), (5, 3, 4), (4, 2))
+
+
+def test_matmul_stacked():
+    check_op(lambda a, b: sum_sq(ad.matmul(a, b), fixed_target((2, 3, 4, 4))),
+             (2, 3, 4, 5), (2, 3, 5, 4))
+
+
 @settings(max_examples=25, deadline=None)
 @given(lead=lead_axes, k=st.integers(1, 4), m=st.integers(1, 4), stacked=st.booleans())
-@example(lead=(3,), k=4, m=2, stacked=False)
-@example(lead=(5, 3), k=4, m=2, stacked=False)      # one weight for a batch
-@example(lead=(2, 3, 4), k=5, m=4, stacked=True)
 def test_matmul(lead, k, m, stacked):
     # a is lead + (k,), its last lead axis the rows; b is one (k, m) matrix,
     # or one per leading index when stacked
