@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Exactly the ops the encoder and losses run, each with its own closed-form
-backward: broadcasting `add`/`mul`, `scale` by a python float, `matmul`,
-`linear` (a matmul with its bias added in place), `reshape`, `transpose`,
+backward: broadcasting `add`/`mul`, `scale` by a python float, `matmul`
+(with an optional bias added into the product in place), `reshape`,
 `gelu` in its tanh form (one `np.tanh` where the exact form needs erf),
 fused criss-cross multi-head `attention`, masked `where`, `layer_norm`
 with an optional gain and bias, and the losses' weighted
@@ -135,40 +135,28 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), lambda g: (g * s,))
 
 
-def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """Gradients of `a @ b` with respect to a and b."""
-    return (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
-            _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Stacked matrix product; both operands must have ndim >= 2."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Stacked matrix product `a @ b`, both operands with ndim >= 2, plus
+    `bias` when it is given. The bias is added into the product in place, so
+    a linear layer keeps one output buffer on the tape."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    return _make(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a.data, b.data))
+    out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
 
+    def backward(g):
+        grads = (_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
+                 _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        return grads if bias is None else grads + (_unbroadcast(g, bias.data.shape),)
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """`x @ w + b` for a (..., n) x, (n, m) weight and (m,) bias. The bias is
-    added into the product in place, so the tape holds one output buffer."""
-    if x.ndim < 2 or w.ndim != 2:
-        raise ValueError("linear expects x with ndim >= 2 and a 2-D weight")
-    out = x.data @ w.data
-    out += b.data
-    return _make(out, (x, w, b), lambda g: _matmul_grads(g, x.data, w.data)
-                 + (_unbroadcast(g, b.data.shape),))
+    return _make(out, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     return _make(a.data.reshape(shape), (a,),
                  lambda g: (g.reshape(a.data.shape),))
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -1,8 +1,9 @@
 """Command-line entry point wiring all modules into reproducible runs.
 
 Subcommands: synth, preprocess, pretrain, probe, gradcheck, inspect.
-Exit codes: 0 success, 1 validation error, 2 I/O or format error. Every
-random stream is seeded from the config; nothing reads system entropy.
+Exit codes: 0 success, 1 validation error or out of memory, 2 I/O or format
+error. Every random stream is seeded from the config; nothing reads system
+entropy.
 """
 
 from __future__ import annotations
@@ -224,6 +225,9 @@ def run_cli(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValidationError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

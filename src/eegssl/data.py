@@ -89,10 +89,10 @@ class Recording:
             raise ValidationError("recording must contain at least one sample")
         if not np.isfinite(self.samples).all():
             raise ValidationError("samples contain non-finite values")
-        if not (self.sample_rate_hz > 0):
-            raise ValidationError("sample_rate_hz must be positive")
-        if not (self.scale_to_mV > 0):
-            raise ValidationError("scale_to_mV must be positive")
+        if not (0 < self.sample_rate_hz < math.inf):
+            raise ValidationError("sample_rate_hz must be positive and finite")
+        if not (0 < self.scale_to_mV < math.inf):
+            raise ValidationError("scale_to_mV must be positive and finite")
 
     @property
     def n_channels(self) -> int:
@@ -115,7 +115,7 @@ class Recording:
 
 @dataclass(eq=False)
 class SegmentBatch:
-    """Fixed-length segments stacked as (n, M, T_seg) with optional labels."""
+    """Segments stacked as (n, M, T_seg), no axis empty, with optional labels."""
 
     segments: np.ndarray
     sample_rate_hz: float
@@ -125,12 +125,14 @@ class SegmentBatch:
         self.segments = np.asarray(self.segments)
         if self.segments.ndim != 3:
             raise ValidationError("segments must have shape (n, channels, samples)")
+        if 0 in self.segments.shape:
+            raise ValidationError("segments need n, channels and samples >= 1")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.segments.shape[0],):
                 raise ValidationError("labels must align 1:1 with segments")
-        if not (self.sample_rate_hz > 0):
-            raise ValidationError("sample_rate_hz must be positive")
+        if not (0 < self.sample_rate_hz < math.inf):
+            raise ValidationError("sample_rate_hz must be positive and finite")
 
     def __len__(self) -> int:
         return self.segments.shape[0]
@@ -413,6 +415,10 @@ def load_segments(source: ByteSink) -> SegmentBatch:
         labels = np.frombuffer(raw, dtype="<u2").astype(np.int64)
     segments = _read_f32(source, n * m * t, "segment payload").reshape(n, m, t)
     try:
-        return SegmentBatch(segments=segments, sample_rate_hz=rate, labels=labels)
+        batch = SegmentBatch(segments=segments, sample_rate_hz=rate, labels=labels)
     except ValidationError as exc:
         raise FormatError("header", str(exc)) from None
+    # NaN propagates through min and max, so neither needs a payload-sized mask
+    if not (np.isfinite(segments.min()) and np.isfinite(segments.max())):
+        raise ValidationError("segment payload contains non-finite samples")
+    return batch

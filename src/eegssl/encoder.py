@@ -125,8 +125,9 @@ def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> dict:
         "channel_embed": tn(cfg.mapped_channels, d),
         "mask_token": tn(d),
         "pos_embed": tn(cfg.n_t, d),
-        "stem.weight": tn(d, cfg.stem_kernel),
-        "stem.pool": tn(d, cfg.conv_positions),
+        # drawn (d, k) and (d, L_out), stored transposed as the kernel uses them
+        "stem.weight": np.ascontiguousarray(tn(d, cfg.stem_kernel).T),
+        "stem.pool": np.ascontiguousarray(tn(d, cfg.conv_positions).T),
         "stem.bias": zeros(d),
     }
     for i in range(cfg.layers):
@@ -194,29 +195,30 @@ def _stem_tokens(patches: ad.Tensor, p: Mapping[str, ad.Tensor],
     """Valid 1-D conv (d filters, kernel k, stride 1) over each patch, read
     out through a learned pooling:
 
-        token[c] = sum_u pool[c, u] * sum_j w[c, j] * patch[u + j] + bias[c]
+        token[c] = sum_u pool[u, c] * sum_j w[j, c] * patch[u + j] + bias[c]
 
     A fixed mean over u would make the token blind to any intra-patch
     oscillation, so the pooling weights are trainable.
 
     Conv and pooling compose into one effective kernel per filter,
-    K[c, s] = sum_{u+j=s} pool[c, u] * w[c, j], so the stem is one matmul
-    of the patches with K. K is built on the tape: the outer product of w
-    and pool, summed along its anti-diagonals by a constant 0/1 matrix.
+    K[s, c] = sum_{u+j=s} pool[u, c] * w[j, c], so the stem is one matmul
+    of the patches with the (p_t, d) kernel K. K is built on the tape: the
+    outer product of w and pool, summed along its anti-diagonals by a
+    constant 0/1 matrix.
     """
     k, l_out = cfg.stem_kernel, cfg.conv_positions
-    outer = ad.mul(ad.reshape(p["stem.weight"], (cfg.d, k, 1)),
-                   ad.reshape(p["stem.pool"], (cfg.d, 1, l_out)))  # (d, k, L_out)
-    diagonals = np.stack([np.eye(l_out, cfg.p_t, j) for j in range(k)])
+    outer = ad.mul(ad.reshape(p["stem.weight"], (k, 1, cfg.d)),
+                   p["stem.pool"])                                  # (k, L_out, d)
+    diagonals = np.stack([np.eye(cfg.p_t, l_out, -j) for j in range(k)], axis=1)
     diagonals = ad.constant(
-        diagonals.reshape(k * l_out, cfg.p_t).astype(patches.data.dtype))
-    kernel = ad.matmul(ad.reshape(outer, (cfg.d, k * l_out)), diagonals)  # (d, p_t)
-    return ad.linear(patches, ad.transpose(kernel, (1, 0)), p["stem.bias"])
+        diagonals.reshape(cfg.p_t, k * l_out).astype(patches.data.dtype))
+    kernel = ad.matmul(diagonals, ad.reshape(outer, (k * l_out, cfg.d)))  # (p_t, d)
+    return ad.matmul(patches, kernel, p["stem.bias"])
 
 
 def _linear(x: ad.Tensor, p: Mapping[str, ad.Tensor], name: str) -> ad.Tensor:
     """Linear layer `name`: x @ `<name>.weight` + `<name>.bias`."""
-    return ad.linear(x, p[name + ".weight"], p[name + ".bias"])
+    return ad.matmul(x, p[name + ".weight"], p[name + ".bias"])
 
 
 def _attention(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str,

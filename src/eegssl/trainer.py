@@ -295,8 +295,6 @@ def run_pretraining(cfg: RunConfig, data: SegmentBatch,
     """
     train = cfg.train
     n = len(data)
-    if n == 0:
-        raise ValidationError("pretraining data is empty")
     steps_per_epoch = (n + train.batch_size - 1) // train.batch_size
     state = init_train_state(cfg, steps_per_epoch)
     start = 0

@@ -9,11 +9,13 @@ for the test suite. It runs in a subprocess because `Tracer.install` patches
 module globals.
 """
 
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from eegssl import autodiff as ad
 from eegssl.encoder import MICRO_BATCH_TOKENS, EncoderConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +65,12 @@ def test_traced_stage_runs_the_pipeline(tmp_path):
     assert all(nodes > 0 and held > 0 for nodes, held, _ in trace["tape"])
     assert len(trace["steps"]) == train_steps
     spans = set(trace["inclusive"])
-    for op in ("linear", "layer_norm", "attention", "gelu", "squared_error"):
+    # every tape op: a public autodiff function that records its node
+    # through `_make`
+    ops = [name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_") and "_make" in fn.__code__.co_names]
+    assert len(ops) == 10, ops
+    for op in ops:
         assert {f"autodiff.{op}.fwd", f"autodiff.{op}.bwd"} <= spans, op
     assert "evaluate.extract_features" in spans

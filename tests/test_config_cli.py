@@ -315,9 +315,15 @@ def test_probe_checkpoint_of_another_encoder_exits_1(tmp_path, config_path, caps
     own = make_checkpoint(init_train_state(config_from_dict(SMALL_CONFIG), 1), 0)
     parent_ckpt = Checkpoint(0, **{group: parent_layout(getattr(own, group))
                                    for group in ("theta", "xi", "m", "v")})
+    # the stem stored (d, k) and (d, L_out), the transposes of its layout
+    stem_ckpt = Checkpoint(0, **{
+        group: {name: t.T if name in ("stem.weight", "stem.pool") else t
+                for name, t in getattr(own, group).items()}
+        for group in ("theta", "xi", "m", "v")})
     for ckpt, expected in (
             (wide_ckpt, "'xi/channel_embed' has shape (4, 32), expected (4, 16)"),
-            (parent_ckpt, "'xi/layers.0.attn.bk' is not an encoder parameter")):
+            (parent_ckpt, "'xi/layers.0.attn.bk' is not an encoder parameter"),
+            (stem_ckpt, "'xi/stem.pool' has shape (16, 58), expected (58, 16)")):
         path = tmp_path / "other.lcmc"
         save_checkpoint(ckpt, path)
         code = run_cli(["probe", str(path), str(labeled), "--config", config_path])
@@ -455,6 +461,22 @@ def test_validation_error_exits_1(tmp_path, capsys):
     code = run_cli(["synth", "--config", str(bad), "--out", str(tmp_path / "x.lcmr")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "pretrain"])
+def test_out_of_memory_exits_1(tmp_path, capsys, command):
+    # d = 2**50 makes channel_embed a 256 PiB request, beyond any address
+    # space, so the allocation fails at once
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"encoder": {"d": 2 ** 50}}))
+    argv = [command, "--config", str(path)]
+    if command == "pretrain":
+        seg = tmp_path / "seg.lcms"
+        save_segments(SegmentBatch(np.zeros((1, 8, 1024), np.float32), 256.0), seg)
+        argv += [str(seg), "--out", str(tmp_path / "o.lcmc")]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -131,6 +131,22 @@ def test_nonfinite_payload_rejected():
         read_recording(io.BytesIO(bytes(raw)))
 
 
+def test_nonfinite_segment_payload_rejected(tmp_path, capsys):
+    batch = SegmentBatch(np.zeros((2, 1, 3), np.float32), sample_rate_hz=128.0)
+    sink = io.BytesIO()
+    save_segments(batch, sink)
+    for bad in (np.nan, np.inf, -np.inf):
+        raw = bytearray(sink.getvalue())
+        raw[-8:-4] = struct.pack("<f", bad)
+        with pytest.raises(ValidationError):
+            load_segments(io.BytesIO(bytes(raw)))
+    path = tmp_path / "nan.lcms"
+    path.write_bytes(bytes(raw))
+    assert run_cli(["inspect", str(path)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
 def test_recording_invariants():
     with pytest.raises(ValidationError):
         Recording(default_montage(2), 256.0, 1.0, np.zeros((3, 4), np.float32))
@@ -322,6 +338,15 @@ CRAFTED = {
                                         1.0), "header"),
     "lcms-rate-0": (struct.pack("<4sHIIIdBf", b"LCMS", 1, 1, 1, 1, 0.0, 0, 1.0),
                     "header"),
+    "lcmr-rate-inf": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, float("inf"), 1, 1.0,
+                                  1.0), "header"),
+    "lcmr-scale-inf": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 256.0, 1, float("inf"),
+                                   1.0), "header"),
+    "lcms-rate-inf": (struct.pack("<4sHIIIdBf", b"LCMS", 1, 1, 1, 1, float("inf"), 0,
+                                  1.0), "header"),
+    # a segment batch holds at least one segment
+    "lcms-zero-segments": (struct.pack("<4sHIIIdB", b"LCMS", 1, 0, 1, 1, 256.0, 0),
+                           "header"),
 }
 LOADERS = {b"LCMC": load_checkpoint, b"LCMS": load_segments,
            b"LCMR": read_recording}

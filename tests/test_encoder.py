@@ -304,7 +304,9 @@ def test_stem_matches_conv_then_pool():
     pool = rng.standard_normal((cfg.d, cfg.conv_positions))
     bias = rng.standard_normal(cfg.d)
     patches = rng.standard_normal((2, cfg.mapped_channels, cfg.n_t, cfg.p_t))
-    params = {"stem.weight": ad.constant(w), "stem.pool": ad.constant(pool),
+    # stored as the kernel build uses them: (k, d) and (L_out, d)
+    params = {"stem.weight": ad.constant(np.ascontiguousarray(w.T)),
+              "stem.pool": ad.constant(np.ascontiguousarray(pool.T)),
               "stem.bias": ad.constant(bias)}
     tokens = _stem_tokens(ad.constant(patches), params, cfg).data
 
@@ -347,11 +349,11 @@ def test_block_matches_three_separate_projections_float64(monkeypatch):
     def three_projections(seq, p, prefix, cfg):
         w, bias = store[prefix + "attn.qkv.weight"], store[prefix + "attn.qkv.bias"]
         grid = (seq.shape[0], cfg.mapped_channels, cfg.n_t, cfg.heads, cfg.head_dim)
-        q, k, v = (ad.linear(seq, ad.constant(w[:, cols]), ad.constant(bias[cols]))
+        q, k, v = (ad.matmul(seq, ad.constant(w[:, cols]), ad.constant(bias[cols]))
                    .data.reshape(grid)
                    for cols in (np.s_[:cfg.d], np.s_[cfg.d:2 * cfg.d], np.s_[2 * cfg.d:]))
         mixed = ad.attention(ad.constant(np.stack((q, k, v), axis=3))).data
-        return ad.linear(ad.constant(mixed.reshape(seq.shape)),
+        return ad.matmul(ad.constant(mixed.reshape(seq.shape)),
                          p[prefix + "attn.out.weight"], p[prefix + "attn.out.bias"])
 
     fused = forward_tokens(params, patch_grid(params, x, cfg), None, cfg).data

@@ -182,6 +182,12 @@ def graph_nodes(root):
     return nodes
 
 
+def matmul_nodes(root):
+    """The graph's `matmul` nodes, found by their backward's qualname."""
+    return [node for node in graph_nodes(root)
+            if getattr(node._backward, "__qualname__", "").startswith("matmul.")]
+
+
 def keep_tape_backward(root):
     """Reference walk that frees nothing: the DFS post-order of
     `Tensor.backward`, gradients accumulated into every input."""
@@ -252,9 +258,10 @@ def test_training_graph_holds_one_score_buffer_per_layer():
 
 
 def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
-    # each linear layer is one op with its bias added in place: the MLP keeps
-    # only the fc1 output, gelu's tanh and the gelu output at its hidden width,
-    # and no linear weight feeds a matmul node whose output would stay held
+    # each linear layer is one matmul with its bias added in place: the MLP
+    # keeps only the fc1 output, gelu's tanh and the gelu output at its hidden
+    # width, and no linear weight feeds a bias-free matmul node whose output
+    # would stay held
     b, enc = 2, SMALL_ENC
     params, total = training_graph(small_config(), b)
     assert enc.hidden not in (enc.n_tokens, enc.d)
@@ -263,17 +270,16 @@ def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
                if name.startswith("layers.") and name.endswith(".weight")
                or name == "recon.weight"}
     assert len(weights) == 4 * enc.layers + 1
-    matmuls = [node for node in graph_nodes(total)
-               if getattr(node._backward, "__qualname__", "").startswith("matmul.")]
+    matmuls = [node for node in matmul_nodes(total) if len(node._parents) == 2]
     assert matmuls and not any(id(p) in weights for node in matmuls for p in node._parents)
 
 
 def test_training_graph_runs_four_linear_ops_per_layer():
     # per block one q|k|v projection, the attention output and the two MLP
-    # layers; plus the stem and the reconstruction head
+    # layers; plus the stem and the reconstruction head: the matmul nodes
+    # with a bias parent
     _, total = training_graph(small_config())
-    linears = [node for node in graph_nodes(total)
-               if getattr(node._backward, "__qualname__", "").startswith("linear.")]
+    linears = [node for node in matmul_nodes(total) if len(node._parents) == 3]
     assert len(linears) == 4 * SMALL_ENC.layers + 2
 
 
