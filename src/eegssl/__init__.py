@@ -17,7 +17,7 @@ from .optim import (ScheduleConfig, adamw_step, ema_update, lr_at,
                     momentum_at, wd_at)
 from .preprocess import PreprocConfig, lowpass, preprocess, resample
 from .synth import Oscillation, SynthSpec, synth_labeled_dataset, synth_recording
-from .trainer import (GradCheckReport, TrainLogRecord, TrainState, grad_check,
-                      grad_stats, run_pretraining, train_step)
+from .trainer import (GradCheckReport, TrainLogRecord, grad_check, grad_stats,
+                      init_checkpoint, run_pretraining, train_step)
 
 __version__ = "0.1.0"

@@ -194,6 +194,6 @@ def config_from_dict(raw: dict) -> RunConfig:
 def read_config_file(path: Union[str, Path]):
     """The parsed JSON of a config file, not yet validated."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError("json", f"config is not valid JSON: {exc}") from exc

@@ -227,7 +227,7 @@ def write_recording(rec: Recording, destination: ByteSink) -> int:
         side = _sidecar_path(destination)
         side.write_text(
             f"montage_id={rec.montage.montage_id}\n"
-            f"channels={','.join(rec.montage.channel_names)}\n")
+            f"channels={','.join(rec.montage.channel_names)}\n", encoding="utf-8")
         return n
     w = _CountingWriter(destination)
     w.write(_LCMR_HEADER.pack(
@@ -275,8 +275,12 @@ def read_recording(source: ByteSink) -> Recording:
 def _read_sidecar(path: Path) -> Optional[Montage]:
     if not path.exists():
         return None
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("sidecar", f"sidecar {path} is not utf-8 text") from None
     montage_id, channels = "unknown", None
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or "=" not in line:
             continue
@@ -358,7 +362,11 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
             struct.unpack("<I", _read_exact(source, 4, "tensor dims"))[0]
             for _ in range(rank))
         count = math.prod(dims)  # python ints: no int64 wrap-around
-        data = _read_f32(source, count, f"tensor {name!r} data").reshape(dims)
+        data = _read_f32(source, count, f"tensor {name!r} data")
+        try:  # an empty tensor reads nothing, whatever its rank and dims
+            data = data.reshape(dims)
+        except ValueError as exc:
+            raise FormatError("header", f"tensor {name!r} of rank {rank}: {exc}") from None
         group = next((g for g, prefix in _GROUP_PREFIXES.items()
                       if name.startswith(prefix)), None)
         if group is None:

@@ -16,6 +16,11 @@ targets are the target encoder's own patch grid (`encoder.patch_grid`),
 built once per micro-batch and fed to both. The target side never produces
 gradients.
 
+The training state is a `data.Checkpoint`. Its `step` is the one counter of
+a run: the schedule position, the AdamW update count before the step, and
+the key of the step's patch masks. `train_step` advances it, and
+`run_pretraining` saves and returns the state itself.
+
 Determinism contract: batch order is a pure function of (seed, epoch), the
 patch masks of (seed, step), so a run can resume from any checkpoint and
 reproduce the uninterrupted log stream.
@@ -71,19 +76,8 @@ class TrainLogRecord:
         return json.dumps(asdict(self))
 
 
-@dataclass
-class TrainState:
-    """A run in progress: its config, its batches per epoch (with
-    cfg.train.epochs this sizes the schedules), and the four tensor groups."""
-    cfg: RunConfig
-    steps_per_epoch: int
-    theta: dict
-    xi: dict
-    m: dict  # AdamW first moments
-    v: dict  # AdamW second moments
-
-
-def init_train_state(cfg: RunConfig, steps_per_epoch: int) -> TrainState:
+def init_checkpoint(cfg: RunConfig) -> Checkpoint:
+    """The step-0 training state of a run of `cfg`."""
     warmup, epochs = cfg.schedule.warmup_epochs, cfg.train.epochs
     if warmup >= epochs:
         raise ValidationError(
@@ -91,7 +85,7 @@ def init_train_state(cfg: RunConfig, steps_per_epoch: int) -> TrainState:
     theta = init_param_store(cfg.encoder, cfg.seed)
     # copy-init makes the EMA contraction exact from step 0
     xi = {k: v.copy() for k, v in theta.items()}
-    return TrainState(cfg=cfg, steps_per_epoch=steps_per_epoch, theta=theta, xi=xi,
+    return Checkpoint(0, theta, xi,
                       m={k: np.zeros_like(v) for k, v in theta.items()},
                       v={k: np.zeros_like(v) for k, v in theta.items()})
 
@@ -168,9 +162,12 @@ def grad_stats(grads: Mapping[str, np.ndarray],
     return g_first, g_last, min(norms.values()), max(norms.values())
 
 
-def train_step(batch: np.ndarray, state: TrainState, t: int) -> TrainLogRecord:
-    """One optimization step at global step index t on a (B, M, T) batch."""
-    cfg = state.cfg
+def train_step(batch: np.ndarray, state: Checkpoint, cfg: RunConfig,
+               steps_per_epoch: int) -> TrainLogRecord:
+    """One optimization step of `state` on a (B, M, T) batch at schedule
+    position `state.step`, which it advances. The schedules span
+    cfg.train.epochs epochs of `steps_per_epoch` steps."""
+    t = state.step
     enc = cfg.encoder
     x = np.ascontiguousarray(batch, dtype=state.theta["channel_map"].dtype)
 
@@ -183,15 +180,16 @@ def train_step(batch: np.ndarray, state: TrainState, t: int) -> TrainLogRecord:
 
     g_first, g_last, g_min, g_max = grad_stats(
         grads, FIRST_LAYER_NAMES, last_layer_names(state.theta, enc))
-    run = (cfg.schedule, state.steps_per_epoch, cfg.train.epochs)
+    run = (cfg.schedule, steps_per_epoch, cfg.train.epochs)
     lr = lr_at(t, *run)
     wd = wd_at(t, *run)
     m = momentum_at(t, *run)
     adamw_step(state.theta, grads, state.m, state.v, t + 1, lr, wd)
     ema_update(state.theta, state.xi, m)
+    state.step = t + 1
 
     return TrainLogRecord(
-        epoch=t // state.steps_per_epoch, step=t,
+        epoch=t // steps_per_epoch, step=t,
         L_A=loss_align, L_R=loss_recon, L_total=total,
         lr=lr, wd=wd, m=m,
         g_first_mean=g_first, g_last_mean=g_last, g_min=g_min, g_max=g_max)
@@ -263,25 +261,6 @@ def grad_check(cfg: RunConfig) -> GradCheckReport:
 
 # --- full pretraining loop ----------------------------------------------------
 
-_GROUPS = ("theta", "xi", "m", "v")
-
-
-def make_checkpoint(state: TrainState, step: int) -> Checkpoint:
-    return Checkpoint(step, **{
-        group: {k: t.astype(np.float32) for k, t in getattr(state, group).items()}
-        for group in _GROUPS})
-
-
-def restore_train_state(state: TrainState, ckpt: Checkpoint) -> int:
-    """Load checkpoint tensors into `state`; returns the step to resume at."""
-    # the other groups have theta's layout (a Checkpoint invariant)
-    check_layout(ckpt.theta, state.theta, "theta")
-    # same names as the state, so update() keeps the store order
-    for group in _GROUPS:
-        getattr(state, group).update(getattr(ckpt, group))
-    return ckpt.step
-
-
 def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return make_rng(seed, TAG_SHUFFLE, epoch).permutation(n)
 
@@ -290,21 +269,27 @@ def run_pretraining(cfg: RunConfig, data: SegmentBatch,
                     resume_from: Optional[Checkpoint] = None) -> tuple:
     """Deterministic pretraining over `data`; returns (Checkpoint, records).
 
-    Writes one JSON line per step to train.log_path when set, and checkpoints
-    into train.checkpoint_dir at the configured epoch cadence plus at the end.
+    A run resumed from a checkpoint continues at its step and leaves it
+    unchanged. Writes one JSON line per step to train.log_path when set, and
+    checkpoints into train.checkpoint_dir at the configured epoch cadence
+    plus at the end.
     """
     train = cfg.train
     n = len(data)
     steps_per_epoch = (n + train.batch_size - 1) // train.batch_size
-    state = init_train_state(cfg, steps_per_epoch)
-    start = 0
+    state = init_checkpoint(cfg)
     if resume_from is not None:
-        start = restore_train_state(state, resume_from)
+        check_layout(resume_from.theta, state.theta, "theta")
+        # shallow copies, since a step rebinds the entries of its dicts; in
+        # store order, so the last-layer gradient mean adds as in a fresh run
+        groups = (resume_from.theta, resume_from.xi, resume_from.m, resume_from.v)
+        state = Checkpoint(resume_from.step,
+                           *({k: group[k] for k in state.theta} for group in groups))
 
     total_steps = train.epochs * steps_per_epoch
-    if start > total_steps:
+    if state.step > total_steps:
         raise ValidationError(
-            f"checkpoint step {start} beyond configured run of {total_steps} steps")
+            f"checkpoint step {state.step} beyond configured run of {total_steps} steps")
     if train.checkpoint_dir is not None:
         os.makedirs(train.checkpoint_dir, exist_ok=True)
     log_f = open(train.log_path, "w") if train.log_path else None
@@ -312,27 +297,24 @@ def run_pretraining(cfg: RunConfig, data: SegmentBatch,
     records = []
     perm = None
     try:
-        for t in range(start, total_steps):
-            epoch, offset = divmod(t, steps_per_epoch)
+        while state.step < total_steps:
+            epoch, offset = divmod(state.step, steps_per_epoch)
             if perm is None or offset == 0:
                 perm = epoch_order(cfg.seed, epoch, n)
             sel = perm[offset * train.batch_size:(offset + 1) * train.batch_size]
-            record = train_step(data.segments[sel], state, t)
+            record = train_step(data.segments[sel], state, cfg, steps_per_epoch)
             records.append(record)
             if log_f is not None:
                 log_f.write(record.to_json() + "\n")
-            done = t + 1
             if (train.checkpoint_dir is not None and train.checkpoint_every_epochs > 0
-                    and done % (train.checkpoint_every_epochs * steps_per_epoch) == 0
-                    and done < total_steps):
-                save_checkpoint(make_checkpoint(state, done),
-                                os.path.join(train.checkpoint_dir,
-                                             f"checkpoint_{done:08d}.lcmc"))
+                    and state.step % (train.checkpoint_every_epochs * steps_per_epoch) == 0
+                    and state.step < total_steps):
+                save_checkpoint(state, os.path.join(train.checkpoint_dir,
+                                                    f"checkpoint_{state.step:08d}.lcmc"))
     finally:
         if log_f is not None:
             log_f.close()
 
-    final = make_checkpoint(state, total_steps)
     if train.checkpoint_dir is not None:
-        save_checkpoint(final, os.path.join(train.checkpoint_dir, "final.lcmc"))
-    return final, records
+        save_checkpoint(state, os.path.join(train.checkpoint_dir, "final.lcmc"))
+    return state, records

@@ -26,8 +26,8 @@ from eegssl.optim import ScheduleConfig, ema_update, lr_at, wd_at
 from eegssl.preprocess import PreprocConfig, lowpass, preprocess, resample
 from eegssl.seeding import make_rng
 from eegssl.synth import SynthSpec, synth_labeled_dataset, synth_recording
-from eegssl.trainer import (batch_mask, grad_check, init_train_state,
-                            make_checkpoint, run_pretraining)
+from eegssl.trainer import (batch_mask, grad_check, init_checkpoint,
+                            run_pretraining)
 
 GRADCHECK_CFG = EncoderConfig(d=16, layers=2, heads=4, mlp_ratio=4.0, p_t=8,
                               in_channels=4, mapped_channels=4, n_t=4,
@@ -256,7 +256,7 @@ def test_criterion_07_representation_sanity(pretrain_result):
 
     # not gated: the same seed's step-0 xi, probed on the same split, shows
     # how much of the score pretraining is responsible for
-    untrained = make_checkpoint(init_train_state(pretrain_result["cfg"], 1), 0)
+    untrained = init_checkpoint(pretrain_result["cfg"])
     random_init = probe_accuracy(
         extract_features(data, untrained, ACCEPT_ENC).features, train_y)
     report(7, f"held-out balanced accuracy {accuracy:.3f} >= 0.80 "

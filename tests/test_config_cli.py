@@ -14,9 +14,11 @@ from eegssl.config import (_KEY_ALIASES, RunConfig, TrainConfig,
                            config_from_dict)
 from eegssl.data import (Checkpoint, SegmentBatch, load_segments,
                          save_checkpoint, save_segments)
+from eegssl.encoder import init_param_store
 from eegssl.errors import ValidationError
+from eegssl.optim import lr_at
 from eegssl.synth import SynthSpec, synth_labeled_dataset
-from eegssl.trainer import GradCheckReport, init_train_state, make_checkpoint
+from eegssl.trainer import GradCheckReport, init_checkpoint, train_step
 
 
 def load_flags(argv):
@@ -122,20 +124,28 @@ def test_train_values_validated(key, field, value):
 
 
 def test_train_config_assembly():
-    # a run starts from the whole config: the train section sizes the schedule
-    cfg = config_from_dict({"seed": 4, "schedule": {"warmup_epochs": 1},
+    # a step reads the whole config: train.epochs and the steps per epoch it
+    # is given size the schedule, and the encoder and seed the initial state
+    cfg = config_from_dict({"seed": 4, "encoder": SMALL_CONFIG["encoder"],
+                            "schedule": {"warmup_epochs": 1},
                             "train": {"epochs": 2, "batch_size": 4}})
-    state = init_train_state(cfg, steps_per_epoch=3)
-    assert state.cfg is cfg
-    assert state.steps_per_epoch == 3
+    state = init_checkpoint(cfg)
+    assert state.step == 0
+    assert state.theta.keys() == init_param_store(cfg.encoder, 4).keys()
+    state.step = 4
+    x = np.random.default_rng(0).standard_normal(
+        (4, cfg.encoder.in_channels, cfg.encoder.segment_samples))
+    record = train_step(x, state, cfg, steps_per_epoch=3)
+    assert (record.epoch, record.step, state.step) == (1, 4, 5)
+    assert record.lr == lr_at(4, cfg.schedule, 3, 2)
 
 
 def test_long_warmup_parses_and_starts():
     # warmup is checked against train.epochs when the run starts, not when
     # the file is parsed
     cfg = config_from_dict({"schedule": {"warmup_epochs": 250}, "train": {"epochs": 300}})
-    state = init_train_state(cfg, steps_per_epoch=2)
-    assert (state.cfg.schedule.warmup_epochs, state.cfg.train.epochs) == (250, 300)
+    assert (cfg.schedule.warmup_epochs, cfg.train.epochs) == (250, 300)
+    assert init_checkpoint(cfg).step == 0
     with pytest.raises(ValidationError, match="warmup_epochs must be >= 0"):
         config_from_dict({"schedule": {"warmup_epochs": -1}})
 
@@ -310,9 +320,9 @@ def test_probe_checkpoint_of_another_encoder_exits_1(tmp_path, config_path, caps
     # a d=32 checkpoint probed under the config's d=16 encoder
     wide = config_from_dict(
         dict(SMALL_CONFIG, encoder=dict(SMALL_CONFIG["encoder"], d=32)))
-    wide_ckpt = make_checkpoint(init_train_state(wide, 1), 0)
+    wide_ckpt = init_checkpoint(wide)
     # the config's own encoder under the earlier separate-projection names
-    own = make_checkpoint(init_train_state(config_from_dict(SMALL_CONFIG), 1), 0)
+    own = init_checkpoint(config_from_dict(SMALL_CONFIG))
     parent_ckpt = Checkpoint(0, **{group: parent_layout(getattr(own, group))
                                    for group in ("theta", "xi", "m", "v")})
     # the stem stored (d, k) and (d, L_out), the transposes of its layout
@@ -505,10 +515,14 @@ def test_gradcheck_passes(capsys):
     (json.dumps({"train": {"seed": 1}}), 1),
     (json.dumps([1, 2]), 1),
     ("{not json", 2),
-], ids=["bad-value", "unknown-key", "array-root", "bad-json"])
+    (b"\xff{}", 2),
+], ids=["bad-value", "unknown-key", "array-root", "bad-json", "not-utf8"])
 def test_gradcheck_config_validated(tmp_path, capsys, text, code):
     path = tmp_path / "run.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     assert run_cli(["gradcheck", "--config", str(path)]) == code
     assert capsys.readouterr().err.startswith("error:")
 

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegssl import data
 from eegssl.cli import run_cli
@@ -319,6 +321,11 @@ CRAFTED = {
                                               b"theta/w", b"xi/w"), "header"),
     # theta and xi match, but the AdamW moments are absent
     "lcmc-moments-missing": (lcmc_scalars(b"theta/w", b"xi/w"), "header"),
+    # empty tensors, so no data to read, of shapes numpy cannot make
+    "lcmc-rank-65": (b"LCMC" + struct.pack("<HQH", 1, 0, 7) + b"theta/w"
+                     + struct.pack("<B65I", 65, 0, *[1] * 64), "header"),
+    "lcmc-zero-dim-huge": (b"LCMC" + struct.pack("<HQH", 1, 0, 7) + b"theta/w"
+                           + struct.pack("<B4I", 4, 0, *[2 ** 32 - 1] * 3), "header"),
     "lcms-labels": (struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1, 1, 1,
                                 256.0, 1), "truncated"),
     "lcms-has-labels-7": (struct.pack("<4sHIIIdB", b"LCMS", 1, 1, 1, 1, 256.0, 7)
@@ -363,6 +370,55 @@ def test_declared_sizes_not_trusted(name, tmp_path, capsys):
     assert run_cli(["inspect", str(path)]) == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
+def valid_files() -> dict:
+    """Small valid LCMR, LCMS and LCMC files, by magic."""
+    files = {}
+    for value, write in (
+            (small_recording(m=2, t=5), write_recording),
+            (SegmentBatch(np.ones((2, 2, 3), np.float32), 128.0,
+                          labels=np.array([1, 0])), save_segments),
+            (checkpoint_fixture(), save_checkpoint)):
+        sink = io.BytesIO()
+        write(value, sink)
+        files[sink.getvalue()[:4]] = sink.getvalue()
+    return files
+
+
+VALID_FILES = valid_files()
+
+
+@st.composite
+def mutated(draw, raw: bytes) -> bytes:
+    """`raw` after one to four truncations, bit flips or overwritten u32 words."""
+    raw = bytearray(raw)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["truncate", "flip", "word"]))
+        if kind == "truncate":
+            del raw[draw(st.integers(0, len(raw))):]
+        elif kind == "flip" and raw:
+            bit = draw(st.integers(0, 8 * len(raw) - 1))
+            raw[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "word" and len(raw) >= 4:
+            at = draw(st.integers(0, len(raw) - 4))
+            word = draw(st.sampled_from([0, 1, 0xFFFF, 2 ** 31, 2 ** 32 - 1])
+                        | st.integers(0, 2 ** 32 - 1))
+            raw[at:at + 4] = struct.pack("<I", word)
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("magic", sorted(VALID_FILES), ids=lambda m: m.decode())
+def test_readers_reject_mutated_files_only_with_package_errors(magic):
+    @settings(max_examples=300, deadline=None)
+    @given(raw=mutated(VALID_FILES[magic]))
+    def read(raw):
+        try:
+            LOADERS[magic](io.BytesIO(raw))
+        except (FormatError, ValidationError):
+            pass
+
+    read()
 
 
 class Unseekable(io.RawIOBase):
@@ -413,11 +469,15 @@ def test_huge_declared_payload_allocates_nothing_of_its_size(stream):
     assert peak < 1 << 22
 
 
-@pytest.mark.parametrize("channels", ["a,a", ""], ids=["duplicate", "empty"])
-def test_malformed_sidecar_rejected(channels, tmp_path, capsys):
+@pytest.mark.parametrize("sidecar", [
+    b"montage_id=cap\nchannels=a,a\n",
+    b"montage_id=cap\nchannels=\n",
+    b"\xff\xfemontage_id=cap\nchannels=a,b\n",
+], ids=["duplicate", "empty", "not-utf8"])
+def test_malformed_sidecar_rejected(sidecar, tmp_path, capsys):
     path = tmp_path / "rec.lcmr"
     write_recording(small_recording(), path)
-    (tmp_path / "rec.lcmr.meta").write_text(f"montage_id=cap\nchannels={channels}\n")
+    (tmp_path / "rec.lcmr.meta").write_bytes(sidecar)
     with pytest.raises(FormatError) as err:
         read_recording(path)
     assert err.value.kind == "sidecar"

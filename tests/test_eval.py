@@ -11,7 +11,7 @@ from eegssl.encoder import EncoderConfig
 from eegssl.errors import ValidationError
 from eegssl.evaluate import (FeatureSet, compute_metrics, extract_features,
                              fit_probe, predict_scores)
-from eegssl.trainer import init_train_state, make_checkpoint
+from eegssl.trainer import init_checkpoint
 
 ENC = EncoderConfig(d=16, layers=1, heads=4, mlp_ratio=2.0, p_t=8,
                     in_channels=4, mapped_channels=4, n_t=4, stem_kernel=7)
@@ -64,8 +64,7 @@ def labeled_batch(n=6, seed=0):
 
 def fresh_checkpoint():
     """The checkpoint of an untrained ENC run."""
-    state = init_train_state(RunConfig(seed=1, encoder=ENC), steps_per_epoch=1)
-    return make_checkpoint(state, step=0)
+    return init_checkpoint(RunConfig(seed=1, encoder=ENC))
 
 
 def test_feature_shape_and_determinism():

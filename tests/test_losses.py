@@ -11,7 +11,7 @@ from eegssl.config import RunConfig, TrainConfig
 from eegssl.encoder import EncoderConfig
 from eegssl.errors import ValidationError
 from eegssl.losses import alignment_loss_t, reconstruction_loss_t
-from eegssl.trainer import TrainLogRecord, init_train_state, train_step
+from eegssl.trainer import TrainLogRecord, init_checkpoint, train_step
 
 
 def align(h, z):
@@ -35,9 +35,9 @@ def step_record(lam):
     enc = EncoderConfig(d=8, layers=1, heads=2, mlp_ratio=2.0, p_t=8,
                         in_channels=2, mapped_channels=2, n_t=2, stem_kernel=7)
     cfg = RunConfig(encoder=enc, train=TrainConfig(batch_size=4, lam=lam))
-    state = init_train_state(cfg, steps_per_epoch=1)
+    state = init_checkpoint(cfg)
     x = np.random.default_rng(10).standard_normal((4, 2, 16)).astype(np.float32)
-    return train_step(x, state, 0)
+    return train_step(x, state, cfg, 1)
 
 
 def loop_alignment(h, z, eps=1e-5):

@@ -21,9 +21,8 @@ from eegssl.encoder import (MICRO_BATCH_TOKENS, EncoderConfig, init_param_store,
 from eegssl.errors import ValidationError
 from eegssl.optim import ScheduleConfig
 from eegssl.trainer import (GradCheckReport, _loss_and_grads, _training_loss,
-                            batch_mask, grad_check, grad_stats, init_train_state,
-                            make_checkpoint, restore_train_state, run_pretraining,
-                            train_step)
+                            batch_mask, grad_check, grad_stats, init_checkpoint,
+                            run_pretraining, train_step)
 
 SMALL_ENC = EncoderConfig(d=16, layers=2, heads=4, mlp_ratio=4.0, p_t=8,
                           in_channels=4, mapped_channels=4, n_t=4, stem_kernel=7)
@@ -82,11 +81,11 @@ def test_grad_stats_empty_rejected():
 def test_m_forced_one_leaves_xi_bitwise():
     cfg = small_config(schedule=ScheduleConfig(
         lr_max=1e-3, warmup_epochs=1, m_low=1.0, m_high=1.0))
-    state = init_train_state(cfg, steps_per_epoch=2)
+    state = init_checkpoint(cfg)
     data = small_data()
     before = {k: v.tobytes() for k, v in state.xi.items()}
-    for t in range(3):
-        train_step(data.segments[:8], state, t)
+    for _ in range(3):
+        train_step(data.segments[:8], state, cfg, steps_per_epoch=2)
     after = {k: v.tobytes() for k, v in state.xi.items()}
     assert after == before
     # theta did move
@@ -97,10 +96,10 @@ def test_m_forced_one_leaves_xi_bitwise():
 def test_lr_zero_leaves_theta_bitwise():
     cfg = small_config(epochs=200, schedule=ScheduleConfig(
         lr_max=1e-9, lr_final=1e-9, warmup_epochs=199))
-    state = init_train_state(cfg, steps_per_epoch=1)
+    state = init_checkpoint(cfg)
     data = small_data()
     before = {k: v.tobytes() for k, v in state.theta.items()}
-    train_step(data.segments[:8], state, 0)   # warmup step 0 -> lr exactly 0
+    train_step(data.segments[:8], state, cfg, 1)   # warmup step 0 -> lr exactly 0
     after = {k: v.tobytes() for k, v in state.theta.items()}
     assert after == before
     # xi moved toward theta? theta == xi initially, so xi also unchanged;
@@ -111,16 +110,17 @@ def test_lr_zero_leaves_theta_bitwise():
 def test_thirty_steps_descend_on_fixed_batch():
     cfg = small_config(epochs=30,
                        schedule=ScheduleConfig(lr_max=1e-3, warmup_epochs=5))
-    state = init_train_state(cfg, steps_per_epoch=1)
+    state = init_checkpoint(cfg)
     batch = small_data(n=8).segments
-    records = [train_step(batch, state, t) for t in range(30)]
+    records = [train_step(batch, state, cfg, 1) for _ in range(30)]
+    assert [r.step for r in records] == list(range(30)) and state.step == 30
     assert records[-1].L_total < records[0].L_total
 
 
 def test_log_record_fields_and_bounds():
     cfg = small_config()
-    state = init_train_state(cfg, steps_per_epoch=2)
-    rec = train_step(small_data().segments[:8], state, 0)
+    state = init_checkpoint(cfg)
+    rec = train_step(small_data().segments[:8], state, cfg, 2)
     assert rec.g_min <= min(rec.g_first_mean, rec.g_last_mean)
     assert max(rec.g_first_mean, rec.g_last_mean) <= rec.g_max
     parsed = json.loads(rec.to_json())
@@ -160,7 +160,7 @@ def test_mask_distinct_seeds_differ():
 
 def training_graph(cfg, b=2):
     """Parameter tensors and the traced total loss of one small batch."""
-    state = init_train_state(cfg, 1)
+    state = init_checkpoint(cfg)
     enc = cfg.encoder
     mask = batch_mask(cfg.seed, 0, b, (enc.mapped_channels, enc.n_t), cfg.train.p_mask)
     params = wrap_parameters(state.theta)
@@ -364,7 +364,7 @@ def test_training_memory_bounded_by_one_micro_batch():
     # tracemalloc)
     enc = SMALL_ENC
     per_chunk = MICRO_BATCH_TOKENS // enc.n_tokens
-    state = init_train_state(small_config(), 1)
+    state = init_checkpoint(small_config())
 
     def peak(b):
         x = small_data(b).segments
@@ -387,7 +387,7 @@ def test_grad_check_full_model_passes():
     report = grad_check(RunConfig(encoder=SMALL_ENC))
     assert isinstance(report, GradCheckReport)
     assert report.max_rel_error < 1e-4
-    assert set(report.per_tensor) == set(init_train_state(small_config(), 1).theta)
+    assert set(report.per_tensor) == set(init_checkpoint(small_config()).theta)
 
 
 def test_grad_check_linear_head_tight():
@@ -463,37 +463,46 @@ def test_resume_reproduces_log_stream(tmp_path):
     # resume the same configuration from the mid-run checkpoint
     mid = load_checkpoint(tmp_path / "checkpoint_00000004.lcmc")
     assert mid.step == 4
+    mid_before = io.BytesIO()
+    save_checkpoint(mid, mid_before)
     resume_cfg = small_config(epochs=4)
     resumed_ckpt, resumed_records = run_pretraining(resume_cfg, data,
                                                     resume_from=mid)
     assert [r.to_json() for r in resumed_records] == \
         [r.to_json() for r in full_records[4:]]
-    a, b = io.BytesIO(), io.BytesIO()
+    a, b, mid_after = io.BytesIO(), io.BytesIO(), io.BytesIO()
     save_checkpoint(full_ckpt, a)
     save_checkpoint(resumed_ckpt, b)
     assert a.getvalue() == b.getvalue()
+    # the resumed run trained copies, not the caller's checkpoint
+    save_checkpoint(mid, mid_after)
+    assert mid_after.getvalue() == mid_before.getvalue()
 
 
 def test_checkpoint_restore_roundtrip():
+    # a run resumed at its final step trains nothing and returns its state
     data = small_data()
     cfg = small_config(epochs=2)
     ckpt, _ = run_pretraining(cfg, data)
-    state = init_train_state(cfg, steps_per_epoch=2)
-    step = restore_train_state(state, ckpt)
-    assert step == ckpt.step
-    rebuilt = make_checkpoint(state, step)
+    rebuilt, records = run_pretraining(cfg, data, resume_from=ckpt)
+    assert records == [] and rebuilt is not ckpt
+    assert rebuilt.step == ckpt.step
     for group in ("theta", "xi", "m", "v"):
         for name, v in getattr(ckpt, group).items():
             assert getattr(rebuilt, group)[name].tobytes() == v.tobytes()
+    a, b = io.BytesIO(), io.BytesIO()
+    save_checkpoint(ckpt, a)
+    save_checkpoint(rebuilt, b)
+    assert a.getvalue() == b.getvalue()
 
 
 def test_restore_rejects_checkpoint_of_another_encoder():
-    ckpt = make_checkpoint(init_train_state(small_config(), 1), 0)
+    ckpt = init_checkpoint(small_config())
     wide = RunConfig(encoder=EncoderConfig(d=32, layers=2, heads=4, p_t=8,
                                            in_channels=4, mapped_channels=4,
                                            n_t=4, stem_kernel=7))
     with pytest.raises(ValidationError, match="does not match the configured encoder"):
-        restore_train_state(init_train_state(wide, 2), ckpt)
+        run_pretraining(wide, small_data(), resume_from=ckpt)
 
 
 def test_log_file_written_jsonl(tmp_path):
@@ -527,10 +536,11 @@ def test_mutation_paths_exclusive():
     data = small_data()
     cfg = small_config(schedule=ScheduleConfig(lr_max=1e-3, warmup_epochs=1,
                                                m_low=1.0, m_high=1.0))
-    state = init_train_state(cfg, steps_per_epoch=2)
+    state = init_checkpoint(cfg)
+    state.step = 1
     xi_before = {k: v.tobytes() for k, v in state.xi.items()}
     theta_before = {k: v.tobytes() for k, v in state.theta.items()}
-    train_step(data.segments[:8], state, 1)
+    train_step(data.segments[:8], state, cfg, 2)
     assert {k: v.tobytes() for k, v in state.xi.items()} == xi_before
     assert {k: v.tobytes() for k, v in state.theta.items()} != theta_before
 
