@@ -195,5 +195,6 @@ def read_config_file(path: Union[str, Path]):
     """The parsed JSON of a config file, not yet validated."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # json.loads recurses once per nesting level
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError("json", f"config is not valid JSON: {exc}") from exc

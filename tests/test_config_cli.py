@@ -516,7 +516,8 @@ def test_gradcheck_passes(capsys):
     (json.dumps([1, 2]), 1),
     ("{not json", 2),
     (b"\xff{}", 2),
-], ids=["bad-value", "unknown-key", "array-root", "bad-json", "not-utf8"])
+    ("[" * 100_000, 2),
+], ids=["bad-value", "unknown-key", "array-root", "bad-json", "not-utf8", "deep-nesting"])
 def test_gradcheck_config_validated(tmp_path, capsys, text, code):
     path = tmp_path / "run.json"
     if isinstance(text, bytes):

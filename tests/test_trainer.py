@@ -486,10 +486,6 @@ def test_checkpoint_restore_roundtrip():
     ckpt, _ = run_pretraining(cfg, data)
     rebuilt, records = run_pretraining(cfg, data, resume_from=ckpt)
     assert records == [] and rebuilt is not ckpt
-    assert rebuilt.step == ckpt.step
-    for group in ("theta", "xi", "m", "v"):
-        for name, v in getattr(ckpt, group).items():
-            assert getattr(rebuilt, group)[name].tobytes() == v.tobytes()
     a, b = io.BytesIO(), io.BytesIO()
     save_checkpoint(ckpt, a)
     save_checkpoint(rebuilt, b)
