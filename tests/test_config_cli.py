@@ -520,10 +520,7 @@ def test_gradcheck_passes(capsys):
 ], ids=["bad-value", "unknown-key", "array-root", "bad-json", "not-utf8", "deep-nesting"])
 def test_gradcheck_config_validated(tmp_path, capsys, text, code):
     path = tmp_path / "run.json"
-    if isinstance(text, bytes):
-        path.write_bytes(text)
-    else:
-        path.write_text(text)
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     assert run_cli(["gradcheck", "--config", str(path)]) == code
     assert capsys.readouterr().err.startswith("error:")
 
