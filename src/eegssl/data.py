@@ -12,6 +12,9 @@ Checkpoint format (LCMC):
     name length u16 | name bytes (utf-8) | rank u8 | dims u32 each | f32 data.
 A tensor name is its group's prefix plus the parameter name: "theta/" online
 parameters, "xi/" target parameters, "opt/m/" and "opt/v/" AdamW moments.
+
+LCMR, its sidecar, LCMC and the LCMS segment archive are all written by
+`_write`, which makes a path destination crash-safe.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Optional, Union
+from typing import BinaryIO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -29,9 +32,12 @@ from .errors import FormatError, ValidationError
 
 LCMR_MAGIC = b"LCMR"
 LCMC_MAGIC = b"LCMC"
+LCMS_MAGIC = b"LCMS"
 LCMR_VERSION = 1
 LCMC_VERSION = 1
+LCMS_VERSION = 1
 _LCMR_HEADER = struct.Struct("<4sHIdQd")
+_LCMS_HEADER = struct.Struct("<4sHIIIdB")
 _READ_CHUNK = 1 << 20
 
 _GROUP_PREFIXES = {"theta": "theta/", "xi": "xi/", "m": "opt/m/", "v": "opt/v/"}
@@ -56,8 +62,11 @@ class Montage:
         if len(set(names)) != len(names):
             raise ValidationError("channel names must be unique")
         for n in names:
-            if not n or "," in n or "\n" in n or "=" in n:
+            if not n or "," in n or "=" in n:
                 raise ValidationError(f"invalid channel name {n!r}")
+        for text in (self.montage_id, *names):  # each is one sidecar line, read stripped
+            if text != text.strip() or len(text.splitlines()) > 1:
+                raise ValidationError(f"{text!r} is not one line without outer whitespace")
 
     @property
     def channel_count(self) -> int:
@@ -200,14 +209,24 @@ def _read_f32(f: BinaryIO, count: int, what: str) -> np.ndarray:
     return np.frombuffer(_read_exact(f, 4 * count, what), dtype="<f4").astype(np.float32)
 
 
-class _CountingWriter:
-    def __init__(self, f: BinaryIO):
-        self.f = f
-        self.count = 0
-
-    def write(self, b: bytes):
-        self.f.write(b)
-        self.count += len(b)
+def _write(destination: ByteSink, parts: Iterable) -> int:
+    """Write each buffer of `parts` in order; returns their summed size. A path is
+    written as "<path>.tmp" and renamed over, so a failed write keeps the old file."""
+    if isinstance(destination, (str, Path)):
+        tmp = Path(str(destination) + ".tmp")
+        try:
+            with open(tmp, "wb") as f:
+                n = _write(f, parts)
+            os.replace(tmp, destination)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        return n
+    n = 0
+    for part in parts:
+        destination.write(part)
+        n += memoryview(part).nbytes
+    return n
 
 
 def _sidecar_path(path: Union[str, Path]) -> Path:
@@ -221,20 +240,15 @@ def write_recording(rec: Recording, destination: ByteSink) -> int:
 
     When `destination` is a path the montage sidecar is written next to it.
     """
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as f:
-            n = write_recording(rec, f)
-        side = _sidecar_path(destination)
-        side.write_text(
-            f"montage_id={rec.montage.montage_id}\n"
-            f"channels={','.join(rec.montage.channel_names)}\n", encoding="utf-8")
-        return n
-    w = _CountingWriter(destination)
-    w.write(_LCMR_HEADER.pack(
+    header = _LCMR_HEADER.pack(
         LCMR_MAGIC, LCMR_VERSION, rec.n_channels,
-        float(rec.sample_rate_hz), rec.n_samples, float(rec.scale_to_mV)))
-    w.write(np.ascontiguousarray(rec.samples, dtype="<f4").tobytes())
-    return w.count
+        float(rec.sample_rate_hz), rec.n_samples, float(rec.scale_to_mV))
+    n = _write(destination, (header, np.ascontiguousarray(rec.samples, dtype="<f4")))
+    if isinstance(destination, (str, Path)):
+        sidecar = (f"montage_id={rec.montage.montage_id}\n"
+                   f"channels={','.join(rec.montage.channel_names)}\n")
+        _write(_sidecar_path(destination), [sidecar.encode("utf-8")])
+    return n
 
 
 def read_recording(source: ByteSink) -> Recording:
@@ -300,37 +314,21 @@ def _read_sidecar(path: Path) -> Optional[Montage]:
 # --- LCMC checkpoint I/O ----------------------------------------------------
 
 def save_checkpoint(ckpt: Checkpoint, destination: ByteSink) -> int:
-    """Write a checkpoint in LCMC form; returns bytes written.
-
-    A path destination is written to "<path>.tmp" and then renamed over the
-    path, so a save that fails midway leaves any earlier file intact.
-    """
-    if isinstance(destination, (str, Path)):
-        tmp = Path(str(destination) + ".tmp")
-        try:
-            with open(tmp, "wb") as f:
-                n = save_checkpoint(ckpt, f)
-            os.replace(tmp, destination)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return n
-    w = _CountingWriter(destination)
-    w.write(LCMC_MAGIC)
-    w.write(struct.pack("<HQ", LCMC_VERSION, ckpt.step))
+    """Write a checkpoint in LCMC form; returns bytes written."""
     tensors = {tensor_name(group, name): t for group in _GROUP_PREFIXES
                for name, t in getattr(ckpt, group).items()}
-    for name in sorted(tensors):
-        # np.ascontiguousarray would promote 0-d tensors to 1-d
-        tensor = np.asarray(tensors[name], dtype="<f4", order="C")
-        encoded = name.encode("utf-8")
-        w.write(struct.pack("<H", len(encoded)))
-        w.write(encoded)
-        w.write(struct.pack("<B", tensor.ndim))
-        for dim in tensor.shape:
-            w.write(struct.pack("<I", dim))
-        w.write(tensor.tobytes())
-    return w.count
+
+    def parts():
+        yield LCMC_MAGIC + struct.pack("<HQ", LCMC_VERSION, ckpt.step)
+        for name in sorted(tensors):
+            # np.ascontiguousarray would promote 0-d tensors to 1-d
+            tensor = np.asarray(tensors[name], dtype="<f4", order="C")
+            encoded = name.encode("utf-8")
+            yield struct.pack(f"<H{len(encoded)}sB{tensor.ndim}I", len(encoded),
+                              encoded, tensor.ndim, *tensor.shape)
+            yield tensor
+
+    return _write(destination, parts())
 
 
 def load_checkpoint(source: ByteSink) -> Checkpoint:
@@ -383,26 +381,18 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
 
 # --- LCMS segment archive (plumbing for the CLI) ----------------------------
 
-LCMS_MAGIC = b"LCMS"
-_LCMS_HEADER = struct.Struct("<4sHIIIdB")
-
-
 def save_segments(batch: SegmentBatch, destination: ByteSink) -> int:
     """Segment archive: header | optional u16 labels | f32 payload (n, M, T)."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as f:
-            return save_segments(batch, f)
     n, m, t = batch.segments.shape
-    w = _CountingWriter(destination)
     has_labels = batch.labels is not None
     if has_labels and (batch.labels.min() < 0 or batch.labels.max() >= 1 << 16):
         raise ValidationError("labels must fit in u16")
-    w.write(_LCMS_HEADER.pack(LCMS_MAGIC, 1, n, m, t,
-                              float(batch.sample_rate_hz), int(has_labels)))
+    parts = [_LCMS_HEADER.pack(LCMS_MAGIC, LCMS_VERSION, n, m, t,
+                               float(batch.sample_rate_hz), int(has_labels))]
     if has_labels:
-        w.write(np.ascontiguousarray(batch.labels, dtype="<u2").tobytes())
-    w.write(np.ascontiguousarray(batch.segments, dtype="<f4").tobytes())
-    return w.count
+        parts.append(np.ascontiguousarray(batch.labels, dtype="<u2"))
+    parts.append(np.ascontiguousarray(batch.segments, dtype="<f4"))
+    return _write(destination, parts)
 
 
 def load_segments(source: ByteSink) -> SegmentBatch:
@@ -413,7 +403,7 @@ def load_segments(source: ByteSink) -> SegmentBatch:
     magic, version, n, m, t, rate, has_labels = _LCMS_HEADER.unpack(header)
     if magic != LCMS_MAGIC:
         raise FormatError("magic", f"bad magic {magic!r}, expected {LCMS_MAGIC!r}")
-    if version != 1:
+    if version != LCMS_VERSION:
         raise FormatError("version", f"unsupported LCMS version {version}")
     if has_labels not in (0, 1):
         raise FormatError("header", f"has_labels byte is {has_labels}, expected 0 or 1")

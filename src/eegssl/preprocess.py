@@ -51,6 +51,9 @@ class PreprocConfig:
             raise ValidationError("lowpass_hz must be below the target Nyquist rate")
         if self.channel_selection is not None:
             object.__setattr__(self, "channel_selection", tuple(self.channel_selection))
+            for i, name in enumerate(self.channel_selection):
+                if name in self.channel_selection[:i]:
+                    raise ValidationError(f"channel_selection repeats {name!r}")
 
 
 # Filter designs, built once per rate and shared by every call: preprocess

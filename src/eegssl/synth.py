@@ -70,12 +70,14 @@ class SynthSpec:
             if osc.amplitude < 0:
                 raise ValidationError("oscillation amplitude must be >= 0")
             if osc.channels is not None:
-                for ch in osc.channels:
+                for i, ch in enumerate(osc.channels):
                     if isinstance(ch, bool) or not isinstance(ch, numbers.Integral):
                         raise ValidationError(
                             f"oscillation channel {ch!r} must be an integer index")
                     if not (0 <= ch < self.channel_count):
                         raise ValidationError(f"oscillation channel {ch} out of range")
+                    if ch in osc.channels[:i]:
+                        raise ValidationError(f"oscillation channels repeat {ch}")
 
     @property
     def n_samples(self) -> int:

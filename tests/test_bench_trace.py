@@ -74,3 +74,10 @@ def test_traced_stage_runs_the_pipeline(tmp_path):
     for op in ops:
         assert {f"autodiff.{op}.fwd", f"autodiff.{op}.bwd"} <= spans, op
     assert "evaluate.extract_features" in spans
+    # each writer's traced byte count is the size of the files it wrote
+    written = {"data.write_recording": ["corpus.lcmr"],
+               "data.save_segments": ["corpus.lcms", "labeled.lcms"],
+               "data.save_checkpoint": ["model.lcmc"]}
+    for label, names in written.items():
+        size = sum((tmp_path / name).stat().st_size for name in names)
+        assert trace["io_bytes"][label] == size, label

@@ -391,8 +391,9 @@ def test_key_of_another_type_exits_1(tmp_path, capsys, bad, key):
     ({"oscillations": [["10", 1.0, None]]}, "frequency_hz must be a finite number"),
     ({"oscillations": [[10.0, float("nan"), None]]}, "amplitude must be a finite number"),
     ({"duration_s": 1e300}, "duration_s=1e+300 needs"),
+    ({"oscillations": [[10.0, 1.0, [1, 0, 1]]]}, "oscillation channels repeat 1"),
 ], ids=["channel-float", "channel-bool", "frequency-bool", "frequency-string",
-        "amplitude-nan", "duration-beyond-memory"])
+        "amplitude-nan", "duration-beyond-memory", "channel-repeat"])
 def test_synth_rejects_bad_entries_with_exit_1(tmp_path, capsys, synth, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"synth": synth}))  # NaN as a JSON extension
@@ -463,6 +464,19 @@ def test_preprocess_invalid_synth_section_exits_1(tmp_path, config_path, capsys)
                     "--out", str(tmp_path / "seg.lcms")])
     assert code == 1
     assert "channel_count must be positive" in capsys.readouterr().err
+
+
+def test_preprocess_repeated_channel_selection_exits_1(tmp_path, config_path, capsys):
+    rec = tmp_path / "rec.lcmr"
+    assert run_cli(["synth", "--config", config_path, "--out", str(rec)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(
+        SMALL_CONFIG, preproc={"channel_selection": ["ch0", "ch0", "ch1"]})))
+    out = tmp_path / "seg.lcms"
+    code = run_cli(["preprocess", str(rec), "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: channel_selection repeats 'ch0'\n"
+    assert not out.exists()
 
 
 def test_validation_error_exits_1(tmp_path, capsys):

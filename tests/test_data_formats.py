@@ -1,5 +1,6 @@
 """Bit-exact LCMR/LCMC/LCMS format tests: layout, roundtrips, rejection."""
 
+import errno
 import hashlib
 import io
 import struct
@@ -76,6 +77,38 @@ def test_path_roundtrip_with_sidecar(tmp_path):
     assert back == rec
     assert back.montage.montage_id == "cap8"
     assert back.montage.channel_names == ("Fz", "Cz", "Pz")
+
+
+@pytest.mark.parametrize("montage_id, names", [
+    ("cap", ("a", "b\rc")), ("cap", ("a", "b ")), ("cap", (" a", "b")),
+    ("cap", ("a", "b\u2028c")), ("x\ny", ("a", "b")), ("cap\t", ("a", "b")),
+], ids=["cr", "trailing-space", "leading-space", "line-separator", "id-newline",
+        "id-tab"])
+def test_montage_rejects_names_the_sidecar_would_change(montage_id, names):
+    with pytest.raises(ValidationError):
+        Montage(montage_id, names)
+
+
+# plain letters and the characters the sidecar splits at, strips or reserves
+SIDECAR_TEXT = st.text(st.sampled_from("ab ,=\n\r\t\x0b\x0c\x1c\x85\u2028")
+                       | st.characters(), max_size=6)
+
+
+def test_montage_builds_only_if_it_roundtrips_through_a_path(tmp_path):
+    path = tmp_path / "rec.lcmr"
+
+    @settings(max_examples=300, deadline=None)
+    @given(montage_id=SIDECAR_TEXT, names=st.lists(SIDECAR_TEXT, min_size=1, max_size=4))
+    def roundtrip(montage_id, names):
+        try:
+            montage = Montage(montage_id, tuple(names))
+        except ValidationError:
+            return
+        rec = Recording(montage, 256.0, 1.0, np.zeros((len(names), 2), np.float32))
+        write_recording(rec, path)
+        assert read_recording(path) == rec
+
+    roundtrip()
 
 
 def test_bad_magic_rejected():
@@ -240,25 +273,46 @@ def test_checkpoint_bad_magic_and_truncation():
     assert err.value.kind == "truncated"
 
 
-def test_checkpoint_save_failing_midway_keeps_old_file(tmp_path, monkeypatch):
-    path = tmp_path / "model.lcmc"
-    old = one_tensor_checkpoint(1, np.ones(3, np.float32))
-    save_checkpoint(old, path)
-    old_bytes = path.read_bytes()
+class FullDiskFile(io.FileIO):
+    """A file whose `write` raises once the file holds more than 20 bytes."""
 
-    real_write = data._CountingWriter.write
+    def write(self, b):
+        if self.tell() > 20:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return super().write(b)
 
-    def failing_write(self, b):
-        if self.count > 20:
-            raise OSError("no space left on device")
-        real_write(self, b)
 
-    monkeypatch.setattr(data._CountingWriter, "write", failing_write)
-    new = one_tensor_checkpoint(2, np.zeros(3, np.float32))
+# writer, file name, the old value, a new value with other bytes
+FAILING_WRITES = {
+    "write_recording": (
+        write_recording, "rec.lcmr",
+        Recording(Montage("old", ("a", "b")), 256.0, 1.0, np.ones((2, 3), np.float32)),
+        Recording(Montage("new", ("c", "d")), 128.0, 1.0, np.zeros((2, 3), np.float32))),
+    "save_segments": (
+        save_segments, "seg.lcms",
+        SegmentBatch(np.ones((2, 1, 3), np.float32), 256.0, labels=np.array([0, 1])),
+        SegmentBatch(np.zeros((2, 1, 3), np.float32), 256.0, labels=np.array([1, 0]))),
+    "save_checkpoint": (
+        save_checkpoint, "model.lcmc",
+        one_tensor_checkpoint(1, np.ones(3, np.float32)),
+        one_tensor_checkpoint(2, np.zeros(3, np.float32))),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(FAILING_WRITES))
+def test_write_failing_midway_keeps_old_file(writer, tmp_path, monkeypatch):
+    write, name, old, new = FAILING_WRITES[writer]
+    path = tmp_path / name
+    write(old, path)
+    old_files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert write(new, io.BytesIO()) > 20  # the failure comes midway
+
+    monkeypatch.setattr(data, "open", FullDiskFile, raising=False)
     with pytest.raises(OSError):
-        save_checkpoint(new, path)
-    assert path.read_bytes() == old_bytes
-    assert [p.name for p in tmp_path.iterdir()] == ["model.lcmc"]
+        write(new, path)
+    assert path.read_bytes() == old_files[name]
+    # no "<path>.tmp" is left, and a recording's sidecar is the old one
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old_files
 
 
 def test_checkpoint_theta_xi_shape_invariant():
