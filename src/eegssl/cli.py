@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, config_from_dict, read_config_file
-from .data import (LCMC_MAGIC, LCMR_MAGIC, LCMS_MAGIC, load_checkpoint,
+from .data import (LCMC_MAGIC, LCMR_MAGIC, LCMS_MAGIC, _write, load_checkpoint,
                    load_segments, read_recording, save_checkpoint,
                    save_segments, tensor_name, write_recording)
 from .encoder import EncoderConfig
@@ -161,7 +160,7 @@ def _cmd_probe(args) -> int:
     line = report.to_json()
     print(line)
     if args.out:
-        Path(args.out).write_text(line + "\n")
+        _write(args.out, [(line + "\n").encode("utf-8")])
     return 0
 
 

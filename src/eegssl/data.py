@@ -1,20 +1,19 @@
 """Core data types and bit-exact recording/checkpoint file I/O.
 
 Recording format (LCMR), little-endian throughout:
-    magic "LCMR" | version u16 (=1) | channel count u32 | sample_rate f64 |
-    samples per channel u64 | scale_to_mV f64 | payload M*T f32, channel-major.
-Montage metadata lives in a text sidecar "<path>.meta" with lines
-`montage_id=...` and `channels=a,b,c`; stream-level reads fall back to
-generic channel names.
+    magic "LCMR" | version u16 (=2) | channel count u32 | sample_rate f64 |
+    samples per channel u64 | scale_to_mV f64 | montage id | M channel names |
+    payload M*T f32, channel-major.
 
 Checkpoint format (LCMC):
     magic "LCMC" | version u16 (=1) | step u64 | tensor table, sorted by name:
-    name length u16 | name bytes (utf-8) | rank u8 | dims u32 each | f32 data.
+    name | rank u8 | dims u32 each | f32 data.
 A tensor name is its group's prefix plus the parameter name: "theta/" online
 parameters, "xi/" target parameters, "opt/m/" and "opt/v/" AdamW moments.
 
-LCMR, its sidecar, LCMC and the LCMS segment archive are all written by
-`_write`, which makes a path destination crash-safe.
+Every string (montage id, channel name, tensor name) is a u16 byte length
+followed by that many UTF-8 bytes. LCMR, LCMC and the LCMS segment archive
+are all written by `_write`, which makes a path destination crash-safe.
 """
 
 from __future__ import annotations
@@ -33,12 +32,13 @@ from .errors import FormatError, ValidationError
 LCMR_MAGIC = b"LCMR"
 LCMC_MAGIC = b"LCMC"
 LCMS_MAGIC = b"LCMS"
-LCMR_VERSION = 1
+LCMR_VERSION = 2
 LCMC_VERSION = 1
 LCMS_VERSION = 1
 _LCMR_HEADER = struct.Struct("<4sHIdQd")
 _LCMS_HEADER = struct.Struct("<4sHIIIdB")
 _READ_CHUNK = 1 << 20
+_MAX_STR_BYTES = 0xFFFF
 
 _GROUP_PREFIXES = {"theta": "theta/", "xi": "xi/", "m": "opt/m/", "v": "opt/v/"}
 
@@ -49,7 +49,9 @@ ByteSink = Union[str, Path, BinaryIO]
 
 @dataclass(frozen=True)
 class Montage:
-    """Electrode set: an ordered list of unique channel names."""
+    """Electrode set: an ordered list of unique channel names. The id and
+    each name encode as UTF-8 in at most 65535 bytes, the most an LCMR
+    string holds, so any montage that builds can be written."""
 
     montage_id: str
     channel_names: tuple
@@ -61,12 +63,14 @@ class Montage:
             raise ValidationError("montage needs at least one channel")
         if len(set(names)) != len(names):
             raise ValidationError("channel names must be unique")
-        for n in names:
-            if not n or "," in n or "=" in n:
-                raise ValidationError(f"invalid channel name {n!r}")
-        for text in (self.montage_id, *names):  # each is one sidecar line, read stripped
-            if text != text.strip() or len(text.splitlines()) > 1:
-                raise ValidationError(f"{text!r} is not one line without outer whitespace")
+        for text in (self.montage_id, *names):
+            try:
+                size = len(text.encode("utf-8"))
+            except UnicodeEncodeError:
+                raise ValidationError(f"{text!r} does not encode as UTF-8") from None
+            if size > _MAX_STR_BYTES:
+                raise ValidationError(
+                    f"{text[:16]!r}... encodes in {size} UTF-8 bytes, above {_MAX_STR_BYTES}")
 
     @property
     def channel_count(self) -> int:
@@ -209,6 +213,26 @@ def _read_f32(f: BinaryIO, count: int, what: str) -> np.ndarray:
     return np.frombuffer(_read_exact(f, 4 * count, what), dtype="<f4").astype(np.float32)
 
 
+def _pack_str(text: str) -> bytes:
+    """`text` as a u16 byte length and its UTF-8 bytes."""
+    encoded = text.encode("utf-8")
+    return struct.pack("<H", len(encoded)) + encoded
+
+
+def _read_str(f: BinaryIO, what: str, at_end_ok: bool = False) -> Optional[str]:
+    """Read a string written by `_pack_str`. With `at_end_ok`, a source
+    already at its end gives None."""
+    head = f.read(2) or b""
+    if not head and at_end_ok:
+        return None
+    (n,) = struct.unpack("<H", head + _read_exact(f, 2 - len(head), f"{what} length"))
+    raw = _read_exact(f, n, what)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("header", f"{what} {raw!r} is not utf-8") from None
+
+
 def _write(destination: ByteSink, parts: Iterable) -> int:
     """Write each buffer of `parts` in order; returns their summed size. A path is
     written as "<path>.tmp" and renamed over, so a failed write keeps the old file."""
@@ -229,46 +253,24 @@ def _write(destination: ByteSink, parts: Iterable) -> int:
     return n
 
 
-def _sidecar_path(path: Union[str, Path]) -> Path:
-    return Path(str(path) + ".meta")
-
-
 # --- LCMR recording I/O ----------------------------------------------------
 
 def write_recording(rec: Recording, destination: ByteSink) -> int:
-    """Write `rec` in LCMR form; returns bytes written to the main file.
-
-    When `destination` is a path the montage sidecar is written next to it.
-    """
+    """Write `rec`, montage included, in LCMR form; returns bytes written."""
+    montage = rec.montage
     header = _LCMR_HEADER.pack(
         LCMR_MAGIC, LCMR_VERSION, rec.n_channels,
         float(rec.sample_rate_hz), rec.n_samples, float(rec.scale_to_mV))
-    n = _write(destination, (header, np.ascontiguousarray(rec.samples, dtype="<f4")))
-    if isinstance(destination, (str, Path)):
-        sidecar = (f"montage_id={rec.montage.montage_id}\n"
-                   f"channels={','.join(rec.montage.channel_names)}\n")
-        _write(_sidecar_path(destination), [sidecar.encode("utf-8")])
-    return n
+    strings = b"".join(map(_pack_str, (montage.montage_id, *montage.channel_names)))
+    return _write(destination,
+                  (header + strings, np.ascontiguousarray(rec.samples, dtype="<f4")))
 
 
 def read_recording(source: ByteSink) -> Recording:
-    """Parse an LCMR byte source back into a Recording.
-
-    Path sources also consult the "<path>.meta" sidecar for montage names;
-    stream sources get generic ones.
-    """
+    """Parse an LCMR byte source back into a Recording."""
     if isinstance(source, (str, Path)):
-        montage = _read_sidecar(_sidecar_path(source))
         with open(source, "rb") as f:
-            rec = read_recording(f)
-        if montage is not None:
-            if montage.channel_count != rec.n_channels:
-                raise FormatError(
-                    "sidecar",
-                    f"sidecar lists {montage.channel_count} channels but file has "
-                    f"{rec.n_channels}")
-            rec = Recording(montage, rec.sample_rate_hz, rec.scale_to_mV, rec.samples)
-        return rec
+            return read_recording(f)
     header = _read_exact(source, _LCMR_HEADER.size, "LCMR header")
     magic, version, m, rate, t, scale = _LCMR_HEADER.unpack(header)
     if magic != LCMR_MAGIC:
@@ -277,38 +279,15 @@ def read_recording(source: ByteSink) -> Recording:
         raise FormatError("version", f"unsupported LCMR version {version}")
     if m < 1 or t < 1:
         raise FormatError("header", f"invalid dimensions {m}x{t}")
+    montage_id = _read_str(source, "montage id")
+    names = tuple(_read_str(source, "channel name") for _ in range(m))
     samples = _read_f32(source, m * t, "sample payload").reshape(m, t)
     if not np.isfinite(samples).all():
         raise ValidationError("recording payload contains non-finite samples")
     try:
-        return Recording(default_montage(m), rate, scale, samples)
+        return Recording(Montage(montage_id, names), rate, scale, samples)
     except ValidationError as exc:
         raise FormatError("header", str(exc)) from None
-
-
-def _read_sidecar(path: Path) -> Optional[Montage]:
-    if not path.exists():
-        return None
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise FormatError("sidecar", f"sidecar {path} is not utf-8 text") from None
-    montage_id, channels = "unknown", None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or "=" not in line:
-            continue
-        key, value = line.split("=", 1)
-        if key == "montage_id":
-            montage_id = value
-        elif key == "channels":
-            channels = tuple(value.split(","))
-    if channels is None:
-        raise FormatError("sidecar", f"sidecar {path} missing channels key")
-    try:
-        return Montage(montage_id, channels)
-    except ValidationError as exc:
-        raise FormatError("sidecar", f"sidecar {path}: {exc}") from None
 
 
 # --- LCMC checkpoint I/O ----------------------------------------------------
@@ -323,9 +302,8 @@ def save_checkpoint(ckpt: Checkpoint, destination: ByteSink) -> int:
         for name in sorted(tensors):
             # np.ascontiguousarray would promote 0-d tensors to 1-d
             tensor = np.asarray(tensors[name], dtype="<f4", order="C")
-            encoded = name.encode("utf-8")
-            yield struct.pack(f"<H{len(encoded)}sB{tensor.ndim}I", len(encoded),
-                              encoded, tensor.ndim, *tensor.shape)
+            yield _pack_str(name) + struct.pack(f"<B{tensor.ndim}I", tensor.ndim,
+                                                *tensor.shape)
             yield tensor
 
     return _write(destination, parts())
@@ -343,18 +321,7 @@ def load_checkpoint(source: ByteSink) -> Checkpoint:
     if version != LCMC_VERSION:
         raise FormatError("version", f"unsupported LCMC version {version}")
     groups = {group: {} for group in _GROUP_PREFIXES}
-    while True:
-        head = source.read(2)
-        if head == b"" or head is None:
-            break
-        if len(head) != 2:
-            raise FormatError("truncated", "truncated file while reading tensor name length")
-        (name_len,) = struct.unpack("<H", head)
-        raw_name = _read_exact(source, name_len, "tensor name")
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("header", f"tensor name {raw_name!r} is not utf-8") from None
+    while (name := _read_str(source, "tensor name", at_end_ok=True)) is not None:
         (rank,) = struct.unpack("<B", _read_exact(source, 1, "tensor rank"))
         dims = tuple(
             struct.unpack("<I", _read_exact(source, 4, "tensor dims"))[0]

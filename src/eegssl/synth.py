@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Montage, Recording, SegmentBatch
+from .data import Recording, SegmentBatch, default_montage
 from .errors import ValidationError
 from .seeding import TAG_BACKGROUND, TAG_SEGMENT, make_rng
 
@@ -124,8 +124,8 @@ def _render(spec: SynthSpec, rng_key: Sequence[int]) -> np.ndarray:
 def synth_recording(spec: SynthSpec, scale_to_mV: float = 1.0) -> Recording:
     """Render the spec to a Recording; identical spec gives identical bytes."""
     samples = _render(spec, (spec.seed,))
-    montage = Montage("synthetic", tuple(f"ch{i}" for i in range(spec.channel_count)))
-    return Recording(montage, spec.sample_rate_hz, scale_to_mV, samples)
+    return Recording(default_montage(spec.channel_count, "synthetic"),
+                     spec.sample_rate_hz, scale_to_mV, samples)
 
 
 def synth_labeled_dataset(spec: SynthSpec, classes: int, per_class: int,

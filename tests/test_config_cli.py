@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegssl import cli
+from eegssl import cli, data
 from eegssl.cli import run_cli
 from eegssl.config import (_KEY_ALIASES, RunConfig, TrainConfig,
                            config_from_dict)
@@ -19,6 +19,7 @@ from eegssl.errors import ValidationError
 from eegssl.optim import lr_at
 from eegssl.synth import SynthSpec, synth_labeled_dataset
 from eegssl.trainer import GradCheckReport, init_checkpoint, train_step
+from test_data_formats import FullDiskFile
 
 
 def load_flags(argv):
@@ -258,7 +259,8 @@ def test_synth_deterministic_bytes(tmp_path, config_path):
     assert run_cli(["synth", "--config", config_path, "--out", str(out_a)]) == 0
     assert run_cli(["synth", "--config", config_path, "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    assert (tmp_path / "a.lcmr.meta").exists()
+    # one file per recording: no ".meta" is written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.lcmr", "b.lcmr", "run.json"]
 
 
 def test_full_pipeline(tmp_path, config_path, capsys):
@@ -339,6 +341,31 @@ def test_probe_checkpoint_of_another_encoder_exits_1(tmp_path, config_path, caps
         code = run_cli(["probe", str(path), str(labeled), "--config", config_path])
         assert code == 1
         assert expected in capsys.readouterr().err
+
+
+def test_probe_report_write_failing_midway_keeps_old_report(
+        tmp_path, config_path, capsys, monkeypatch):
+    spec = SynthSpec(seed=3, channel_count=4, duration_s=4.0, sample_rate_hz=256.0)
+    labeled = tmp_path / "labeled.lcms"
+    save_segments(synth_labeled_dataset(spec, 2, 4, (8.0, 12.0), 4.0), labeled)
+    ckpt = tmp_path / "model.lcmc"
+    save_checkpoint(init_checkpoint(config_from_dict(SMALL_CONFIG)), ckpt)
+    report = tmp_path / "probe.json"
+    argv = ["probe", str(ckpt), str(labeled), "--config", config_path,
+            "--out", str(report)]
+    assert run_cli(argv) == 0
+    old = report.read_bytes()
+    # the report is the printed JSON line, newline-terminated
+    assert old == (capsys.readouterr().out.splitlines()[-1] + "\n").encode()
+    assert len(old) > 20  # so the failure comes midway
+    files = sorted(p.name for p in tmp_path.iterdir())
+
+    monkeypatch.setattr(data, "open", FullDiskFile, raising=False)
+    report.write_bytes(b"an older report\n")
+    assert run_cli(argv) == 2
+    assert "no space left" in capsys.readouterr().err
+    assert report.read_bytes() == b"an older report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == files  # no "<path>.tmp"
 
 
 def test_pretrain_missing_config_exits_2(tmp_path, capsys):

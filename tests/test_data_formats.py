@@ -1,10 +1,12 @@
 """Bit-exact LCMR/LCMC/LCMS format tests: layout, roundtrips, rejection."""
 
+import ast
 import errno
 import hashlib
 import io
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,12 @@ from eegssl.errors import FormatError, ValidationError
 HEADER_LEN = 34  # 4s + u16 + u32 + f64 + u64 + f64
 
 
+def montage_bytes(montage):
+    """The LCMR montage block: the id, then each name, as u16 length + UTF-8."""
+    return b"".join(struct.pack("<H", len(text.encode())) + text.encode()
+                    for text in (montage.montage_id, *montage.channel_names))
+
+
 def small_recording(m=2, t=5, rate=256.0, scale=1.0, seed=0):
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((m, t)).astype(np.float32)
@@ -32,9 +40,9 @@ def test_zero_recording_byte_count():
     rec = Recording(default_montage(1), 256.0, 1.0, np.zeros((1, 4), np.float32))
     sink = io.BytesIO()
     n = write_recording(rec, sink)
-    payload = sink.getvalue()[HEADER_LEN:]
-    assert n == HEADER_LEN + 16
-    assert payload == b"\x00" * 16
+    montage = montage_bytes(rec.montage)
+    assert n == HEADER_LEN + len(montage) + 16
+    assert sink.getvalue()[HEADER_LEN:] == montage + b"\x00" * 16
 
 
 def test_payload_is_little_endian_f32():
@@ -42,19 +50,23 @@ def test_payload_is_little_endian_f32():
                     np.array([[1.0, -1.0]], np.float32))
     sink = io.BytesIO()
     write_recording(rec, sink)
-    payload = sink.getvalue()[HEADER_LEN:]
+    payload = sink.getvalue()[HEADER_LEN + len(montage_bytes(rec.montage)):]
     # independent float encoding via struct
     assert payload == struct.pack("<f", 1.0) + struct.pack("<f", -1.0)
 
 
 def test_header_layout():
-    rec = small_recording(m=3, t=7, rate=512.0, scale=0.25)
+    rec = Recording(Montage("cap", ("Fz", "Cz", "Pz")), 512.0, 0.25,
+                    np.zeros((3, 7), np.float32))
     sink = io.BytesIO()
     write_recording(rec, sink)
     raw = sink.getvalue()
     magic, version, m, rate, t, scale = struct.unpack("<4sHIdQd", raw[:HEADER_LEN])
-    assert magic == b"LCMR" and version == 1
+    assert magic == b"LCMR" and version == 2
     assert (m, t) == (3, 7) and rate == 512.0 and scale == 0.25
+    # the montage id, then the names, each a u16 length and UTF-8 bytes
+    assert raw[HEADER_LEN:-4 * 3 * 7] == (b"\x03\x00cap" + b"\x02\x00Fz"
+                                         + b"\x02\x00Cz" + b"\x02\x00Pz")
 
 
 def test_stream_roundtrip_bitwise():
@@ -66,39 +78,63 @@ def test_stream_roundtrip_bitwise():
     assert back == rec
 
 
-def test_path_roundtrip_with_sidecar(tmp_path):
+def test_stream_roundtrip_keeps_montage():
+    rec = Recording(Montage("cap8", ("Fz", "Cz")), 256.0, 1.0,
+                    np.ones((2, 3), np.float32))
+    sink = io.BytesIO()
+    write_recording(rec, sink)
+    back = read_recording(io.BytesIO(sink.getvalue()))
+    assert back.montage.montage_id == "cap8"
+    assert back.montage.channel_names == ("Fz", "Cz")
+    assert back == rec
+
+
+def test_path_roundtrip_writes_one_file(tmp_path):
     montage = Montage("cap8", ("Fz", "Cz", "Pz"))
     rec = Recording(montage, 500.0, 2.0,
                     np.random.default_rng(1).standard_normal((3, 9)).astype(np.float32))
     path = tmp_path / "rec.lcmr"
     write_recording(rec, path)
-    assert (tmp_path / "rec.lcmr.meta").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["rec.lcmr"]  # no ".meta" is written
     back = read_recording(path)
     assert back == rec
-    assert back.montage.montage_id == "cap8"
-    assert back.montage.channel_names == ("Fz", "Cz", "Pz")
+    assert read_recording(io.BytesIO(path.read_bytes())) == back
 
 
 @pytest.mark.parametrize("montage_id, names", [
-    ("cap", ("a", "b\rc")), ("cap", ("a", "b ")), ("cap", (" a", "b")),
-    ("cap", ("a", "b\u2028c")), ("x\ny", ("a", "b")), ("cap\t", ("a", "b")),
-], ids=["cr", "trailing-space", "leading-space", "line-separator", "id-newline",
-        "id-tab"])
-def test_montage_rejects_names_the_sidecar_would_change(montage_id, names):
+    ("cap", ("a", "\ud800")), ("\udfff", ("a",)), ("cap", ("a", "b" * 65536)),
+], ids=["lone-surrogate-name", "lone-surrogate-id", "name-of-65536-bytes"])
+def test_unwritable_montage_rejected_before_any_byte_is_written(
+        montage_id, names, tmp_path):
+    path = tmp_path / "rec.lcmr"
+    old = small_recording()
+    write_recording(old, path)
     with pytest.raises(ValidationError):
-        Montage(montage_id, names)
+        write_recording(Recording(Montage(montage_id, names), 256.0, 1.0,
+                                  np.zeros((len(names), 3), np.float32)), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["rec.lcmr"]
+    assert read_recording(path) == old
 
 
-# plain letters and the characters the sidecar splits at, strips or reserves
-SIDECAR_TEXT = st.text(st.sampled_from("ab ,=\n\r\t\x0b\x0c\x1c\x85\u2028")
+def test_longest_name_roundtrips():
+    rec = Recording(Montage("é" * 32767, ("b" * 65535,)), 256.0, 1.0,
+                    np.zeros((1, 2), np.float32))
+    sink = io.BytesIO()
+    write_recording(rec, sink)
+    assert read_recording(io.BytesIO(sink.getvalue())) == rec
+
+
+# plain letters, separators, whitespace and line boundaries, and a non-BMP character
+MONTAGE_TEXT = st.text(st.sampled_from("ab ,=\n\r\t\x0b\x0c\x1c\x85\u2028\U0001F600")
                        | st.characters(), max_size=6)
 
 
 def test_montage_builds_only_if_it_roundtrips_through_a_path(tmp_path):
+    # every montage that builds round-trips through a path and a stream
     path = tmp_path / "rec.lcmr"
 
     @settings(max_examples=300, deadline=None)
-    @given(montage_id=SIDECAR_TEXT, names=st.lists(SIDECAR_TEXT, min_size=1, max_size=4))
+    @given(montage_id=MONTAGE_TEXT, names=st.lists(MONTAGE_TEXT, min_size=1, max_size=4))
     def roundtrip(montage_id, names):
         try:
             montage = Montage(montage_id, tuple(names))
@@ -107,6 +143,7 @@ def test_montage_builds_only_if_it_roundtrips_through_a_path(tmp_path):
         rec = Recording(montage, 256.0, 1.0, np.zeros((len(names), 2), np.float32))
         write_recording(rec, path)
         assert read_recording(path) == rec
+        assert read_recording(io.BytesIO(path.read_bytes())) == rec
 
     roundtrip()
 
@@ -161,7 +198,7 @@ def test_nonfinite_payload_rejected():
     sink = io.BytesIO()
     write_recording(rec, sink)
     raw = bytearray(sink.getvalue())
-    raw[HEADER_LEN:HEADER_LEN + 4] = struct.pack("<f", np.nan)
+    raw[-12:-8] = struct.pack("<f", np.nan)  # the first of the 3 payload samples
     with pytest.raises(ValidationError):
         read_recording(io.BytesIO(bytes(raw)))
 
@@ -274,10 +311,14 @@ def test_checkpoint_bad_magic_and_truncation():
 
 
 class FullDiskFile(io.FileIO):
-    """A file whose `write` raises once the file holds more than 20 bytes."""
+    """A file on a disk with room for 20 bytes: a write past them stores what
+    fits, then raises ENOSPC."""
 
     def write(self, b):
-        if self.tell() > 20:
+        room = max(20 - self.tell(), 0)
+        b = memoryview(b).cast("B")
+        if len(b) > room:
+            super().write(b[:room])
             raise OSError(errno.ENOSPC, "no space left on device")
         return super().write(b)
 
@@ -287,7 +328,8 @@ FAILING_WRITES = {
     "write_recording": (
         write_recording, "rec.lcmr",
         Recording(Montage("old", ("a", "b")), 256.0, 1.0, np.ones((2, 3), np.float32)),
-        Recording(Montage("new", ("c", "d")), 128.0, 1.0, np.zeros((2, 3), np.float32))),
+        Recording(Montage("new", ("c", "d", "e")), 128.0, 1.0,
+                  np.zeros((3, 3), np.float32))),
     "save_segments": (
         save_segments, "seg.lcms",
         SegmentBatch(np.ones((2, 1, 3), np.float32), 256.0, labels=np.array([0, 1])),
@@ -311,8 +353,43 @@ def test_write_failing_midway_keeps_old_file(writer, tmp_path, monkeypatch):
     with pytest.raises(OSError):
         write(new, path)
     assert path.read_bytes() == old_files[name]
-    # no "<path>.tmp" is left, and a recording's sidecar is the old one
+    if writer == "write_recording":
+        assert read_recording(path) == old
+    # exactly the old file: no "<path>.tmp" is left and nothing else was written
+    assert set(old_files) == {name}
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old_files
+
+
+# the package's only file writers: the crash-safe helper and the streamed step log
+FILE_WRITERS = {("data", "_write"), ("trainer", "run_pretraining")}
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """Whether `call` is `open` with a mode that can write, `.write_text` or
+    `.write_bytes`. A mode that is not a literal counts as writing."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("write_text", "write_bytes")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")) for mode in modes)
+
+
+def test_files_are_written_only_by_the_crash_safe_helper_and_the_step_log():
+    found = {}
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and writes_a_file(child):
+                found.setdefault((module, func), []).append(child.lineno)
+            visit(child, module, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert set(found) == FILE_WRITERS, found
 
 
 def test_checkpoint_theta_xi_shape_invariant():
@@ -359,6 +436,14 @@ def lcmc_scalars(*names):
         struct.pack("<H", len(n)) + n + struct.pack("<BIf", 1, 1, 1.0) for n in names)
 
 
+def lcmr(m, rate, t, scale, *strings):
+    """An LCMR header, then `strings` (bytes) each after its u16 length."""
+    return struct.pack("<4sHIdQd", b"LCMR", 2, m, rate, t, scale) + b"".join(
+        struct.pack("<H", len(text)) + text for text in strings)
+
+
+ONE = struct.pack("<f", 1.0)
+
 CRAFTED = {
     # name: (file bytes, expected FormatError kind)
     # one tensor of 65536^4 = 2^64 elements, which wraps to 0 in int64
@@ -386,28 +471,28 @@ CRAFTED = {
                           + struct.pack("<Hf", 0, 1.0), "header"),
     "lcms-payload": (struct.pack("<4sHIIIdB", b"LCMS", 1, 2 ** 32 - 1,
                                  2 ** 32 - 1, 2 ** 32 - 1, 256.0, 0), "truncated"),
-    "lcmr-payload": (struct.pack("<4sHIdQd", b"LCMR", 1, 2 ** 32 - 1, 256.0,
-                                 2 ** 64 - 1, 1.0), "truncated"),
+    "lcmr-payload": (lcmr(1, 256.0, 2 ** 64 - 1, 1.0, b"cap", b"a"), "truncated"),
     # header values that the Recording / SegmentBatch invariants reject
-    "lcmr-rate-0": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 0.0, 1, 1.0, 1.0),
-                    "header"),
-    "lcmr-rate-nan": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, float("nan"), 1, 1.0,
-                                  1.0), "header"),
-    "lcmr-scale-0": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 256.0, 1, 0.0, 1.0),
-                     "header"),
-    "lcmr-scale-negative": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 256.0, 1, -1.0,
-                                        1.0), "header"),
+    "lcmr-rate-0": (lcmr(1, 0.0, 1, 1.0, b"cap", b"a") + ONE, "header"),
+    "lcmr-rate-nan": (lcmr(1, float("nan"), 1, 1.0, b"cap", b"a") + ONE, "header"),
+    "lcmr-scale-0": (lcmr(1, 256.0, 1, 0.0, b"cap", b"a") + ONE, "header"),
+    "lcmr-scale-negative": (lcmr(1, 256.0, 1, -1.0, b"cap", b"a") + ONE, "header"),
     "lcms-rate-0": (struct.pack("<4sHIIIdBf", b"LCMS", 1, 1, 1, 1, 0.0, 0, 1.0),
                     "header"),
-    "lcmr-rate-inf": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, float("inf"), 1, 1.0,
-                                  1.0), "header"),
-    "lcmr-scale-inf": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 256.0, 1, float("inf"),
-                                   1.0), "header"),
+    "lcmr-rate-inf": (lcmr(1, float("inf"), 1, 1.0, b"cap", b"a") + ONE, "header"),
+    "lcmr-scale-inf": (lcmr(1, 256.0, 1, float("inf"), b"cap", b"a") + ONE, "header"),
     "lcms-rate-inf": (struct.pack("<4sHIIIdBf", b"LCMS", 1, 1, 1, 1, float("inf"), 0,
                                   1.0), "header"),
     # a segment batch holds at least one segment
     "lcms-zero-segments": (struct.pack("<4sHIIIdB", b"LCMS", 1, 0, 1, 1, 256.0, 0),
                            "header"),
+    # the montage strings after the LCMR header
+    "lcmr-v1": (struct.pack("<4sHIdQdf", b"LCMR", 1, 1, 256.0, 1, 1.0, 1.0), "version"),
+    "lcmr-name-cut-short": (lcmr(1, 256.0, 1, 1.0, b"cap") + struct.pack("<H", 5) + b"ab",
+                            "truncated"),
+    "lcmr-name-not-utf8": (lcmr(1, 256.0, 1, 1.0, b"cap", b"\xff\xfe") + ONE, "header"),
+    "lcmr-duplicate-names": (lcmr(2, 256.0, 1, 1.0, b"cap", b"a", b"a") + ONE * 2,
+                             "header"),
 }
 LOADERS = {b"LCMC": load_checkpoint, b"LCMS": load_segments,
            b"LCMR": read_recording}
@@ -511,7 +596,7 @@ def test_unseekable_streams_roundtrip_and_reject_truncation():
 @pytest.mark.parametrize("stream", [io.BytesIO, Unseekable], ids=["seekable", "unseekable"])
 def test_huge_declared_payload_allocates_nothing_of_its_size(stream):
     # 2**40 declared samples (4 TiB) on a file that holds four bytes of them
-    raw = struct.pack("<4sHIdQd", b"LCMR", 1, 1, 256.0, 2 ** 40, 1.0) + b"\x00" * 4
+    raw = lcmr(1, 256.0, 2 ** 40, 1.0, b"cap", b"a") + b"\x00" * 4
     tracemalloc.start()
     try:
         with pytest.raises(FormatError) as err:
@@ -521,20 +606,3 @@ def test_huge_declared_payload_allocates_nothing_of_its_size(stream):
         tracemalloc.stop()
     assert err.value.kind == "truncated"
     assert peak < 1 << 22
-
-
-@pytest.mark.parametrize("sidecar", [
-    b"montage_id=cap\nchannels=a,a\n",
-    b"montage_id=cap\nchannels=\n",
-    b"\xff\xfemontage_id=cap\nchannels=a,b\n",
-], ids=["duplicate", "empty", "not-utf8"])
-def test_malformed_sidecar_rejected(sidecar, tmp_path, capsys):
-    path = tmp_path / "rec.lcmr"
-    write_recording(small_recording(), path)
-    (tmp_path / "rec.lcmr.meta").write_bytes(sidecar)
-    with pytest.raises(FormatError) as err:
-        read_recording(path)
-    assert err.value.kind == "sidecar"
-    assert run_cli(["inspect", str(path)]) == 2
-    stderr = capsys.readouterr().err
-    assert stderr.startswith("error:") and "Traceback" not in stderr
