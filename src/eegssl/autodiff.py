@@ -2,16 +2,23 @@
 
 Exactly the ops the encoder and losses run, each with its own closed-form
 backward: broadcasting `add`/`mul`, `scale` by a python float, `matmul`
-(with an optional bias added into the product in place), `reshape`,
-`gelu` in its tanh form (one `np.tanh` where the exact form needs erf),
-fused criss-cross multi-head `attention`, masked `where`, `layer_norm`
-with an optional gain and bias, and the losses' weighted
-`squared_error` against a constant target. Gradients are accumulated on a
-tape built during the forward pass; `backward()` walks it once in reverse
-topological order and frees each node as it goes. An op records a tape node
-only when one of its inputs requires grad, so a forward over `constant`
-tensors records nothing. The fused ops repeat the arithmetic of the op
-chains they replace, so they give the same bits with fewer buffers alive.
+(with terms, such as a bias and a residual stream, added into the product
+in place), `reshape`, `gelu` in its tanh form (one `np.tanh` where the
+exact form needs erf), fused criss-cross multi-head `attention`, masked
+`where`, `layer_norm` with an optional gain and bias, and the losses'
+weighted `squared_error` against a constant target. Gradients are
+accumulated on a tape built during the forward pass; `backward()` walks it
+once in reverse topological order and frees each node as it goes. An op
+records a tape node only when one of its inputs requires grad, so a forward
+over `constant` tensors records nothing. The fused ops repeat the arithmetic
+of the op chains they replace, so they give the same bits with fewer buffers
+alive.
+
+A backward keeps only what it reads. Where one cheap elementwise pass
+rebuilds a buffer from the op's input, the backward reruns it rather than
+holding the buffer (Chen et al., arXiv 1604.06174): `gelu` rebuilds its tanh
+and the affine `layer_norm` its standardized input, each by the forward's
+own sequence, so the rebuilt bits are the forward's.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
@@ -135,22 +142,23 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), lambda g: (g * s,))
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, *terms: Tensor) -> Tensor:
     """Stacked matrix product `a @ b`, both operands with ndim >= 2, plus
-    `bias` when it is given. The bias is added into the product in place, so
-    a linear layer keeps one output buffer on the tape."""
+    each of `terms` in order. The terms (a bias, a residual stream) are added
+    into the product in place, so a linear layer and the residual add after
+    it keep one output buffer on the tape."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
     out = a.data @ b.data
-    if bias is not None:
-        out += bias.data
+    for term in terms:
+        out += term.data
 
     def backward(g):
-        grads = (_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
+        return ((_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
                  _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
-        return grads if bias is None else grads + (_unbroadcast(g, bias.data.shape),)
+                + tuple(_unbroadcast(g, term.data.shape) for term in terms))
 
-    return _make(out, (a, b) if bias is None else (a, b, bias), backward)
+    return _make(out, (a, b) + terms, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -159,27 +167,35 @@ def reshape(a: Tensor, shape) -> Tensor:
                  lambda g: (g.reshape(a.data.shape),))
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Tanh-form gelu (Hendrycks & Gimpel, arXiv 1606.08415):
-    0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3))).
-
-    Runs in place on two hidden-width buffers, t = tanh(.) and the output;
-    the backward keeps only t. Its derivative multiplies by the saturated
-    1 - t**2 before the x**2 factor, so every finite x has a finite gradient
-    (1 or 0 where x * x overflows) and the forward gives x or -0 there.
-    """
-    x = a.data
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi) * (x + 0.044715 x^3)) in place on one new buffer: the
+    one sequence that gelu's forward and backward both run."""
     with np.errstate(over="ignore"):        # only where tanh saturates anyway
         t = x * x
     t *= _GELU_K * _GELU_C
     t += _GELU_K
-    t *= x                                  # sqrt(2/pi) * (x + 0.044715 x^3)
-    np.tanh(t, out=t)
-    out = t + 1.0
+    t *= x
+    return np.tanh(t, out=t)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Tanh-form gelu (Hendrycks & Gimpel, arXiv 1606.08415):
+    0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3))).
+
+    Runs in place on one hidden-width buffer, the output. The backward keeps
+    only the input x and rebuilds t = tanh(.) from it by the forward's own
+    sequence. Its derivative multiplies by the saturated 1 - t**2 before the
+    x**2 factor, so every finite x has a finite gradient (1 or 0 where x * x
+    overflows) and the forward gives x or -0 there.
+    """
+    x = a.data
+    out = _gelu_tanh(x)
+    out += 1.0
     out *= 0.5
     out *= x
 
     def backward(g):
+        t = _gelu_tanh(x)
         d = t * t
         np.subtract(1.0, d, out=d)
         d *= x                                  # (1 - t^2) x, 0 once saturated
@@ -197,6 +213,20 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """`x.max(axis=-1, keepdims=True)` by elementwise halving: the two halves'
+    `np.maximum`, the odd element folded into the first column. Exact, and
+    faster than a reduction over short rows. Rows of one element give x
+    itself."""
+    while x.shape[-1] > 1:
+        half = x.shape[-1] // 2
+        folded = np.maximum(x[..., :half], x[..., half:2 * half])
+        if x.shape[-1] % 2:
+            np.maximum(folded[..., :1], x[..., -1:], out=folded[..., :1])
+        x = folded
+    return x
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """softmax(q k^T / sqrt(head_dim)) v over contiguous (..., L, head_dim)
     stacks. Returns the output and `backward(g, q, k, v) -> (gq, gk, gv)`.
@@ -208,7 +238,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     s = 1.0 / math.sqrt(q.shape[-1])
     probs = q @ k.swapaxes(-1, -2)
     probs *= s
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
 
@@ -284,20 +314,32 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 def layer_norm(a: Tensor, gain: Tensor | None = None,
                bias: Tensor | None = None) -> Tensor:
     """Standardize the last axis, (a - mean) / sqrt(var + LN_EPS), then scale
-    by `gain` and shift by `bias` when they are given (both or neither)."""
-    inv_n = 1.0 / a.data.shape[-1]
-    normed = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
-    var = (normed * normed).sum(axis=-1, keepdims=True) * inv_n
+    by `gain` and shift by `bias` when they are given (both or neither).
+
+    The plain form's backward reads its output. The affine form scales and
+    shifts in place, so its backward keeps only `std` and rebuilds the
+    standardized input from the parent by the forward's own ops."""
+    x = a.data
+    inv_n = 1.0 / x.shape[-1]
+
+    def center():
+        return x - x.sum(axis=-1, keepdims=True) * inv_n
+
+    out = center()
+    var = (out * out).sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt(var + LN_EPS)
-    normed /= std
-    out = normed
+    out /= std
     if gain is not None:
-        out = normed * gain.data
+        out *= gain.data
         out += bias.data
 
     def backward(g):
         affine = ()
-        if gain is not None:
+        if gain is None:
+            normed = out
+        else:
+            normed = center()
+            normed /= std
             affine = (_unbroadcast(g * normed, gain.data.shape),
                       _unbroadcast(g, bias.data.shape))
             g = g * gain.data

@@ -9,6 +9,9 @@ entropy.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -218,7 +221,27 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 64 MiB and its trim threshold at 256 MiB,
+    once per process; elsewhere do nothing.
+
+    glibc's defaults are dynamic: freeing a large mapped block raises both,
+    so whether the training step's buffers stay in the heap or are mapped and
+    faulted in again at every step would depend on what the process freed
+    before. Only the CLI sets this; importing the package changes nothing."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    libc = ctypes.CDLL("libc.so.6")
+    libc.mallopt(-3, 64 << 20)   # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_cli(argv=None) -> int:
+    _fix_malloc_thresholds()
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -57,6 +57,9 @@ class Montage:
     channel_names: tuple
 
     def __post_init__(self):
+        if not isinstance(self.montage_id, str):
+            raise ValidationError(
+                f"montage id must be a string, not {type(self.montage_id).__name__}")
         names = tuple(str(n) for n in self.channel_names)
         object.__setattr__(self, "channel_names", names)
         if len(names) == 0:
@@ -204,11 +207,14 @@ def _read_f32(f: BinaryIO, count: int, what: str) -> np.ndarray:
     The read holds the chunks, their join and the array at once, then
     frees the first two. Reading straight into one preallocated array would
     hold only the array, but then training and feature extraction later in
-    the same process ran slower (benchmark `pretrain-small`: 13% fewer
-    trained and 23% fewer encoded segments per second). glibc raises its
-    mmap and trim thresholds when a large mapped block is freed; the freed
-    copy raises them before the hot loop, whose buffers then stay in the
-    heap instead of being mapped and faulted in again at every step.
+    the same process ran slower under glibc's dynamic thresholds (benchmark
+    `pretrain-small`: 13% fewer trained and 23% fewer encoded segments per
+    second). glibc raises its mmap and trim thresholds when a large mapped
+    block is freed; the freed copy raises them before the hot loop, whose
+    buffers then stay in the heap instead of being mapped and faulted in
+    again at every step. The CLI now fixes both thresholds itself
+    (`cli._fix_malloc_thresholds`), so the copy matters only to library
+    callers; it stays until the direct reader lands as its own change.
     """
     return np.frombuffer(_read_exact(f, 4 * count, what), dtype="<f4").astype(np.float32)
 

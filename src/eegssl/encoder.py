@@ -216,25 +216,30 @@ def _stem_tokens(patches: ad.Tensor, p: Mapping[str, ad.Tensor],
     return ad.matmul(patches, kernel, p["stem.bias"])
 
 
-def _linear(x: ad.Tensor, p: Mapping[str, ad.Tensor], name: str) -> ad.Tensor:
-    """Linear layer `name`: x @ `<name>.weight` + `<name>.bias`."""
-    return ad.matmul(x, p[name + ".weight"], p[name + ".bias"])
+def _linear(x: ad.Tensor, p: Mapping[str, ad.Tensor], name: str,
+            *residual: ad.Tensor) -> ad.Tensor:
+    """Linear layer `name`: x @ `<name>.weight` + `<name>.bias`, plus the
+    `residual` stream when it is given, all in one matmul node."""
+    return ad.matmul(x, p[name + ".weight"], p[name + ".bias"], *residual)
 
 
-def _attention(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str,
-               cfg: EncoderConfig) -> ad.Tensor:
-    """Criss-cross attention: the channel-major (B, N, 3d) q|k|v projection
-    is a (B, M', n_t, 3, heads, head_dim) grid as it stands, which
-    `ad.attention` takes; half the heads attend along time, half across
-    channels."""
+def _attention(x: ad.Tensor, seq: ad.Tensor, p: Mapping[str, ad.Tensor],
+               prefix: str, cfg: EncoderConfig) -> ad.Tensor:
+    """Residual stream `seq` plus criss-cross attention over `x`: the
+    channel-major (B, N, 3d) q|k|v projection is a (B, M', n_t, 3, heads,
+    head_dim) grid as it stands, which `ad.attention` takes; half the heads
+    attend along time, half across channels."""
     grid = (x.shape[0], cfg.mapped_channels, cfg.n_t, 3, cfg.heads, cfg.head_dim)
     qkv = ad.reshape(_linear(x, p, prefix + "attn.qkv"), grid)
     mixed = ad.reshape(ad.attention(qkv), x.shape)
-    return _linear(mixed, p, prefix + "attn.out")
+    return _linear(mixed, p, prefix + "attn.out", seq)
 
 
-def _mlp(x: ad.Tensor, p: Mapping[str, ad.Tensor], prefix: str) -> ad.Tensor:
-    return _linear(ad.gelu(_linear(x, p, prefix + "mlp.fc1")), p, prefix + "mlp.fc2")
+def _mlp(x: ad.Tensor, seq: ad.Tensor, p: Mapping[str, ad.Tensor],
+         prefix: str) -> ad.Tensor:
+    """Residual stream `seq` plus the MLP of `x`."""
+    hidden = ad.gelu(_linear(x, p, prefix + "mlp.fc1"))
+    return _linear(hidden, p, prefix + "mlp.fc2", seq)
 
 
 def patch_grid(p: Mapping[str, ad.Tensor], x: np.ndarray,
@@ -275,9 +280,9 @@ def forward_tokens(p: Mapping[str, ad.Tensor], patches: ad.Tensor,
     for i in range(cfg.layers):
         pre = f"layers.{i}."
         normed = ad.layer_norm(seq, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        seq = ad.add(seq, _attention(normed, p, pre, cfg))
+        seq = _attention(normed, seq, p, pre, cfg)
         normed = ad.layer_norm(seq, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-        seq = ad.add(seq, _mlp(normed, p, pre))
+        seq = _mlp(normed, seq, p, pre)
     return ad.layer_norm(seq, p["final_ln.gain"], p["final_ln.bias"])
 
 

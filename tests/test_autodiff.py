@@ -327,18 +327,20 @@ def test_attention_odd_grids(batch, grid, heads, head_dim):
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3, 1, 4)])
 def test_fused_ops_match_their_composites_bitwise_float32(lead):
-    # the forward output and all three input gradients of each fused op are
-    # the bytes of the op chain it replaced
+    # the forward output and every input gradient of each fused op are the
+    # bytes of the op chain it replaced
     rng = np.random.default_rng(8)
     n, m = 5, 7
     f32 = lambda *shape: (rng.standard_normal(shape) * 3.0 + 0.5).astype(np.float32)
     cases = [
         (ad.matmul, lambda x, w, b: ad.add(ad.matmul(x, w), b),
          (f32(*lead, n), f32(n, m), f32(m))),
+        (ad.matmul, lambda x, w, b, seq: ad.add(seq, ad.matmul(x, w, b)),
+         (f32(*lead, n), f32(n, m), f32(m), f32(*lead, m))),
         (ad.layer_norm, lambda x, g, b: ad.add(ad.mul(ad.layer_norm(x), g), b),
          (f32(*lead, n), f32(n), f32(n))),
     ]
-    for fused, composite, arrays in cases:
+    for case, (fused, composite, arrays) in enumerate(cases):
         target = f32(*arrays[0].shape[:-1], arrays[1].shape[-1])
         results = []
         for op in (fused, composite):
@@ -347,7 +349,38 @@ def test_fused_ops_match_their_composites_bitwise_float32(lead):
             ad.squared_error(out, target, 1.0, 0.25).backward()
             assert out.data.dtype == np.float32
             results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
-        assert results[0] == results[1], fused.__name__
+        assert len(results[0]) == len(arrays) + 1
+        assert results[0] == results[1], (case, fused.__name__)
+
+
+def softmax_rows(x, row_max):
+    """`_attend`'s in-place shift, exp and normalize of rows `x`."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        probs = x - row_max
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+row_values = st.one_of(st.floats(width=32, allow_nan=False),
+                       st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.lists(row_values, min_size=n, max_size=n),
+                       min_size=1, max_size=3)))
+@example(rows=[[0.0, -0.0, -1.0]])
+@example(rows=[[-0.0, 0.0, -np.inf, 2.0, np.nan]])
+def test_row_max_matches_the_reduction(rows):
+    # exact to the bit, except that the sign of a zero maximum may differ,
+    # which the softmax that subtracts it cannot see
+    x = np.array(rows, dtype=np.float32)
+    got, want = ad._row_max(x), x.max(axis=-1, keepdims=True)
+    assert got.shape == want.shape and got.dtype == np.float32
+    differ = got.view(np.uint32) != want.view(np.uint32)
+    assert np.all((got[differ] == 0) & (want[differ] == 0))
+    assert softmax_rows(x, got).tobytes() == softmax_rows(x, want).tobytes()
 
 
 def test_where():

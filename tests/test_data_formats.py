@@ -231,6 +231,12 @@ def test_recording_invariants():
         Montage("m", ("a", "a"))
 
 
+@pytest.mark.parametrize("montage_id", [5, None, b"cap"])
+def test_montage_id_must_be_a_string(montage_id):
+    with pytest.raises(ValidationError, match="montage id must be a string"):
+        Montage(montage_id, ("a",))
+
+
 # --- checkpoints -------------------------------------------------------------
 
 GROUPS = ("theta", "xi", "m", "v")

@@ -346,15 +346,16 @@ def test_block_matches_three_separate_projections_float64(monkeypatch):
     x = rng.standard_normal((2, cfg.in_channels, cfg.segment_samples))
     params = wrap_constants(store)
 
-    def three_projections(seq, p, prefix, cfg):
+    def three_projections(normed, seq, p, prefix, cfg):
         w, bias = store[prefix + "attn.qkv.weight"], store[prefix + "attn.qkv.bias"]
-        grid = (seq.shape[0], cfg.mapped_channels, cfg.n_t, cfg.heads, cfg.head_dim)
-        q, k, v = (ad.matmul(seq, ad.constant(w[:, cols]), ad.constant(bias[cols]))
+        grid = (normed.shape[0], cfg.mapped_channels, cfg.n_t, cfg.heads, cfg.head_dim)
+        q, k, v = (ad.matmul(normed, ad.constant(w[:, cols]), ad.constant(bias[cols]))
                    .data.reshape(grid)
                    for cols in (np.s_[:cfg.d], np.s_[cfg.d:2 * cfg.d], np.s_[2 * cfg.d:]))
         mixed = ad.attention(ad.constant(np.stack((q, k, v), axis=3))).data
-        return ad.matmul(ad.constant(mixed.reshape(seq.shape)),
-                         p[prefix + "attn.out.weight"], p[prefix + "attn.out.bias"])
+        return ad.add(seq, ad.matmul(ad.constant(mixed.reshape(normed.shape)),
+                                     p[prefix + "attn.out.weight"],
+                                     p[prefix + "attn.out.bias"]))
 
     fused = forward_tokens(params, patch_grid(params, x, cfg), None, cfg).data
     monkeypatch.setattr(eegssl.encoder, "_attention", three_projections)

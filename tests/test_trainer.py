@@ -258,14 +258,19 @@ def test_training_graph_holds_one_score_buffer_per_layer():
 
 
 def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
-    # each linear layer is one matmul with its bias added in place: the MLP
-    # keeps only the fc1 output, gelu's tanh and the gelu output at its hidden
-    # width, and no linear weight feeds a bias-free matmul node whose output
-    # would stay held
+    # each linear layer is one matmul with its bias (and, for attn.out and
+    # mlp.fc2, the residual stream) added in place: the MLP keeps only the
+    # fc1 output and the gelu output at its hidden width; each block keeps
+    # four (b, N, d) buffers (the two residual streams and the two layer-norm
+    # outputs), the final layer norm one more and the alignment loss two (the
+    # standardized tokens and their difference from the target's); and no
+    # linear weight feeds a bias-free matmul node whose output would stay held
     b, enc = 2, SMALL_ENC
     params, total = training_graph(small_config(), b)
     assert enc.hidden not in (enc.n_tokens, enc.d)
-    assert held_shapes(total).count((b, enc.n_tokens, enc.hidden)) == 3 * enc.layers
+    shapes = held_shapes(total)
+    assert shapes.count((b, enc.n_tokens, enc.hidden)) == 2 * enc.layers
+    assert shapes.count((b, enc.n_tokens, enc.d)) == 4 * enc.layers + 3
     weights = {id(t) for name, t in params.items()
                if name.startswith("layers.") and name.endswith(".weight")
                or name == "recon.weight"}
@@ -277,10 +282,12 @@ def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
 def test_training_graph_runs_four_linear_ops_per_layer():
     # per block one q|k|v projection, the attention output and the two MLP
     # layers; plus the stem and the reconstruction head: the matmul nodes
-    # with a bias parent
+    # with a bias parent, and for attn.out and mlp.fc2 the residual stream too
     _, total = training_graph(small_config())
-    linears = [node for node in matmul_nodes(total) if len(node._parents) == 3]
+    linears = [node for node in matmul_nodes(total) if len(node._parents) in (3, 4)]
     assert len(linears) == 4 * SMALL_ENC.layers + 2
+    residual = [node for node in linears if len(node._parents) == 4]
+    assert len(residual) == 2 * SMALL_ENC.layers
 
 
 # --- micro-batches ------------------------------------------------------------------
