@@ -145,8 +145,9 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor, *terms: Tensor) -> Tensor:
     """Stacked matrix product `a @ b`, both operands with ndim >= 2, plus
     each of `terms` in order. The terms (a bias, a residual stream) are added
-    into the product in place, so a linear layer and the residual add after
-    it keep one output buffer on the tape."""
+    into the product in place, so each must broadcast to the product's
+    shape, and a linear layer and the residual add after it keep one output
+    buffer on the tape."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
     out = a.data @ b.data

@@ -236,6 +236,8 @@ def _fix_malloc_thresholds() -> None:
     except (AttributeError, ValueError, OSError):
         return
     libc = ctypes.CDLL("libc.so.6")
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
     libc.mallopt(-3, 64 << 20)   # M_MMAP_THRESHOLD
     libc.mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
