@@ -18,7 +18,9 @@ A backward keeps only what it reads. Where one cheap elementwise pass
 rebuilds a buffer from the op's input, the backward reruns it rather than
 holding the buffer (Chen et al., arXiv 1604.06174): `gelu` rebuilds its tanh
 and the affine `layer_norm` its standardized input, each by the forward's
-own sequence, so the rebuilt bits are the forward's.
+own sequence, so the rebuilt bits are the forward's. `attention` copies
+nothing: it runs on strided views of its input, whose buffer the tape holds
+anyway, and its backward reads q, k and v through those views.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
@@ -229,12 +231,12 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """softmax(q k^T / sqrt(head_dim)) v over contiguous (..., L, head_dim)
-    stacks. Returns the output and `backward(g, q, k, v) -> (gq, gk, gv)`.
+    """softmax(q k^T / sqrt(head_dim)) v over (..., L, head_dim) stacks, which
+    may be strided views. Returns the output and `backward(g) -> (gq, gk, gv)`.
 
     The scale, max-shift, exp and normalize run in place on one (..., L, L)
     buffer; the backward keeps only those probabilities, not the scores, and
-    is handed q, k and v again instead of holding them.
+    reads q, k and v through the views it closes over.
     """
     s = 1.0 / math.sqrt(q.shape[-1])
     probs = q @ k.swapaxes(-1, -2)
@@ -243,7 +245,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
 
-    def backward(g, q, k, v):
+    def backward(g):
         gv = probs.swapaxes(-1, -2) @ g
         gs = g @ v.swapaxes(-1, -2)                       # d/d probs
         gs -= (gs * probs).sum(axis=-1, keepdims=True)    # softmax backward
@@ -268,32 +270,24 @@ def attention(qkv: Tensor) -> Tensor:
     of q, k and v over C channels by T windows; H must be even. Returns the
     (B, C, T, H, head_dim) grid of head outputs.
 
-    Each head group runs `_attend` on one contiguous copy of its q, k and v
-    heads, and both results land in one grid-shaped output. The backward
-    keeps the two probability buffers and rebuilds the copies from qkv.
+    Each head group runs `_attend` on transposed views of its q, k and v
+    heads, and its output and gradient parts are written back through the
+    same views of one output and one qkv-shaped gradient buffer.
     """
     half = qkv.shape[4] // 2
-    qkv_first = np.moveaxis(qkv.data, 3, 0)                 # (3, B, C, T, H, hd)
-    groups = tuple((heads, axes, (0,) + tuple(a + 1 for a in axes)) for heads, axes
-                   in zip((np.s_[..., :half, :], np.s_[..., half:, :]), _HEAD_GROUP_AXES))
-
-    def stack(x, heads, axes):
-        return np.ascontiguousarray(x[heads].transpose(axes))
-
     out = np.empty(qkv.shape[:3] + qkv.shape[4:], dtype=qkv.data.dtype)
-    backwards = []
-    for heads, axes, qkv_axes in groups:
-        o, backward = _attend(*stack(qkv_first, heads, qkv_axes))
-        out[heads] = o.transpose(np.argsort(axes))
-        backwards.append(backward)
+    groups = []
+    for heads, axes in zip((slice(None, half), slice(half, None)), _HEAD_GROUP_AXES):
+        q, k, v = (qkv.data[:, :, :, i, heads].transpose(axes) for i in range(3))
+        o, backward = _attend(q, k, v)
+        out[:, :, :, heads].transpose(axes)[...] = o
+        groups.append((heads, axes, backward))
 
     def backward(g):
         grad = np.empty(qkv.shape, dtype=g.dtype)
-        grad_first = np.moveaxis(grad, 3, 0)
-        for (heads, axes, qkv_axes), group_backward in zip(groups, backwards):
-            parts = group_backward(stack(g, heads, axes), *stack(qkv_first, heads, qkv_axes))
-            for grad_part, part in zip(grad_first, parts):
-                grad_part[heads] = part.transpose(np.argsort(axes))
+        for heads, axes, group_backward in groups:
+            for i, part in enumerate(group_backward(g[:, :, :, heads].transpose(axes))):
+                grad[:, :, :, i, heads].transpose(axes)[...] = part
         return (grad,)
 
     return _make(out, (qkv,), backward)

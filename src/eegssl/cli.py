@@ -152,10 +152,12 @@ def _cmd_probe(args) -> int:
         members = np.flatnonzero(feats.labels == cls)
         members = members[rng.permutation(members.size)]
         cut = max(1, int(round(members.size * cfg.probe.train_fraction)))
+        if cut == members.size:  # the probe would score a class it never tests
+            raise ValidationError(
+                f"probe.train_fraction = {cfg.probe.train_fraction:g} trains on every "
+                f"segment of class {cls} ({members.size} in all), leaving none held out")
         train_idx.extend(members[:cut])
         test_idx.extend(members[cut:])
-    if not test_idx:
-        raise ValidationError("train_fraction leaves no held-out segments")
     train = FeatureSet(feats.features[train_idx], feats.labels[train_idx])
     probe = fit_probe(train, epochs=cfg.probe.epochs, seed=cfg.seed, lr=cfg.probe.lr)
     scores = predict_scores(probe, feats.features[test_idx])

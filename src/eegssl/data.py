@@ -23,7 +23,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional, Union
+from typing import BinaryIO, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -169,16 +169,40 @@ class Checkpoint:
     def __post_init__(self):
         if self.step < 0:
             raise ValidationError("checkpoint step must be >= 0")
-        layout = {k: np.shape(t) for k, t in self.theta.items()}
         for group in ("xi", "m", "v"):
-            if {k: np.shape(t) for k, t in getattr(self, group).items()} != layout:
-                raise ValidationError(
-                    f"checkpoint group {group!r} does not have theta's names and shapes")
+            check_layout(getattr(self, group), self.theta, group, reference_group="theta")
 
 
 def tensor_name(group: str, name: str) -> str:
     """The LCMC name of tensor `name` of checkpoint group `group`."""
     return _GROUP_PREFIXES[group] + name
+
+
+def check_layout(tensors: Mapping[str, np.ndarray], reference: Mapping[str, np.ndarray],
+                 group: str, reference_group: Optional[str] = None) -> None:
+    """Reject checkpoint `group` unless its tensors have exactly the names and
+    shapes of `reference`: the configured encoder's parameters or, given
+    `reference_group`, that group of the same checkpoint. The error names the
+    first tensor that differs."""
+    if reference_group is None:
+        stranger = "is not an encoder parameter"
+        mismatch = "the checkpoint does not match the configured encoder"
+    else:
+        stranger = f"is not in group {reference_group!r}"
+        mismatch = (f"checkpoint group {group!r} does not have "
+                    f"{reference_group}'s names and shapes")
+    for name in sorted(set(tensors) | set(reference)):
+        if name not in tensors:
+            problem = "is missing"
+        elif name not in reference:
+            problem = stranger
+        elif np.shape(tensors[name]) != np.shape(reference[name]):
+            problem = (f"has shape {np.shape(tensors[name])}, "
+                       f"expected {np.shape(reference[name])}")
+        else:
+            continue
+        raise ValidationError(
+            f"checkpoint tensor {tensor_name(group, name)!r} {problem}: {mismatch}")
 
 
 # --- low-level helpers ----------------------------------------------------
@@ -204,17 +228,16 @@ def _read_f32(f: BinaryIO, count: int, what: str) -> np.ndarray:
     """Read `count` little-endian float32 values through `_read_exact` into
     a new writable array.
 
-    The read holds the chunks, their join and the array at once, then
-    frees the first two. Reading straight into one preallocated array would
-    hold only the array, but then training and feature extraction later in
-    the same process ran slower under glibc's dynamic thresholds (benchmark
-    `pretrain-small`: 13% fewer trained and 23% fewer encoded segments per
-    second). glibc raises its mmap and trim thresholds when a large mapped
-    block is freed; the freed copy raises them before the hot loop, whose
-    buffers then stay in the heap instead of being mapped and faulted in
-    again at every step. The CLI now fixes both thresholds itself
-    (`cli._fix_malloc_thresholds`), so the copy matters only to library
-    callers; it stays until the direct reader lands as its own change.
+    The read holds the chunks, their join and the array at once, then frees
+    the first two. Reading straight into one preallocated array made later
+    training and feature extraction in the same process slower under glibc's
+    dynamic thresholds (benchmark `pretrain-small`: 13% fewer trained and 23%
+    fewer encoded segments per second): the freed copy raises glibc's mmap
+    and trim thresholds before the hot loop. The copy still matters with the
+    CLI's fixed thresholds (`cli._fix_malloc_thresholds`): dropping only it
+    raised benchmark `ingest-probe` `peak_rss_mb` from 265 to 271 MB and
+    `pretrain-small` `train_mb_per_seg` from 0.302 to 0.31 MB. So a direct
+    reader must be measured on both, as its own change.
     """
     return np.frombuffer(_read_exact(f, 4 * count, what), dtype="<f4").astype(np.float32)
 

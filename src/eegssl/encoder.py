@@ -25,7 +25,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import autodiff as ad
-from .data import tensor_name
 from .errors import ValidationError
 from .seeding import TAG_INIT, make_rng
 
@@ -151,25 +150,6 @@ def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> dict:
     return p
 
 
-def check_layout(tensors: Mapping[str, np.ndarray],
-                 reference: Mapping[str, np.ndarray], group: str) -> None:
-    """Reject checkpoint `group` unless its tensors have exactly the names and
-    shapes of `reference`; the error names the first tensor that differs."""
-    for name in sorted(set(tensors) | set(reference)):
-        if name not in tensors:
-            problem = "is missing"
-        elif name not in reference:
-            problem = "is not an encoder parameter"
-        elif np.shape(tensors[name]) != reference[name].shape:
-            problem = (f"has shape {np.shape(tensors[name])}, "
-                       f"expected {reference[name].shape}")
-        else:
-            continue
-        raise ValidationError(
-            f"checkpoint tensor {tensor_name(group, name)!r} {problem}: the "
-            f"checkpoint does not match the configured encoder")
-
-
 # Tensors counted as the 'first layer' for gradient statistics.
 FIRST_LAYER_NAMES = ("stem.weight", "stem.pool", "stem.bias")
 
@@ -254,8 +234,8 @@ def patch_grid(p: Mapping[str, ad.Tensor], x: np.ndarray,
         raise ValidationError(
             f"segment of {t} samples does not give n_t={cfg.n_t} windows of "
             f"length {cfg.p_t}")
-    x_const = ad.constant(np.ascontiguousarray(x[:, :, :cfg.segment_samples]))
-    mapped = ad.matmul(p["channel_map"], x_const)              # (B, M', T)
+    segment = ad.constant(x[:, :, :cfg.segment_samples])     # a view, no copy
+    mapped = ad.matmul(p["channel_map"], segment)              # (B, M', T)
     return ad.reshape(mapped, (b, cfg.mapped_channels, cfg.n_t, cfg.p_t))
 
 

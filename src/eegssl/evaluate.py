@@ -18,10 +18,9 @@ from typing import Optional
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Checkpoint, SegmentBatch
-from .encoder import (EncoderConfig, check_layout, forward_tokens,
-                      init_param_store, micro_batches, patch_grid,
-                      wrap_constants)
+from .data import Checkpoint, SegmentBatch, check_layout
+from .encoder import (EncoderConfig, forward_tokens, init_param_store,
+                      micro_batches, patch_grid, wrap_constants)
 from .errors import ValidationError
 from .seeding import TAG_PROBE, make_rng
 

@@ -38,11 +38,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig
-from .data import Checkpoint, SegmentBatch, save_checkpoint
-from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, check_layout,
-                      forward_tokens, init_param_store, last_layer_names,
-                      micro_batches, patch_grid, predict_patches,
-                      wrap_constants, wrap_parameters)
+from .data import Checkpoint, SegmentBatch, check_layout, save_checkpoint
+from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, forward_tokens,
+                      init_param_store, last_layer_names, micro_batches,
+                      patch_grid, predict_patches, wrap_constants,
+                      wrap_parameters)
 from .errors import DivergenceError, ValidationError
 from .losses import alignment_loss_t, reconstruction_loss_t
 from .optim import adamw_step, ema_update, lr_at, momentum_at, wd_at

@@ -249,6 +249,32 @@ def test_attention_forward_matches_composite_float32():
     assert out.tobytes() == expected.tobytes()
 
 
+def attention_grad_on_copies(qkv, g):
+    """`ad.attention`'s qkv gradient for output gradient `g`, with `_attend`
+    run on contiguous copies of each head group's q, k, v and g and laid back
+    out by the inverse transposes."""
+    half = qkv.shape[4] // 2
+    grad = np.empty_like(qkv)
+    for heads, axes in zip((np.s_[:half], np.s_[half:]), ((0, 1, 3, 2, 4), (0, 2, 3, 1, 4))):
+        _, backward = ad._attend(*(np.ascontiguousarray(qkv[:, :, :, i, heads].transpose(axes))
+                                   for i in range(3)))
+        parts = backward(np.ascontiguousarray(g[:, :, :, heads].transpose(axes)))
+        for i, part in enumerate(parts):
+            grad[:, :, :, i, heads] = part.transpose(np.argsort(axes))
+    return grad
+
+
+@pytest.mark.parametrize("grid", [(2, 6, 16, 4, 8), (3, 5, 7, 6, 4)])
+def test_attention_grads_match_contiguous_copies_float32(grid):
+    # the views that `ad.attention` hands `_attend` give the bytes of copies
+    rng = np.random.default_rng(9)
+    qkv = (rng.standard_normal(grid[:3] + (3,) + grid[3:]) * 3.0).astype(np.float32)
+    g = rng.standard_normal(grid).astype(np.float32)
+    (grad,) = ad.attention(ad.parameter(qkv))._backward(g)
+    assert grad.dtype == np.float32
+    assert grad.tobytes() == attention_grad_on_copies(qkv, g).tobytes()
+
+
 def test_attention_heads_see_their_row_and_column():
     # perturbing v at token (c0, w0) moves the temporal heads' output only in
     # channel c0 and the spatial heads' output only in window w0

@@ -346,6 +346,27 @@ def test_probe_checkpoint_of_another_encoder_exits_1(tmp_path, config_path, caps
         assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels, fraction, message", [
+    ([0, 1, 0, 1, 0, 1, 0, 1, 2], 0.5,
+     "probe.train_fraction = 0.5 trains on every segment of class 2 (1 in all)"),
+    ([0, 1, 0, 1, 0, 1, 0, 1, 2, 2], 0.75,
+     "probe.train_fraction = 0.75 trains on every segment of class 2 (2 in all)")])
+def test_probe_class_without_held_out_segment_exits_1(tmp_path, capsys, labels,
+                                                      fraction, message):
+    # a class whose whole share goes to training would be scored but never tested
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(
+        dict(SMALL_CONFIG, probe=dict(SMALL_CONFIG["probe"], train_fraction=fraction))))
+    segments = np.random.default_rng(0).standard_normal((len(labels), 4, 1024))
+    labeled = tmp_path / "labeled.lcms"
+    save_segments(SegmentBatch(segments.astype(np.float32), 256.0,
+                               labels=np.array(labels)), labeled)
+    ckpt = tmp_path / "model.lcmc"
+    save_checkpoint(init_checkpoint(config_from_dict(SMALL_CONFIG)), ckpt)
+    assert run_cli(["probe", str(ckpt), str(labeled), "--config", str(config)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_probe_report_write_failing_midway_keeps_old_report(
         tmp_path, config_path, capsys, monkeypatch):
     spec = SynthSpec(seed=3, channel_count=4, duration_s=4.0, sample_rate_hz=256.0)

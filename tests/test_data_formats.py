@@ -410,6 +410,24 @@ def test_checkpoint_theta_xi_shape_invariant():
         Checkpoint(0, theta=w, xi=w, m=w, v={"w": w["w"], "extra": w["w"]})
 
 
+
+def test_checkpoint_group_mismatch_names_first_tensor():
+    # the group check is the encoder's layout check run against theta: it
+    # names the first differing tensor and claims nothing about an encoder
+    theta = {"a": np.zeros(2, np.float32), "b": np.zeros(3, np.float32)}
+    xi = {"a": theta["a"], "b": np.zeros(4, np.float32), "c": theta["a"]}
+    with pytest.raises(ValidationError) as err:
+        Checkpoint(0, theta=theta, xi=xi, m=theta, v=theta)
+    assert str(err.value) == ("checkpoint tensor 'xi/b' has shape (4,), expected (3,): "
+                              "checkpoint group 'xi' does not have theta's names and shapes")
+    with pytest.raises(ValidationError, match="'opt/v/c' is not in group 'theta'"):
+        Checkpoint(0, theta=theta, xi=theta, m=theta, v=dict(theta, c=theta["a"]))
+    raw = lcmc_scalars(*(prefix + name for prefix in (b"opt/m/", b"opt/v/", b"theta/")
+                         for name in (b"a", b"b")), b"xi/a", b"xi/c")
+    with pytest.raises(FormatError, match="'xi/b' is missing") as err:
+        load_checkpoint(io.BytesIO(raw))
+    assert err.value.kind == "header" and "encoder" not in str(err.value)
+
 # --- segment archive ----------------------------------------------------------
 
 def test_segments_roundtrip(tmp_path):
