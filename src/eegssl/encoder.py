@@ -234,7 +234,7 @@ def patch_grid(p: Mapping[str, ad.Tensor], x: np.ndarray,
         raise ValidationError(
             f"segment of {t} samples does not give n_t={cfg.n_t} windows of "
             f"length {cfg.p_t}")
-    segment = ad.constant(x[:, :, :cfg.segment_samples])     # a view, no copy
+    segment = ad.constant(x[:, :, :cfg.segment_samples])
     mapped = ad.matmul(p["channel_map"], segment)              # (B, M', T)
     return ad.reshape(mapped, (b, cfg.mapped_channels, cfg.n_t, cfg.p_t))
 
