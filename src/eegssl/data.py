@@ -229,15 +229,16 @@ def _read_f32(f: BinaryIO, count: int, what: str) -> np.ndarray:
     a new writable array.
 
     The read holds the chunks, their join and the array at once, then frees
-    the first two. Reading straight into one preallocated array made later
-    training and feature extraction in the same process slower under glibc's
-    dynamic thresholds (benchmark `pretrain-small`: 13% fewer trained and 23%
-    fewer encoded segments per second): the freed copy raises glibc's mmap
-    and trim thresholds before the hot loop. The copy still matters with the
-    CLI's fixed thresholds (`cli._fix_malloc_thresholds`): dropping only it
-    raised benchmark `ingest-probe` `peak_rss_mb` from 265 to 271 MB and
-    `pretrain-small` `train_mb_per_seg` from 0.302 to 0.31 MB. So a direct
-    reader must be measured on both, as its own change.
+    the first two. The copy stays because later memory and speed in the
+    process depend on it, under glibc's dynamic malloc thresholds and under
+    the CLI's fixed ones (`cli._fix_malloc_thresholds`) alike. Reading
+    straight into one array slowed later training and feature extraction
+    under dynamic thresholds (benchmark `pretrain-small`: 13% fewer trained
+    and 23% fewer encoded segments per second). Under the CLI, viewing the
+    chunks through one bytearray instead raised benchmark `ingest-probe`
+    `peak_rss_mb` from 265 to 268-271 MB and moved `pretrain-small`'s memory
+    figures up or down, depending on how the bytearray was built. So a
+    direct reader must be measured on these figures, as its own change.
     """
     return np.frombuffer(_read_exact(f, 4 * count, what), dtype="<f4").astype(np.float32)
 
