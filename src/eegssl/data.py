@@ -84,6 +84,19 @@ def default_montage(n_channels: int, montage_id: str = "unknown") -> Montage:
     return Montage(montage_id, tuple(f"ch{i}" for i in range(n_channels)))
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether the non-empty array `a` holds no NaN or infinity. NaN
+    propagates through min and max, so neither needs an `a`-sized mask."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def _check_rate_and_scale(sample_rate_hz: float, scale_to_mV: float) -> None:
+    if not (0 < sample_rate_hz < math.inf):
+        raise ValidationError("sample_rate_hz must be positive and finite")
+    if not (0 < scale_to_mV < math.inf):
+        raise ValidationError("scale_to_mV must be positive and finite")
+
+
 @dataclass(eq=False)
 class Recording:
     """Multichannel EEG time series, channel-major samples of shape (M, T)."""
@@ -103,12 +116,9 @@ class Recording:
                 f"{self.montage.channel_count} channels")
         if self.samples.shape[1] < 1:
             raise ValidationError("recording must contain at least one sample")
-        if not np.isfinite(self.samples).all():
+        _check_rate_and_scale(self.sample_rate_hz, self.scale_to_mV)
+        if not _all_finite(self.samples):
             raise ValidationError("samples contain non-finite values")
-        if not (0 < self.sample_rate_hz < math.inf):
-            raise ValidationError("sample_rate_hz must be positive and finite")
-        if not (0 < self.scale_to_mV < math.inf):
-            raise ValidationError("scale_to_mV must be positive and finite")
 
     @property
     def n_channels(self) -> int:
@@ -311,13 +321,15 @@ def read_recording(source: ByteSink) -> Recording:
         raise FormatError("header", f"invalid dimensions {m}x{t}")
     montage_id = _read_str(source, "montage id")
     names = tuple(_read_str(source, "channel name") for _ in range(m))
-    samples = _read_f32(source, m * t, "sample payload").reshape(m, t)
-    if not np.isfinite(samples).all():
-        raise ValidationError("recording payload contains non-finite samples")
     try:
-        return Recording(Montage(montage_id, names), rate, scale, samples)
+        montage = Montage(montage_id, names)
+        _check_rate_and_scale(rate, scale)
     except ValidationError as exc:
         raise FormatError("header", str(exc)) from None
+    samples = _read_f32(source, m * t, "sample payload").reshape(m, t)
+    # The header is valid, so the one check left is the payload's scan: a
+    # non-finite sample stays a ValidationError.
+    return Recording(montage, rate, scale, samples)
 
 
 # --- LCMC checkpoint I/O ----------------------------------------------------
@@ -413,7 +425,6 @@ def load_segments(source: ByteSink) -> SegmentBatch:
         batch = SegmentBatch(segments=segments, sample_rate_hz=rate, labels=labels)
     except ValidationError as exc:
         raise FormatError("header", str(exc)) from None
-    # NaN propagates through min and max, so neither needs a payload-sized mask
-    if not (np.isfinite(segments.min()) and np.isfinite(segments.max())):
+    if not _all_finite(segments):
         raise ValidationError("segment payload contains non-finite samples")
     return batch

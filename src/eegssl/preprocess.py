@@ -5,21 +5,27 @@ reference -> low-pass (optional) -> resample -> segmentation.
 
 The "0-38 Hz bandpass" is realized as a zero-phase Butterworth low-pass
 (forward-backward). Order 8 is required to push the 256 Hz / 50 Hz stopband
-past 40 dB; order 4 only reaches ~24 dB after both passes.
+past 40 dB; order 4 only reaches ~24 dB after both passes. The two passes
+run in place on one row padded with its even extension, in time chunks that
+carry the filter state from chunk to chunk, so they give the same bits as
+`scipy.signal.sosfiltfilt(..., padtype="even", padlen=PADLEN)`.
 
-Memory: after the average reference, every step acts on one channel row
-alone, so `preprocess` runs one channel at a time and writes each result
-straight into the float32 (n, M, L) segment array. Besides the float32
-recording it reads and that output, it holds about 5 float64 rows of one
-channel's length (the reference, the row, and the filter's and resampler's
-working copies), however many channels there are. A 1 h, 8-channel, 500 Hz
-recording is 57.6 MB of float32 samples, gives 29.5 MB of segments and
-needs about 72 MB of rows (14.4 MB each).
+Memory and threads: after the average reference, every step acts on one
+channel row alone, so `preprocess` runs the channels on a pool of WORKERS
+threads (scipy's filter and resampler release the GIL) and each writes its
+result straight into its own slice of the float32 (n, M, L) segment array.
+Besides the float32 recording it reads and that output, it holds the
+float64 reference row plus, per worker, one padded row and one resampled
+row, however many channels there are. A 1 h, 8-channel, 500 Hz recording is
+57.6 MB of float32 samples and gives 29.5 MB of segments; its rows are
+14.4 MB (7.4 MB resampled to 256 Hz), so the rows need about 58 MB.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -31,9 +37,12 @@ from .data import Recording, SegmentBatch
 from .errors import ValidationError
 
 LOWPASS_ORDER = 8
-PAD_MULTIPLE = 3  # reflect padding of PAD_MULTIPLE * order samples per edge
+PADLEN = 3 * LOWPASS_ORDER  # even-extension samples per edge
+LOWPASS_CHUNK = 1 << 14     # samples per filter call within one pass
 RESAMPLE_TAPS_PER_PHASE = 64
 RESAMPLE_KAISER_BETA = 8.6
+MAX_RESAMPLE_FACTOR = 1 << 14  # bound on the resampler's up and down factors
+WORKERS = 2  # channels preprocessed at once
 
 
 @dataclass(frozen=True)
@@ -57,11 +66,13 @@ class PreprocConfig:
 
 
 # Filter designs, built once per rate and shared by every call: preprocess
-# filters one channel at a time, and scipy only reads them.
+# builds them before its workers start, and scipy only reads them.
 @functools.lru_cache(maxsize=16)
-def _lowpass_sos(rate_hz: float, cutoff_hz: float) -> np.ndarray:
-    return signal.butter(LOWPASS_ORDER, cutoff_hz, btype="low", fs=rate_hz,
-                         output="sos")
+def _lowpass_design(rate_hz: float, cutoff_hz: float) -> tuple:
+    """(sos, zi): the Butterworth sections and their unit-step initial state."""
+    sos = signal.butter(LOWPASS_ORDER, cutoff_hz, btype="low", fs=rate_hz,
+                        output="sos")
+    return sos, signal.sosfilt_zi(sos)
 
 
 @functools.lru_cache(maxsize=16)
@@ -70,18 +81,63 @@ def _resample_prototype(max_rate: int) -> np.ndarray:
     return signal.firwin(n_taps, 1.0 / max_rate, window=("kaiser", RESAMPLE_KAISER_BETA))
 
 
-def lowpass(x: np.ndarray, rate_hz: float, cutoff_hz: float) -> np.ndarray:
-    """Zero-phase low-pass along the last axis; output shape equals input shape."""
+def _check_lowpass(rate_hz: float, cutoff_hz: float, n_samples: int) -> None:
     if not (rate_hz > 2.0 * cutoff_hz):
         raise ValidationError(
             f"sample rate {rate_hz} Hz too low for a {cutoff_hz} Hz low-pass")
-    x = np.asarray(x, dtype=float)
-    padlen = PAD_MULTIPLE * LOWPASS_ORDER
-    if x.shape[-1] <= padlen:
+    if n_samples <= PADLEN:
         raise ValidationError(
-            f"recording shorter than filter warm-up length ({padlen + 1} samples)")
-    return signal.sosfiltfilt(_lowpass_sos(rate_hz, cutoff_hz), x, axis=-1,
-                              padtype="even", padlen=padlen)
+            f"recording shorter than filter warm-up length ({PADLEN + 1} samples)")
+
+
+def _filtfilt_padded(buf: np.ndarray, rate_hz: float, cutoff_hz: float) -> None:
+    """Zero-phase low-pass, in place, of the rows of `buf` (..., PADLEN + T +
+    PADLEN) whose middle T samples hold the signal.
+
+    Writes the even extension into the edges, then runs the forward pass and
+    the backward pass over `buf` in chunks of LOWPASS_CHUNK samples. Each
+    chunk starts from the state the previous one ended in, and each pass
+    from the unit-step state times its first sample, as `sosfiltfilt` does;
+    the filter's recursion is per sample, so the bits are the same.
+    """
+    p, t = PADLEN, buf.shape[-1] - 2 * PADLEN
+    buf[..., :p] = buf[..., 2 * p:p:-1]
+    buf[..., p + t:] = buf[..., p + t - 2:t - 2:-1]
+    sos, zi = _lowpass_design(rate_hz, cutoff_hz)
+    zi = zi.reshape((len(sos),) + (1,) * (buf.ndim - 1) + (2,))
+    for view in (buf, buf[..., ::-1]):
+        state = zi * view[..., :1]
+        for start in range(0, view.shape[-1], LOWPASS_CHUNK):
+            chunk = view[..., start:start + LOWPASS_CHUNK]
+            out, state = signal.sosfilt(sos, chunk, zi=state)
+            chunk[...] = out
+
+
+def lowpass(x: np.ndarray, rate_hz: float, cutoff_hz: float) -> np.ndarray:
+    """Zero-phase low-pass along the last axis; output shape equals input shape."""
+    x = np.asarray(x, dtype=float)
+    _check_lowpass(rate_hz, cutoff_hz, x.shape[-1])
+    buf = np.empty(x.shape[:-1] + (x.shape[-1] + 2 * PADLEN,))
+    buf[..., PADLEN:-PADLEN] = x
+    _filtfilt_padded(buf, rate_hz, cutoff_hz)
+    return buf[..., PADLEN:-PADLEN]
+
+
+def _resample_factors(from_hz: float, to_hz: float) -> tuple:
+    """(up, down) of the rational ratio to_hz / from_hz, each at most
+    MAX_RESAMPLE_FACTOR."""
+    if not (from_hz > 0 and to_hz > 0):
+        raise ValidationError("sample rates must be positive")
+    ratio = to_hz / from_hz
+    up = down = 0
+    if math.isfinite(ratio):
+        fraction = Fraction(ratio).limit_denominator(MAX_RESAMPLE_FACTOR)
+        up, down = fraction.numerator, fraction.denominator
+    if not 1 <= up <= MAX_RESAMPLE_FACTOR:
+        raise ValidationError(
+            f"cannot resample {from_hz} Hz to {to_hz} Hz with up and down "
+            f"factors of at most {MAX_RESAMPLE_FACTOR}")
+    return up, down
 
 
 def _resampled_length(t: int, from_hz: float, to_hz: float) -> int:
@@ -93,13 +149,10 @@ def resample(x: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
 
     Output length is floor(T * to_hz / from_hz).
     """
-    if not (from_hz > 0 and to_hz > 0):
-        raise ValidationError("sample rates must be positive")
+    up, down = _resample_factors(from_hz, to_hz)
     x = np.asarray(x, dtype=float)
     if from_hz == to_hz:
         return x.copy()
-    ratio = Fraction(to_hz / from_hz).limit_denominator(1 << 14)
-    up, down = ratio.numerator, ratio.denominator
     y = signal.resample_poly(x, up, down, axis=-1,
                              window=_resample_prototype(max(up, down)))
     target = _resampled_length(x.shape[-1], from_hz, to_hz)
@@ -131,9 +184,20 @@ def preprocess(rec: Recording, cfg: PreprocConfig) -> SegmentBatch:
         indices.append(names.index(name))
     if len(indices) < 2:
         raise ValidationError("average reference needs at least 2 channels")
+    # Every check, and every filter design, before any channel work.
+    rate, target, t = rec.sample_rate_hz, cfg.target_rate_hz, rec.n_samples
+    up, down = _resample_factors(rate, target)
+    pad = PADLEN if cfg.apply_bandpass else 0
+    if cfg.apply_bandpass:
+        _check_lowpass(rate, cfg.lowpass_hz, t)
+        _lowpass_design(rate, cfg.lowpass_hz)
+    if up != down:
+        _resample_prototype(max(up, down))
+    n, length = _segment_grid(_resampled_length(t, rate, target),
+                              target, cfg.segment_s)
 
-    def scaled(i: int) -> np.ndarray:
-        return np.asarray(rec.samples[i], dtype=float) * rec.scale_to_mV
+    def scaled(i: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.multiply(rec.samples[i], rec.scale_to_mV, out=out, dtype=float)
 
     # The cross-channel mean, summed in channel order as mean(axis=0) does.
     reference = scaled(indices[0])
@@ -141,15 +205,27 @@ def preprocess(rec: Recording, cfg: PreprocConfig) -> SegmentBatch:
         reference += scaled(i)
     reference /= len(indices)
 
-    rate, target = rec.sample_rate_hz, cfg.target_rate_hz
-    n, length = _segment_grid(_resampled_length(rec.n_samples, rate, target),
-                              target, cfg.segment_s)
     segments = np.empty((n, len(indices), length), dtype=np.float32)
-    for row, i in enumerate(indices):
-        x = scaled(i)
+
+    def channel(row: int, i: int) -> None:
+        buf = np.empty(pad + t + pad)
+        x = scaled(i, out=buf[pad:pad + t])
         x -= reference
         if cfg.apply_bandpass:
-            x = lowpass(x, rate, cfg.lowpass_hz)
+            _filtfilt_padded(buf, rate, cfg.lowpass_hz)
         x = resample(x, rate, target)
         segments[:, row, :] = x[:n * length].reshape(n, length)
+
+    # Each channel writes its own slice with the same code on any thread, so
+    # the bytes do not depend on scheduling. The first error in channel
+    # order is raised once the running channels end; queued ones are dropped.
+    pool = futures.ThreadPoolExecutor(WORKERS, thread_name_prefix="preprocess")
+    try:
+        jobs = [pool.submit(channel, row, i) for row, i in enumerate(indices)]
+        futures.wait(jobs, return_when=futures.FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for job in jobs:
+        if not job.cancelled():
+            job.result()
     return SegmentBatch(segments=segments, sample_rate_hz=target)

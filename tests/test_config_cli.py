@@ -530,6 +530,23 @@ def test_preprocess_repeated_channel_selection_exits_1(tmp_path, config_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bandpass", [True, False])
+def test_preprocess_extreme_rate_exits_1(tmp_path, capsys, bandpass):
+    # A valid recording at 1e-300 Hz: resampling it to 256 Hz would need an
+    # up factor near 1e302 and a segment array of about 1e306 samples.
+    rec = tmp_path / "rec.lcmr"
+    data.write_recording(data.Recording(data.default_montage(4), 1e-300, 1.0,
+                                        np.ones((4, 64), np.float32)), rec)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"preproc": {"apply_bandpass": bandpass}}))
+    out = tmp_path / "seg.lcms"
+    code = run_cli(["preprocess", str(rec), "--config", str(config), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1e-300 Hz to 256.0 Hz" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.lcmr", "run.json"]
+
+
 def test_validation_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"train": {"batch_size": 0}}))

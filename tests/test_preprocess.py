@@ -1,16 +1,23 @@
 """Preprocessing DSP tests against frequency-response and arithmetic oracles."""
 
 import hashlib
+import importlib
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from eegssl.data import Montage, Recording
 from eegssl.errors import ValidationError
-from eegssl.preprocess import (LOWPASS_ORDER, PreprocConfig, lowpass, preprocess,
-                               resample)
+from eegssl.preprocess import (LOWPASS_CHUNK, LOWPASS_ORDER, PreprocConfig, lowpass,
+                               preprocess, resample)
+
+# The module itself: the package binds the name `preprocess` to the function.
+pp = importlib.import_module("eegssl.preprocess")
 
 
 def sine(freq, rate, seconds, amp=1.0):
@@ -111,6 +118,34 @@ def test_shape_preserved():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 300))
     assert lowpass(x, 256.0, 38.0).shape == (3, 300)
+
+
+def scipy_lowpass(x, rate, cutoff):
+    """The zero-phase low-pass as one scipy call: the oracle for `lowpass`."""
+    sos = sps.butter(LOWPASS_ORDER, cutoff, btype="low", fs=rate, output="sos")
+    return sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=24)
+
+
+# `lowpass` filters a row padded by 24 samples per edge, in chunks of
+# LOWPASS_CHUNK samples: these lengths put the padded row just below, at and
+# above one chunk, and at several chunks plus an odd remainder.
+CHUNK_EDGES = [LOWPASS_CHUNK - 48 + k for k in (-1, 0, 1)] + [3 * LOWPASS_CHUNK + 77]
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=st.one_of(st.integers(25, 200), st.sampled_from(CHUNK_EDGES),
+                   st.integers(25, 4 * LOWPASS_CHUNK)),
+       rows=st.sampled_from([(), (1,), (3,)]), seed=st.integers(0, 2 ** 16))
+@example(t=25, rows=(), seed=0)
+@example(t=LOWPASS_CHUNK - 1, rows=(2,), seed=1)
+@example(t=LOWPASS_CHUNK, rows=(), seed=2)
+@example(t=LOWPASS_CHUNK + 1, rows=(2,), seed=3)
+@example(t=3 * LOWPASS_CHUNK + 77, rows=(3,), seed=4)
+def test_lowpass_matches_sosfiltfilt_bitwise(t, rows, seed):
+    x = np.random.default_rng(seed).standard_normal(rows + (t,)) * 40.0
+    y = lowpass(x, 500.0, 38.0)
+    assert y.shape == x.shape
+    assert y.tobytes() == scipy_lowpass(x, 500.0, 38.0).tobytes()
 
 
 # --- resample --------------------------------------------------------------------
@@ -240,15 +275,16 @@ def test_config_invariant():
 # --- one channel at a time ------------------------------------------------------------
 
 def whole_matrix_preprocess(rec, cfg):
-    """The pipeline on the whole (M, T) float64 matrix: the reference that
-    `preprocess`, which runs one channel at a time, must match byte for byte."""
+    """The pipeline on the whole (M, T) float64 matrix, filtered by scipy's
+    `sosfiltfilt` itself: the reference that `preprocess`, which runs one
+    channel at a time, must match byte for byte."""
     x = np.asarray(rec.samples, dtype=float)
     if cfg.channel_selection is not None:
         x = x[[rec.montage.channel_names.index(c) for c in cfg.channel_selection]]
     x = x * rec.scale_to_mV
     x = x - x.mean(axis=0, keepdims=True)
     if cfg.apply_bandpass:
-        x = lowpass(x, rec.sample_rate_hz, cfg.lowpass_hz)
+        x = scipy_lowpass(x, rec.sample_rate_hz, cfg.lowpass_hz)
     x = resample(x, rec.sample_rate_hz, cfg.target_rate_hz)
     length = int(round(cfg.segment_s * cfg.target_rate_hz))
     m, n = x.shape[0], x.shape[1] // length
@@ -294,3 +330,72 @@ def test_working_memory_is_a_few_channel_rows(m):
         tracemalloc.stop()
     rows = (peak - batch.segments.nbytes) / (8 * rec.n_samples)
     assert rows <= 8, f"{rows:.1f} float64 channel rows"
+
+
+def test_working_memory_of_two_workers():
+    # The reference row, plus one padded row and one resampled row for each
+    # of the two channels in flight: about 1 + 2 x (1 + 0.51) rows, and the
+    # filter's chunks on top.
+    preprocess(make_recording(m=2, rate=500.0, seconds=8.0), PreprocConfig())  # filter designs
+    rec = make_recording(m=8, rate=500.0, seconds=600.0)
+    tracemalloc.start()
+    try:
+        batch = preprocess(rec, PreprocConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = (peak - batch.segments.nbytes) / (8 * rec.n_samples)
+    assert rows <= 4.5, f"{rows:.2f} float64 channel rows"
+
+
+# --- worker threads -----------------------------------------------------------------
+
+@pytest.mark.parametrize("m, cfg", [
+    (8, PreprocConfig()),
+    (21, PreprocConfig()),
+    (8, PreprocConfig(channel_selection=("c6", "c1", "c4"))),
+    (8, PreprocConfig(apply_bandpass=False, segment_s=2.0)),
+], ids=["default", "21-channels", "selection", "no-bandpass"])
+def test_bytes_independent_of_worker_count(monkeypatch, m, cfg):
+    rec = make_recording(m=m, rate=500.0, seconds=13.0, scale=2e-3)
+    assert pp.WORKERS == 2
+    two = preprocess(rec, cfg).segments.tobytes()
+    monkeypatch.setattr(pp, "WORKERS", 1)
+    assert preprocess(rec, cfg).segments.tobytes() == two
+
+
+def test_channel_error_surfaces_and_workers_end(monkeypatch):
+    calls, lock = [], threading.Lock()
+
+    def failing_third(x, from_hz, to_hz):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise ValidationError("third channel fails")
+        return resample(x, from_hz, to_hz)
+
+    monkeypatch.setattr(pp, "resample", failing_third)
+    rec = make_recording(m=16, rate=500.0, seconds=60.0)
+    threads = threading.active_count()
+    with pytest.raises(ValidationError, match="third channel fails"):
+        preprocess(rec, PreprocConfig())
+    assert threading.active_count() == threads
+    assert len(calls) < 16  # the queued channels were dropped
+
+
+def test_bad_rate_fails_before_channel_work(monkeypatch):
+    # Recording rates whose resampling ratio needs a factor above 2**14 are
+    # rejected, naming both rates, before any channel is filtered or
+    # resampled; so is a recording shorter than the filter's warm-up.
+    monkeypatch.setattr(pp, "resample", None)
+    monkeypatch.setattr(pp, "_filtfilt_padded", None)
+    for rate in (1e-300, 256.0 / 3.00007):  # 256 / 85.33 Hz is 42859/14286
+        rec = make_recording(m=2, rate=512.0, seconds=2.0)
+        rec.sample_rate_hz = rate
+        for bandpass in (True, False):
+            with pytest.raises(ValidationError, match=f"{rate} Hz to 256.0 Hz"):
+                preprocess(rec, PreprocConfig(apply_bandpass=bandpass))
+    rec = make_recording(m=2, rate=500.0, seconds=0.04)  # 20 samples
+    with pytest.raises(ValidationError, match="warm-up"):
+        preprocess(rec, PreprocConfig(segment_s=1 / 256))
