@@ -151,10 +151,11 @@ def resample(x: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
     """
     up, down = _resample_factors(from_hz, to_hz)
     x = np.asarray(x, dtype=float)
-    if from_hz == to_hz:
-        return x.copy()
-    y = signal.resample_poly(x, up, down, axis=-1,
-                             window=_resample_prototype(max(up, down)))
+    if up == down:  # rates equal, or too close for a ratio other than 1/1
+        y = x.copy()
+    else:
+        y = signal.resample_poly(x, up, down, axis=-1,
+                                 window=_resample_prototype(max(up, down)))
     target = _resampled_length(x.shape[-1], from_hz, to_hz)
     if y.shape[-1] < target:
         raise ValidationError("resampling ratio approximation produced too few samples")

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import sys
 import threading
 import tracemalloc
 
@@ -169,6 +170,13 @@ def test_20hz_peak_preserved():
     assert freqs[np.argmax(mags)] == pytest.approx(20.0)
 
 
+def test_nearly_equal_rates_copy():
+    # 256 / 256.00001 Hz rounds to the ratio 1/1: the samples are kept, cut
+    # to floor(T * to_hz / from_hz)
+    x = np.arange(100.0)
+    np.testing.assert_array_equal(resample(x, 256.00001, 256.0), x[:99])
+
+
 def test_fractional_ratio_length():
     x = np.zeros(1000)
     y = resample(x, 250.0, 256.0)
@@ -272,7 +280,7 @@ def test_config_invariant():
         PreprocConfig(target_rate_hz=64.0, lowpass_hz=38.0)
 
 
-# --- one channel at a time ------------------------------------------------------------
+# --- channel by channel, against the whole matrix -----------------------------------
 
 def whole_matrix_preprocess(rec, cfg):
     """The pipeline on the whole (M, T) float64 matrix, filtered by scipy's
@@ -362,6 +370,21 @@ def test_bytes_independent_of_worker_count(monkeypatch, m, cfg):
     two = preprocess(rec, cfg).segments.tobytes()
     monkeypatch.setattr(pp, "WORKERS", 1)
     assert preprocess(rec, cfg).segments.tobytes() == two
+
+
+def test_bytes_under_many_workers_and_fast_thread_switches(monkeypatch):
+    # More workers than cores, switching threads every microsecond: a write
+    # that landed in another channel's slice would change the bytes.
+    rec = make_recording(m=21, rate=500.0, seconds=13.0, scale=2e-3)
+    two = preprocess(rec, PreprocConfig()).segments.tobytes()
+    monkeypatch.setattr(pp, "WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = preprocess(rec, PreprocConfig()).segments.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == two
 
 
 def test_channel_error_surfaces_and_workers_end(monkeypatch):
