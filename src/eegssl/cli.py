@@ -244,10 +244,19 @@ def _fix_malloc_thresholds() -> None:
     libc.mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
+def _check_out_dir(out) -> None:
+    """Fail before any work, not at the final write, when `--out` names a
+    file in a directory that does not exist."""
+    parent = os.path.dirname(out or "") or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"--out {out}: {parent!r} is not an existing directory")
+
+
 def run_cli(argv=None) -> int:
     _fix_malloc_thresholds()
     args = _build_parser().parse_args(argv)
     try:
+        _check_out_dir(getattr(args, "out", None))
         return _COMMANDS[args.command](args)
     except (ValidationError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

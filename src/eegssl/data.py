@@ -235,22 +235,27 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 
 def _read_f32(f: BinaryIO, count: int, what: str) -> np.ndarray:
-    """Read `count` little-endian float32 values through `_read_exact` into
-    a new writable array.
+    """Read `count` little-endian float32 values straight into a new writable
+    native float32 array, `readinto` one `_READ_CHUNK` slice at a time; one
+    code path for seekable and unseekable sources.
 
-    The read holds the chunks, their join and the array at once, then frees
-    the first two. The copy stays because later memory and speed in the
-    process depend on it, under glibc's dynamic malloc thresholds and under
-    the CLI's fixed ones (`cli._fix_malloc_thresholds`) alike. Reading
-    straight into one array slowed later training and feature extraction
-    under dynamic thresholds (benchmark `pretrain-small`: 13% fewer trained
-    and 23% fewer encoded segments per second). Under the CLI, viewing the
-    chunks through one bytearray instead raised benchmark `ingest-probe`
-    `peak_rss_mb` from 265 to 268-271 MB and moved `pretrain-small`'s memory
-    figures up or down, depending on how the bytearray was built. So a
-    direct reader must be measured on these figures, as its own change.
+    The array starts at one chunk and doubles, up to `count`, only when the
+    bytes read have filled it. So a short file ends in FormatError having
+    allocated at most twice the bytes it held plus one chunk, whatever size
+    its header declares, and a whole read holds the payload and nothing
+    else: no chunk list, join or copy (`astype` is a no-op on little-endian
+    hosts).
     """
-    return np.frombuffer(_read_exact(f, 4 * count, what), dtype="<f4").astype(np.float32)
+    out = np.empty(min(count, _READ_CHUNK // 4), dtype="<f4")
+    done, total = 0, 4 * count
+    while done < total:
+        if done == out.nbytes:
+            out.resize(min(2 * out.size, count), refcheck=False)
+        n = f.readinto(out.view(np.uint8)[done:min(out.nbytes, done + _READ_CHUNK)])
+        if not n:
+            raise FormatError("truncated", f"truncated file while reading {what}")
+        done += n
+    return out.astype(np.float32, copy=False)
 
 
 def _pack_str(text: str) -> bytes:

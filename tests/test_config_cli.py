@@ -392,6 +392,25 @@ def test_probe_report_write_failing_midway_keeps_old_report(
     assert sorted(p.name for p in tmp_path.iterdir()) == files  # no "<path>.tmp"
 
 
+@pytest.mark.parametrize("command", ["synth", "preprocess", "pretrain", "probe"])
+def test_out_in_missing_directory_exits_2_before_any_work(tmp_path, capsys, command):
+    seg = write_segments(tmp_path)
+    log, ckpt_dir = tmp_path / "log.jsonl", tmp_path / "ckpts"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, train=dict(
+        SMALL_CONFIG["train"], log_path=str(log), checkpoint_dir=str(ckpt_dir)))))
+    out = tmp_path / "nodir" / "x.out"
+    inputs = {"synth": [], "preprocess": [str(tmp_path / "none.lcmr")],
+              "pretrain": [str(seg)], "probe": [str(tmp_path / "none.lcmc"), str(seg)]}
+    code = run_cli([command, *inputs[command], "--config", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and str(tmp_path / "nodir") in err
+    assert ".tmp" not in err
+    # the inputs of preprocess and probe do not exist: the check runs before reading
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "seg.lcms"]
+
+
 def test_pretrain_missing_config_exits_2(tmp_path, capsys):
     seg = tmp_path / "seg.lcms"
     code = run_cli(["pretrain", str(seg), "--config", str(tmp_path / "none.json"),

@@ -630,3 +630,96 @@ def test_huge_declared_payload_allocates_nothing_of_its_size(stream):
         tracemalloc.stop()
     assert err.value.kind == "truncated"
     assert peak < 1 << 22
+
+
+class Trickle(Unseekable):
+    """An unseekable stream whose every read returns at most 7 bytes, so the
+    payload's floats are split across reads."""
+
+    def readinto(self, b):
+        return self._f.readinto(memoryview(b)[:7])
+
+
+def roundtrip_cases():
+    """(value, writer, reader) for each format; LCMC also with an empty and a
+    0-d tensor."""
+    return [(small_recording(m=3, t=50), write_recording, read_recording),
+            (SegmentBatch(np.arange(24, dtype=np.float32).reshape(2, 3, 4), 128.0,
+                          labels=np.array([1, 0])), save_segments, load_segments),
+            (checkpoint_fixture(), save_checkpoint, load_checkpoint),
+            (one_tensor_checkpoint(3, np.zeros((0, 3), np.float32)), save_checkpoint,
+             load_checkpoint),
+            (one_tensor_checkpoint(5, np.array(2.5, np.float32)), save_checkpoint,
+             load_checkpoint)]
+
+
+@pytest.mark.parametrize("stream", [io.BytesIO, Unseekable, Trickle],
+                         ids=["seekable", "unseekable", "trickle"])
+def test_every_format_roundtrips_bytewise_whatever_the_read_sizes(stream):
+    for value, write, read in roundtrip_cases():
+        sink = io.BytesIO()
+        write(value, sink)
+        raw = sink.getvalue()
+        again = io.BytesIO()
+        write(read(stream(raw)), again)
+        assert again.getvalue() == raw
+
+
+def test_read_arrays_are_writable_native_float32():
+    rec, _, _ = roundtrip_cases()[0]
+    sink = io.BytesIO()
+    write_recording(rec, sink)
+    samples = read_recording(io.BytesIO(sink.getvalue())).samples
+    assert samples.dtype == np.float32 and samples.dtype.isnative
+    assert samples.flags.writeable and samples.flags.c_contiguous
+    samples[0, 0] = 0.0
+
+
+def payload_files(n_floats):
+    """{magic: (file bytes, payload offset)}: each format with its floats last,
+    `n_floats` of them in LCMR and LCMS and in LCMC's last tensor."""
+    values = np.linspace(-1.0, 1.0, n_floats, dtype=np.float32)
+    files = {}
+    for value, write in (
+            (Recording(default_montage(2), 256.0, 1.0, values.reshape(2, -1)),
+             write_recording),
+            (SegmentBatch(values.reshape(2, 2, -1), 256.0), save_segments),
+            (one_tensor_checkpoint(1, values), save_checkpoint)):
+        sink = io.BytesIO()
+        write(value, sink)
+        raw = sink.getvalue()
+        files[raw[:4]] = (raw, len(raw) - 4 * n_floats)
+    return files
+
+
+CHUNK = data._READ_CHUNK
+CUT_FILES = payload_files(CHUNK // 2 + 4)  # a payload of two chunks and 16 bytes
+
+
+@pytest.mark.parametrize("stream", [io.BytesIO, Unseekable], ids=["seekable", "unseekable"])
+@pytest.mark.parametrize("magic", sorted(CUT_FILES), ids=lambda m: m.decode())
+@pytest.mark.parametrize("kept", [1, 4, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
+                                  -1], ids=lambda k: str(k))
+def test_payload_cut_anywhere_is_truncated(stream, magic, kept):
+    # `kept` payload bytes survive the cut; -1 drops only the last byte
+    raw, start = CUT_FILES[magic]
+    with pytest.raises(FormatError) as err:
+        LOADERS[magic](stream(raw[:start + kept] if kept > 0 else raw[:kept]))
+    assert err.value.kind == "truncated"
+
+
+@pytest.mark.parametrize("stream", [io.BytesIO, Unseekable], ids=["seekable", "unseekable"])
+@pytest.mark.parametrize("magic", [b"LCMC", b"LCMR", b"LCMS"], ids=lambda m: m.decode())
+def test_payload_read_allocates_the_payload_once(stream, magic):
+    n_floats = 1 << 21  # 8 MiB of payload
+    raw, _ = payload_files(n_floats)[magic]
+    source = stream(raw)
+    tracemalloc.start()
+    try:
+        LOADERS[magic](source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # LCMC holds four copies of the tensor, one per checkpoint group
+    payload = 4 * n_floats * (4 if magic == b"LCMC" else 1)
+    assert peak <= payload + (2 << 20)
