@@ -3,24 +3,27 @@
 Exactly the ops the encoder and losses run, each with its own closed-form
 backward: broadcasting `add`/`mul`, `scale` by a python float, `matmul`
 (with terms, such as a bias and a residual stream, added into the product
-in place), `reshape`, `gelu` in its tanh form (one `np.tanh` where the
-exact form needs erf), fused criss-cross multi-head `attention`, masked
-`where`, `layer_norm` with an optional gain and bias, and the losses'
-weighted `squared_error` against a constant target. Gradients are
-accumulated on a tape built during the forward pass; `backward()` walks it
-once in reverse topological order and frees each node as it goes. An op
-records a tape node only when one of its inputs requires grad, so a forward
-over `constant` tensors records nothing. The fused ops repeat the arithmetic
-of the op chains they replace, so they give the same bits with fewer buffers
-alive.
+in place), `reshape`, fused criss-cross multi-head `attention`, masked
+`where`, `layer_norm` with an optional gain and bias, the fused pre-norm
+`mlp` sublayer (layer norm, fc1, gelu in its tanh form, fc2 and the
+residual add), and the losses' weighted `squared_error` against a constant
+target. Gradients are accumulated on a tape built during the forward pass;
+`backward()` walks it once in reverse topological order and frees each node
+as it goes. An op records a tape node only when one of its inputs requires
+grad, so a forward over `constant` tensors records nothing. The fused ops
+repeat the arithmetic of the op chains they replace, so they give the same
+bits with fewer buffers alive.
 
 A backward keeps only what it reads. Where one cheap elementwise pass
 rebuilds a buffer from the op's input, the backward reruns it rather than
-holding the buffer (Chen et al., arXiv 1604.06174): `gelu` rebuilds its tanh
-and the affine `layer_norm` its standardized input, each by the forward's
-own sequence, so the rebuilt bits are the forward's. `attention` copies
-nothing: it runs on strided views of its input, whose buffer the tape holds
-anyway, and its backward reads q, k and v through those views.
+holding the buffer (Chen et al., arXiv 1604.06174), each by the forward's
+own sequence, so the rebuilt bits are the forward's. The affine
+`layer_norm` keeps its per-row std and rebuilds its standardized input.
+`mlp` keeps the per-token std and the fc1 output h, and rebuilds the
+layer-norm output and the gelu output, one tanh of h serving the gelu
+output and its derivative. `attention` copies nothing: it runs on strided
+views of its input, whose buffer the tape holds anyway, and its backward
+reads q, k and v through those views.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
@@ -144,6 +147,13 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), lambda g: (g * s,))
 
 
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients of `a @ b` for output gradient `g`, each summed down to
+    its operand's shape."""
+    return (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
+            _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+
+
 def matmul(a: Tensor, b: Tensor, *terms: Tensor) -> Tensor:
     """Stacked matrix product `a @ b`, both operands with ndim >= 2, plus
     each of `terms` in order. The terms (a bias, a residual stream) are added
@@ -157,8 +167,7 @@ def matmul(a: Tensor, b: Tensor, *terms: Tensor) -> Tensor:
         out += term.data
 
     def backward(g):
-        return ((_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
-                 _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        return (_matmul_grads(a.data, b.data, g)
                 + tuple(_unbroadcast(g, term.data.shape) for term in terms))
 
     return _make(out, (a, b) + terms, backward)
@@ -170,9 +179,12 @@ def reshape(a: Tensor, shape) -> Tensor:
                  lambda g: (g.reshape(a.data.shape),))
 
 
+# Tanh-form gelu (Hendrycks & Gimpel, arXiv 1606.08415):
+# 0.5 * x * (1 + t), t = tanh(sqrt(2/pi) * (x + 0.044715 * x**3)).
+
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """tanh(sqrt(2/pi) * (x + 0.044715 x^3)) in place on one new buffer: the
-    one sequence that gelu's forward and backward both run."""
+    """t = tanh(sqrt(2/pi) * (x + 0.044715 x^3)) in place on one new buffer:
+    the one sequence that gelu's output and its derivative both read."""
     with np.errstate(over="ignore"):        # only where tanh saturates anyway
         t = x * x
     t *= _GELU_K * _GELU_C
@@ -181,39 +193,32 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Tanh-form gelu (Hendrycks & Gimpel, arXiv 1606.08415):
-    0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3))).
-
-    Runs in place on one hidden-width buffer, the output. The backward keeps
-    only the input x and rebuilds t = tanh(.) from it by the forward's own
-    sequence. Its derivative multiplies by the saturated 1 - t**2 before the
-    x**2 factor, so every finite x has a finite gradient (1 or 0 where x * x
-    overflows) and the forward gives x or -0 there.
-    """
-    x = a.data
-    out = _gelu_tanh(x)
-    out += 1.0
+def _gelu(x: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """gelu(x) = 0.5 * x * (1 + t) for t = `_gelu_tanh(x)`, into `out` (which
+    may be t itself) or a new buffer. Gives x or -0 where x * x overflows."""
+    out = np.add(t, 1.0, out=out)
     out *= 0.5
     out *= x
+    return out
 
-    def backward(g):
-        t = _gelu_tanh(x)
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= x                                  # (1 - t^2) x, 0 once saturated
-        e = d * x
-        e *= x
-        e *= 1.5 * _GELU_K * _GELU_C
-        d *= 0.5 * _GELU_K
-        d += e
-        np.multiply(t, 0.5, out=e)
-        e += 0.5
-        d += e                                  # d gelu / dx
-        d *= g
-        return (d,)
 
-    return _make(out, (a,), backward)
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`g` times d gelu / dx at x, for t = `_gelu_tanh(x)`. The derivative
+    multiplies by the saturated 1 - t**2 before the x**2 factor, so every
+    finite x has a finite gradient (1 or 0 where x * x overflows)."""
+    d = t * t
+    np.subtract(1.0, d, out=d)
+    d *= x                                  # (1 - t^2) x, 0 once saturated
+    e = d * x
+    e *= x
+    e *= 1.5 * _GELU_K * _GELU_C
+    d *= 0.5 * _GELU_K
+    d += e
+    np.multiply(t, 0.5, out=e)
+    e += 0.5
+    d += e                                  # d gelu / dx
+    d *= g
+    return d
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -306,6 +311,37 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
+def _center(x: np.ndarray) -> np.ndarray:
+    """x minus its mean over the last axis, on a new buffer."""
+    return x - x.sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
+
+
+def _standardize(x: np.ndarray) -> tuple:
+    """(x - mean) / sqrt(var + LN_EPS) over the last axis, in place on one
+    new buffer, and that std; `_center(x) / std` rebuilds the first."""
+    out = _center(x)
+    var = (out * out).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
+    std = np.sqrt(var + LN_EPS)
+    out /= std
+    return out, std
+
+
+def _standardize_grad(normed: np.ndarray, std: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input gradient of `_standardize` for output gradient `g`."""
+    inv_n = 1.0 / g.shape[-1]
+    g_mean = g.sum(axis=-1, keepdims=True) * inv_n
+    proj = (g * normed).sum(axis=-1, keepdims=True) * inv_n
+    return (g - g_mean - normed * proj) / std
+
+
+def _affine_grads(normed: np.ndarray, std: np.ndarray, gain: np.ndarray,
+                  bias: np.ndarray, g: np.ndarray) -> tuple:
+    """The input, gain and bias gradients of `normed * gain + bias`, with
+    `normed, std = _standardize(x)`, for output gradient `g`."""
+    affine = (_unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape))
+    return (_standardize_grad(normed, std, g * gain),) + affine
+
+
 def layer_norm(a: Tensor, gain: Tensor | None = None,
                bias: Tensor | None = None) -> Tensor:
     """Standardize the last axis, (a - mean) / sqrt(var + LN_EPS), then scale
@@ -315,34 +351,61 @@ def layer_norm(a: Tensor, gain: Tensor | None = None,
     shifts in place, so its backward keeps only `std` and rebuilds the
     standardized input from the parent by the forward's own ops."""
     x = a.data
-    inv_n = 1.0 / x.shape[-1]
-
-    def center():
-        return x - x.sum(axis=-1, keepdims=True) * inv_n
-
-    out = center()
-    var = (out * out).sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(var + LN_EPS)
-    out /= std
-    if gain is not None:
-        out *= gain.data
-        out += bias.data
+    out, std = _standardize(x)
+    if gain is None:
+        return _make(out, (a,), lambda g: (_standardize_grad(out, std, g),))
+    out *= gain.data
+    out += bias.data
 
     def backward(g):
-        affine = ()
-        if gain is None:
-            normed = out
-        else:
-            normed = center()
-            normed /= std
-            affine = (_unbroadcast(g * normed, gain.data.shape),
-                      _unbroadcast(g, bias.data.shape))
-            g = g * gain.data
-        g_mean = g.sum(axis=-1, keepdims=True) * inv_n
-        proj = (g * normed).sum(axis=-1, keepdims=True) * inv_n
-        return ((g - g_mean - normed * proj) / std,) + affine
+        normed = _center(x)
+        normed /= std
+        return _affine_grads(normed, std, gain.data, bias.data, g)
 
-    return _make(out, (a,) if gain is None else (a, gain, bias), backward)
+    return _make(out, (a, gain, bias), backward)
+
+
+def mlp(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
+        w2: Tensor, b2: Tensor) -> Tensor:
+    """A pre-norm MLP sublayer with its residual add: `seq` plus
+    gelu(layer_norm(seq, ln_gain, ln_bias) @ w1 + b1) @ w2 + b2, the
+    arithmetic of the `layer_norm`, `matmul`, gelu and `matmul` chain it
+    replaces, so the bits are that chain's.
+
+    The backward keeps only the per-token `std` and the fc1 output h, and
+    rebuilds the layer-norm output and the gelu output by the forward's own
+    sequences, one `_gelu_tanh(h)` serving the gelu output and its
+    derivative. `seq` has two consumers, the layer norm and the residual, so
+    its gradient is their sum, as the tape would accumulate it.
+    """
+    x = seq.data
+    normed, std = _standardize(x)
+    normed *= ln_gain.data
+    normed += ln_bias.data
+    h = normed @ w1.data
+    h += b1.data
+    t = _gelu_tanh(h)
+    out = _gelu(h, t, out=t) @ w2.data
+    out += b2.data
+    out += x
+
+    def backward(g):
+        t = _gelu_tanh(h)
+        g_act, g_w2 = _matmul_grads(_gelu(h, t), w2.data, g)
+        g_h = _gelu_grad(h, t, g_act)
+        del t, g_act
+        normed = _center(x)
+        normed /= std
+        ln = normed * ln_gain.data
+        ln += ln_bias.data
+        g_ln, g_w1 = _matmul_grads(ln, w1.data, g_h)
+        del ln
+        g_x, g_gain, g_bias = _affine_grads(normed, std, ln_gain.data, ln_bias.data, g_ln)
+        g_x += g
+        return (g_x, g_gain, g_bias, g_w1, _unbroadcast(g_h, b1.data.shape),
+                g_w2, _unbroadcast(g, b2.data.shape))
+
+    return _make(out, (seq, ln_gain, ln_bias, w1, b1, w2, b2), backward)
 
 
 def squared_error(a: Tensor, target, weight, s: float) -> Tensor:

@@ -179,8 +179,9 @@ class Checkpoint:
     def __post_init__(self):
         if self.step < 0:
             raise ValidationError("checkpoint step must be >= 0")
+        theta_shapes = {name: np.shape(t) for name, t in self.theta.items()}
         for group in ("xi", "m", "v"):
-            check_layout(getattr(self, group), self.theta, group, reference_group="theta")
+            check_layout(getattr(self, group), theta_shapes, group, reference_group="theta")
 
 
 def tensor_name(group: str, name: str) -> str:
@@ -188,12 +189,12 @@ def tensor_name(group: str, name: str) -> str:
     return _GROUP_PREFIXES[group] + name
 
 
-def check_layout(tensors: Mapping[str, np.ndarray], reference: Mapping[str, np.ndarray],
+def check_layout(tensors: Mapping[str, np.ndarray], shapes: Mapping[str, tuple],
                  group: str, reference_group: Optional[str] = None) -> None:
     """Reject checkpoint `group` unless its tensors have exactly the names and
-    shapes of `reference`: the configured encoder's parameters or, given
-    `reference_group`, that group of the same checkpoint. The error names the
-    first tensor that differs."""
+    shapes of the name -> shape table `shapes`: the configured encoder's
+    parameters or, given `reference_group`, that group of the same
+    checkpoint. The error names the first tensor that differs."""
     if reference_group is None:
         stranger = "is not an encoder parameter"
         mismatch = "the checkpoint does not match the configured encoder"
@@ -201,14 +202,13 @@ def check_layout(tensors: Mapping[str, np.ndarray], reference: Mapping[str, np.n
         stranger = f"is not in group {reference_group!r}"
         mismatch = (f"checkpoint group {group!r} does not have "
                     f"{reference_group}'s names and shapes")
-    for name in sorted(set(tensors) | set(reference)):
+    for name in sorted(set(tensors) | set(shapes)):
         if name not in tensors:
             problem = "is missing"
-        elif name not in reference:
+        elif name not in shapes:
             problem = stranger
-        elif np.shape(tensors[name]) != np.shape(reference[name]):
-            problem = (f"has shape {np.shape(tensors[name])}, "
-                       f"expected {np.shape(reference[name])}")
+        elif np.shape(tensors[name]) != shapes[name]:
+            problem = f"has shape {np.shape(tensors[name])}, expected {shapes[name]}"
         else:
             continue
         raise ValidationError(

@@ -9,7 +9,13 @@ record no tape, so no gradient can ever reach the target parameters.
 dataset montage to the mapped channels, and each mapped channel is cut into
 consecutive length-p_t patches (any tail shorter than a patch is dropped).
 `forward_tokens` encodes that grid. Token layout is channel-major: token
-index = channel * n_t + window.
+index = channel * n_t + window. Each pre-norm layer adds criss-cross
+attention of its ln1 output to the residual stream, then runs its MLP
+sublayer (ln2, fc1, gelu, fc2 and the residual add) as one `ad.mlp` op,
+whose tape keeps only the fc1 output and the per-token std.
+
+`param_shapes` is the parameter table: `init_param_store` fills it, and a
+checkpoint's layout is checked against it without drawing weights.
 
 Training and feature extraction run a batch in micro-batches of at most
 MICRO_BATCH_TOKENS tokens (`micro_batches`), so the buffers one forward and
@@ -105,49 +111,57 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray
     return ndtri(u) * std
 
 
-def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> dict:
-    """Truncated-normal weights (std 0.02), zero biases, unit LN gains."""
-    rng = make_rng(seed, TAG_INIT)
+def param_shapes(cfg: EncoderConfig) -> dict:
+    """Name -> shape of every encoder parameter, in store order: the table
+    that `init_param_store` fills and that a checkpoint's layout is checked
+    against without drawing any weights."""
     d, h = cfg.d, cfg.hidden
-
-    def tn(*shape):
-        return _truncated_normal(rng, shape, INIT_STD).astype(dtype)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=dtype)
-
-    def ones(*shape):
-        return np.ones(shape, dtype=dtype)
-
-    p = {
-        "channel_map": tn(cfg.mapped_channels, cfg.in_channels),
-        "channel_embed": tn(cfg.mapped_channels, d),
-        "mask_token": tn(d),
-        "pos_embed": tn(cfg.n_t, d),
-        # drawn (d, k) and (d, L_out), stored transposed as the kernel uses them
-        "stem.weight": np.ascontiguousarray(tn(d, cfg.stem_kernel).T),
-        "stem.pool": np.ascontiguousarray(tn(d, cfg.conv_positions).T),
-        "stem.bias": zeros(d),
+    shapes = {
+        "channel_map": (cfg.mapped_channels, cfg.in_channels),
+        "channel_embed": (cfg.mapped_channels, d),
+        "mask_token": (d,),
+        "pos_embed": (cfg.n_t, d),
+        "stem.weight": (cfg.stem_kernel, d),
+        "stem.pool": (cfg.conv_positions, d),
+        "stem.bias": (d,),
     }
     for i in range(cfg.layers):
         pre = f"layers.{i}."
-        p[pre + "ln1.gain"] = ones(d)
-        p[pre + "ln1.bias"] = zeros(d)
-        p[pre + "attn.qkv.weight"] = np.concatenate([tn(d, d) for _ in range(3)], axis=1)
-        p[pre + "attn.qkv.bias"] = zeros(3 * d)
-        p[pre + "attn.out.weight"] = tn(d, d)
-        p[pre + "attn.out.bias"] = zeros(d)
-        p[pre + "ln2.gain"] = ones(d)
-        p[pre + "ln2.bias"] = zeros(d)
-        p[pre + "mlp.fc1.weight"] = tn(d, h)
-        p[pre + "mlp.fc1.bias"] = zeros(h)
-        p[pre + "mlp.fc2.weight"] = tn(h, d)
-        p[pre + "mlp.fc2.bias"] = zeros(d)
-    p["final_ln.gain"] = ones(d)
-    p["final_ln.bias"] = zeros(d)
-    p["recon.weight"] = tn(d, cfg.p_t)
-    p["recon.bias"] = zeros(cfg.p_t)
-    return p
+        shapes.update({
+            pre + "ln1.gain": (d,), pre + "ln1.bias": (d,),
+            pre + "attn.qkv.weight": (d, 3 * d), pre + "attn.qkv.bias": (3 * d,),
+            pre + "attn.out.weight": (d, d), pre + "attn.out.bias": (d,),
+            pre + "ln2.gain": (d,), pre + "ln2.bias": (d,),
+            pre + "mlp.fc1.weight": (d, h), pre + "mlp.fc1.bias": (h,),
+            pre + "mlp.fc2.weight": (h, d), pre + "mlp.fc2.bias": (d,),
+        })
+    shapes.update({"final_ln.gain": (d,), "final_ln.bias": (d,),
+                   "recon.weight": (d, cfg.p_t), "recon.bias": (cfg.p_t,)})
+    return shapes
+
+
+def init_param_store(cfg: EncoderConfig, seed: int, dtype=np.float32) -> dict:
+    """Truncated-normal weights (std 0.02), zero biases, unit LN gains, drawn
+    in `param_shapes` order."""
+    rng = make_rng(seed, TAG_INIT)
+
+    def tn(shape):
+        return _truncated_normal(rng, shape, INIT_STD).astype(dtype)
+
+    def init(name, shape):
+        if name.endswith(".gain"):
+            return np.ones(shape, dtype=dtype)
+        if name.endswith(".bias"):
+            return np.zeros(shape, dtype=dtype)
+        if name.startswith("stem."):
+            # drawn (d, k) and (d, L_out), stored transposed as the kernel uses them
+            return np.ascontiguousarray(tn(shape[::-1]).T)
+        if name.endswith("qkv.weight"):
+            # q, k and v drawn as three (d, d) blocks, stored side by side
+            return tn((3, cfg.d, cfg.d)).transpose(1, 0, 2).reshape(shape)
+        return tn(shape)
+
+    return {name: init(name, shape) for name, shape in param_shapes(cfg).items()}
 
 
 # Tensors counted as the 'first layer' for gradient statistics.
@@ -215,11 +229,9 @@ def _attention(x: ad.Tensor, seq: ad.Tensor, p: Mapping[str, ad.Tensor],
     return _linear(mixed, p, prefix + "attn.out", seq)
 
 
-def _mlp(x: ad.Tensor, seq: ad.Tensor, p: Mapping[str, ad.Tensor],
-         prefix: str) -> ad.Tensor:
-    """Residual stream `seq` plus the MLP of `x`."""
-    hidden = ad.gelu(_linear(x, p, prefix + "mlp.fc1"))
-    return _linear(hidden, p, prefix + "mlp.fc2", seq)
+# The parameters of `ad.mlp` after the residual stream, in its order.
+_MLP_PARAMS = ("ln2.gain", "ln2.bias", "mlp.fc1.weight", "mlp.fc1.bias",
+               "mlp.fc2.weight", "mlp.fc2.bias")
 
 
 def patch_grid(p: Mapping[str, ad.Tensor], x: np.ndarray,
@@ -261,8 +273,7 @@ def forward_tokens(p: Mapping[str, ad.Tensor], patches: ad.Tensor,
         pre = f"layers.{i}."
         normed = ad.layer_norm(seq, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         seq = _attention(normed, seq, p, pre, cfg)
-        normed = ad.layer_norm(seq, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-        seq = _mlp(normed, seq, p, pre)
+        seq = ad.mlp(seq, *(p[pre + name] for name in _MLP_PARAMS))
     return ad.layer_norm(seq, p["final_ln.gain"], p["final_ln.bias"])
 
 

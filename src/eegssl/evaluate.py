@@ -19,8 +19,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .data import Checkpoint, SegmentBatch, check_layout
-from .encoder import (EncoderConfig, forward_tokens, init_param_store,
-                      micro_batches, patch_grid, wrap_constants)
+from .encoder import (EncoderConfig, forward_tokens, micro_batches,
+                      param_shapes, patch_grid, wrap_constants)
 from .errors import ValidationError
 from .seeding import TAG_PROBE, make_rng
 
@@ -75,7 +75,7 @@ class LinearProbe:
 def extract_features(batch: SegmentBatch, checkpoint: Checkpoint,
                      cfg: EncoderConfig) -> FeatureSet:
     """Target-encoder forward without masking, mean over tokens per segment."""
-    check_layout(checkpoint.xi, init_param_store(cfg, seed=0), "xi")
+    check_layout(checkpoint.xi, param_shapes(cfg), "xi")
     if batch.labels is None:
         raise ValidationError("feature extraction needs labeled segments")
     x = np.ascontiguousarray(batch.segments, dtype=checkpoint.xi["channel_map"].dtype)

@@ -41,8 +41,8 @@ from .config import RunConfig
 from .data import Checkpoint, SegmentBatch, check_layout, save_checkpoint
 from .encoder import (FIRST_LAYER_NAMES, EncoderConfig, forward_tokens,
                       init_param_store, last_layer_names, micro_batches,
-                      patch_grid, predict_patches, wrap_constants,
-                      wrap_parameters)
+                      param_shapes, patch_grid, predict_patches,
+                      wrap_constants, wrap_parameters)
 from .errors import DivergenceError, ValidationError
 from .losses import alignment_loss_t, reconstruction_loss_t
 from .optim import adamw_step, ema_update, lr_at, momentum_at, wd_at
@@ -76,12 +76,16 @@ class TrainLogRecord:
         return json.dumps(asdict(self))
 
 
-def init_checkpoint(cfg: RunConfig) -> Checkpoint:
-    """The step-0 training state of a run of `cfg`."""
+def _check_schedule(cfg: RunConfig) -> None:
     warmup, epochs = cfg.schedule.warmup_epochs, cfg.train.epochs
     if warmup >= epochs:
         raise ValidationError(
             f"schedule.warmup_epochs ({warmup}) must be below train.epochs ({epochs})")
+
+
+def init_checkpoint(cfg: RunConfig) -> Checkpoint:
+    """The step-0 training state of a run of `cfg`."""
+    _check_schedule(cfg)
     theta = init_param_store(cfg.encoder, cfg.seed)
     # copy-init makes the EMA contraction exact from step 0
     xi = {k: v.copy() for k, v in theta.items()}
@@ -277,14 +281,17 @@ def run_pretraining(cfg: RunConfig, data: SegmentBatch,
     train = cfg.train
     n = len(data)
     steps_per_epoch = (n + train.batch_size - 1) // train.batch_size
-    state = init_checkpoint(cfg)
-    if resume_from is not None:
-        check_layout(resume_from.theta, state.theta, "theta")
+    if resume_from is None:
+        state = init_checkpoint(cfg)
+    else:
+        _check_schedule(cfg)
+        shapes = param_shapes(cfg.encoder)
+        check_layout(resume_from.theta, shapes, "theta")
         # shallow copies, since a step rebinds the entries of its dicts; in
         # store order, so the last-layer gradient mean adds as in a fresh run
         groups = (resume_from.theta, resume_from.xi, resume_from.m, resume_from.v)
         state = Checkpoint(resume_from.step,
-                           *({k: group[k] for k in state.theta} for group in groups))
+                           *({k: group[k] for k in shapes} for group in groups))
 
     total_steps = train.epochs * steps_per_epoch
     if state.step > total_steps:

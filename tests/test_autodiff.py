@@ -167,12 +167,22 @@ def test_sqrt_scale_shift_neg(lead, d, s):
     check_op(lambda a: ad.scale(sum_sq(a), s), shape)   # a scaled loss
 
 
+def gelu(a):
+    """The tanh-form gelu tape op that `ad.mlp` absorbed, run on the private
+    helpers `ad.mlp` shares: the oracle for gelu's arithmetic and the fused
+    op's composite."""
+    x = a.data
+    t = ad._gelu_tanh(x)
+    return ad._make(ad._gelu(x, t, out=t), (a,),
+                    lambda g: (ad._gelu_grad(x, ad._gelu_tanh(x), g),))
+
+
 @settings(max_examples=25, deadline=None)
 @given(lead=lead_axes, d=st.integers(1, 4))
 @example(lead=(4,), d=4)
 @example(lead=(1, 2, 1), d=3)
 def test_gelu(lead, d):
-    check_op(lambda a: sum_sq(ad.gelu(a), fixed_target(lead + (d,))), lead + (d,))
+    check_op(lambda a: sum_sq(gelu(a), fixed_target(lead + (d,))), lead + (d,))
 
 
 def tanh_gelu(x):
@@ -182,13 +192,13 @@ def tanh_gelu(x):
 def test_gelu_matches_the_tanh_closed_form():
     x = np.concatenate([np.linspace(-10.0, 10.0, 4001),
                         np.random.default_rng(9).standard_normal(1000) * 3.0])
-    np.testing.assert_allclose(ad.gelu(ad.constant(x)).data, tanh_gelu(x), rtol=1e-12)
+    np.testing.assert_allclose(gelu(ad.constant(x)).data, tanh_gelu(x), rtol=1e-12)
 
 
 def test_gelu_stays_near_the_exact_erf_gelu():
     # the tanh form is a different function; bound how far it moves the model
     x = np.linspace(-10.0, 10.0, 20001)
-    y = ad.gelu(ad.parameter(x))
+    y = gelu(ad.parameter(x))
     (grad,) = y._backward(np.ones_like(x))
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
@@ -202,7 +212,7 @@ def test_gelu_finite_at_extreme_inputs(dtype):
     # form gives; at 0 and a subnormal the gradient is 1/2
     tiny = np.finfo(dtype).smallest_subnormal
     x = np.array([1e20, -1e20, 3e38, -3e38, 0.0, tiny], dtype=dtype)
-    y = ad.gelu(ad.parameter(x))
+    y = gelu(ad.parameter(x))
     (grad,) = y._backward(np.ones_like(x))
     assert y.data.dtype == dtype and grad.dtype == dtype
     np.testing.assert_array_equal(y.data[:5], np.maximum(x[:5], 0))
@@ -339,6 +349,19 @@ def test_affine_layer_norm(lead, d):
     check_op(lambda x, g, b: sum_sq(ad.layer_norm(x, g, b), target), lead + (d,), (d,), (d,))
 
 
+@settings(max_examples=25, deadline=None)
+@given(lead=lead_axes, d=st.integers(2, 4), hidden=st.integers(1, 5))
+@example(lead=(1, 1, 1), d=3, hidden=5)
+@example(lead=(2,), d=4, hidden=1)
+def test_mlp(lead, d, hidden):
+    # float64 gradcheck of all seven inputs, the residual stream included
+    if hidden == d:
+        hidden += 1
+    target = fixed_target(lead + (d,))
+    check_op(lambda *args: sum_sq(ad.mlp(*args), target),
+             lead + (d,), (d,), (d,), (d, hidden), (hidden,), (hidden, d), (d,))
+
+
 @settings(max_examples=10, deadline=None)
 @given(batch=st.integers(1, 2),
        grid=st.lists(st.sampled_from([1, 3, 5]), min_size=2, max_size=2, unique=True),
@@ -349,6 +372,13 @@ def test_attention_odd_grids(batch, grid, heads, head_dim):
     target = fixed_target((batch, *grid, heads, head_dim))
     check_op(lambda qkv: sum_sq(ad.attention(qkv), target),
              (batch, *grid, 3, heads, head_dim))
+
+
+def mlp_chain(seq, ln_gain, ln_bias, w1, b1, w2, b2):
+    """The four tape ops that `ad.mlp` replaced: the affine layer norm, fc1,
+    gelu, and fc2 with the residual stream added in place."""
+    hidden = gelu(ad.matmul(ad.layer_norm(seq, ln_gain, ln_bias), w1, b1))
+    return ad.matmul(hidden, w2, b2, seq)
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3, 1, 4)])
@@ -365,6 +395,8 @@ def test_fused_ops_match_their_composites_bitwise_float32(lead):
          (f32(*lead, n), f32(n, m), f32(m), f32(*lead, m))),
         (ad.layer_norm, lambda x, g, b: ad.add(ad.mul(ad.layer_norm(x), g), b),
          (f32(*lead, n), f32(n), f32(n))),
+        (ad.mlp, mlp_chain,
+         (f32(*lead, n), f32(n), f32(n), f32(n, m), f32(m), f32(m, n), f32(n))),
     ]
     for case, (fused, composite, arrays) in enumerate(cases):
         target = f32(*arrays[0].shape[:-1], arrays[1].shape[-1])
@@ -446,7 +478,9 @@ def test_constants_record_no_tape():
     x = ad.constant(np.ones(3))
     for y in (sum_sq(ad.mul(ad.layer_norm(x), x)), ad.layer_norm(x, x, x),
               ad.matmul(ad.reshape(x, (1, 3)), ad.reshape(x, (3, 1)),
-                        ad.constant(np.ones(1)))):
+                        ad.constant(np.ones(1))),
+              ad.mlp(ad.reshape(x, (1, 3)), x, x, ad.constant(np.ones((3, 2))),
+                     ad.constant(np.ones(2)), ad.constant(np.ones((2, 3))), x)):
         assert y._parents == () and y._backward is None and not y.requires_grad
     # one parameter input is enough to record the node
     z = ad.mul(x, ad.parameter(np.ones(3)))
@@ -455,17 +489,25 @@ def test_constants_record_no_tape():
 
 def test_dtype_preserved_float32():
     x = ad.parameter(np.arange(6, dtype=np.float32).reshape(2, 3))
-    normed = ad.layer_norm(ad.gelu(ad.scale(x, 0.5)))
-    y = sum_sq(ad.mul(normed, ad.gelu(x)))
+    normed = ad.layer_norm(gelu(ad.scale(x, 0.5)))
+    y = sum_sq(ad.mul(normed, gelu(x)))
     assert y.data.dtype == np.float32
     y.backward()
     assert x.grad.dtype == np.float32
+    # the fused MLP: float32 output and float32 gradients for all its inputs
+    f32 = lambda *shape: ad.parameter(np.linspace(-1.0, 2.0, int(np.prod(shape)),
+                                                  dtype=np.float32).reshape(shape))
+    inputs = (f32(2, 3), f32(3), f32(3), f32(3, 5), f32(5), f32(5, 3), f32(3))
+    out = ad.mlp(*inputs)
+    assert out.data.dtype == np.float32
+    sum_sq(out).backward()
+    assert all(t.grad.dtype == np.float32 for t in inputs)
 
 
 def test_backward_frees_the_tape():
     x = ad.parameter(np.array([1.0, 2.0]))
     c = ad.constant(np.array([3.0, 4.0]))
-    hidden = ad.gelu(ad.mul(x, c))
+    hidden = gelu(ad.mul(x, c))
     out = sum_sq(hidden)
     out.backward()
     for node in (hidden, out):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import eegssl.encoder
 from eegssl import autodiff as ad
 from eegssl.encoder import (EncoderConfig, _stem_tokens, forward_tokens,
-                            init_param_store, patch_grid, predict_patches,
-                            wrap_constants)
+                            init_param_store, param_shapes, patch_grid,
+                            predict_patches, wrap_constants)
 from eegssl.errors import ValidationError
 from eegssl.trainer import batch_mask
 
@@ -362,6 +362,17 @@ def test_block_matches_three_separate_projections_float64(monkeypatch):
     composite = forward_tokens(params, patch_grid(params, x, cfg), None, cfg).data
     assert fused.dtype == np.float64
     np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [CFG, EncoderConfig(d=8, layers=0, heads=2, p_t=8,
+                                                    in_channels=3, mapped_channels=5,
+                                                    n_t=2, stem_kernel=3)])
+def test_store_follows_the_shape_table(cfg):
+    # the store holds the table's names in its order, each at its shape
+    for dtype in (np.float32, np.float64):
+        store = init_param_store(cfg, seed=0, dtype=dtype)
+        assert [(k, v.shape) for k, v in store.items()] == list(param_shapes(cfg).items())
+        assert all(v.dtype == dtype and v.flags.c_contiguous for v in store.values())
 
 
 def test_param_count_block_share_grows_4x_with_d():

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 import eegssl
+import eegssl.encoder
 from eegssl.config import RunConfig, TrainConfig
 from eegssl.data import SegmentBatch, save_checkpoint, save_segments
 from eegssl.encoder import (MICRO_BATCH_TOKENS, EncoderConfig, init_param_store,
                             micro_batches, wrap_parameters)
 from eegssl.errors import ValidationError
+from eegssl.evaluate import extract_features
 from eegssl.optim import ScheduleConfig
 from eegssl.trainer import (GradCheckReport, _loss_and_grads, _training_loss,
                             batch_mask, grad_check, grad_stats, init_checkpoint,
@@ -182,10 +184,10 @@ def graph_nodes(root):
     return nodes
 
 
-def matmul_nodes(root):
-    """The graph's `matmul` nodes, found by their backward's qualname."""
+def op_nodes(root, op):
+    """The graph's nodes of tape op `op`, found by their backward's qualname."""
     return [node for node in graph_nodes(root)
-            if getattr(node._backward, "__qualname__", "").startswith("matmul.")]
+            if getattr(node._backward, "__qualname__", "").startswith(op + ".")]
 
 
 def keep_tape_backward(root):
@@ -258,36 +260,43 @@ def test_training_graph_holds_one_score_buffer_per_layer():
 
 
 def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
-    # each linear layer is one matmul with its bias (and, for attn.out and
-    # mlp.fc2, the residual stream) added in place: the MLP keeps only the
-    # fc1 output and the gelu output at its hidden width; each block keeps
-    # four (b, N, d) buffers (the two residual streams and the two layer-norm
-    # outputs), the final layer norm one more and the alignment loss two (the
-    # standardized tokens and their difference from the target's); and no
-    # linear weight feeds a bias-free matmul node whose output would stay held
+    # each linear layer adds its bias (and, for attn.out and mlp.fc2, the
+    # residual stream) in place: the fused MLP keeps only the fc1 output at
+    # its hidden width and rebuilds its layer-norm and gelu outputs; each
+    # block keeps three (b, N, d) buffers (the two residual streams and the
+    # ln1 output), the final layer norm one more and the alignment loss two
+    # (the standardized tokens and their difference from the target's); and
+    # no linear weight feeds a bias-free matmul node whose output would stay
+    # held
     b, enc = 2, SMALL_ENC
     params, total = training_graph(small_config(), b)
     assert enc.hidden not in (enc.n_tokens, enc.d)
     shapes = held_shapes(total)
-    assert shapes.count((b, enc.n_tokens, enc.hidden)) == 2 * enc.layers
-    assert shapes.count((b, enc.n_tokens, enc.d)) == 4 * enc.layers + 3
+    assert shapes.count((b, enc.n_tokens, enc.hidden)) == enc.layers
+    assert shapes.count((b, enc.n_tokens, enc.d)) == 3 * enc.layers + 3
     weights = {id(t) for name, t in params.items()
                if name.startswith("layers.") and name.endswith(".weight")
                or name == "recon.weight"}
     assert len(weights) == 4 * enc.layers + 1
-    matmuls = [node for node in matmul_nodes(total) if len(node._parents) == 2]
+    matmuls = [node for node in op_nodes(total, "matmul") if len(node._parents) == 2]
     assert matmuls and not any(id(p) in weights for node in matmuls for p in node._parents)
 
 
 def test_training_graph_runs_four_linear_ops_per_layer():
     # per block one q|k|v projection, the attention output and the two MLP
-    # layers; plus the stem and the reconstruction head: the matmul nodes
-    # with a bias parent, and for attn.out and mlp.fc2 the residual stream too
+    # layers; plus the stem and the reconstruction head. The matmul nodes
+    # with a bias parent, and for attn.out the residual stream too, are the
+    # q|k|v, attention output, stem and head; each block's one `mlp` node,
+    # with its residual stream, layer-norm affine and both layers' weights
+    # and biases as parents, runs fc1 and fc2
     _, total = training_graph(small_config())
-    linears = [node for node in matmul_nodes(total) if len(node._parents) in (3, 4)]
-    assert len(linears) == 4 * SMALL_ENC.layers + 2
+    linears = [node for node in op_nodes(total, "matmul") if len(node._parents) in (3, 4)]
+    mlps = op_nodes(total, "mlp")
+    assert len(mlps) == SMALL_ENC.layers
+    assert all(len(node._parents) == 7 for node in mlps)
+    assert len(linears) + 2 * len(mlps) == 4 * SMALL_ENC.layers + 2
     residual = [node for node in linears if len(node._parents) == 4]
-    assert len(residual) == 2 * SMALL_ENC.layers
+    assert len(residual) + len(mlps) == 2 * SMALL_ENC.layers
 
 
 # --- micro-batches ------------------------------------------------------------------
@@ -497,6 +506,24 @@ def test_checkpoint_restore_roundtrip():
     save_checkpoint(ckpt, a)
     save_checkpoint(rebuilt, b)
     assert a.getvalue() == b.getvalue()
+
+
+def test_layout_checks_draw_no_weights(monkeypatch):
+    # a resume and a feature extraction check the checkpoint against the
+    # encoder's shape table, not against freshly drawn weights
+    data = small_data()
+    cfg = small_config(epochs=2)
+    ckpt, _ = run_pretraining(cfg, data)
+
+    def no_draws(*args):
+        raise AssertionError("a layout check drew weights")
+
+    monkeypatch.setattr(eegssl.encoder, "_truncated_normal", no_draws)
+    _, records = run_pretraining(cfg, data, resume_from=ckpt)
+    assert records == []
+    labeled = SegmentBatch(data.segments, sample_rate_hz=256.0,
+                           labels=np.arange(len(data)) % 2)
+    assert extract_features(labeled, ckpt, SMALL_ENC).features.shape == (len(data), SMALL_ENC.d)
 
 
 def test_restore_rejects_checkpoint_of_another_encoder():
