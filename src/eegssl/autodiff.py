@@ -3,27 +3,31 @@
 Exactly the ops the encoder and losses run, each with its own closed-form
 backward: broadcasting `add`/`mul`, `scale` by a python float, `matmul`
 (with terms, such as a bias and a residual stream, added into the product
-in place), `reshape`, fused criss-cross multi-head `attention`, masked
-`where`, `layer_norm` with an optional gain and bias, the fused pre-norm
+in place), `reshape`, `layer_norm` with an optional gain and bias, the
+losses' weighted `squared_error` against a constant target, and three
+fused ops: the token `embed` (stem matmul and bias, the masked select of
+the mask token, the channel and position embeddings), the pre-norm
+criss-cross `attention` sublayer (layer norm, q|k|v projection, the two
+head groups, the output projection and the residual add) and the pre-norm
 `mlp` sublayer (layer norm, fc1, gelu in its tanh form, fc2 and the
-residual add), and the losses' weighted `squared_error` against a constant
-target. Gradients are accumulated on a tape built during the forward pass;
-`backward()` walks it once in reverse topological order and frees each node
-as it goes. An op records a tape node only when one of its inputs requires
-grad, so a forward over `constant` tensors records nothing. The fused ops
-repeat the arithmetic of the op chains they replace, so they give the same
-bits with fewer buffers alive.
+residual add). Gradients are accumulated on a tape built during the forward
+pass; `backward()` walks it once in reverse topological order and frees
+each node as it goes. An op records a tape node only when one of its inputs
+requires grad, so a forward over `constant` tensors records nothing. The
+fused ops repeat the arithmetic of the op chains they replace, so they give
+the same bits with fewer buffers alive.
 
-A backward keeps only what it reads. Where one cheap elementwise pass
-rebuilds a buffer from the op's input, the backward reruns it rather than
-holding the buffer (Chen et al., arXiv 1604.06174), each by the forward's
-own sequence, so the rebuilt bits are the forward's. The affine
-`layer_norm` keeps its per-row std and rebuilds its standardized input.
-`mlp` keeps the per-token std and the fc1 output h, and rebuilds the
-layer-norm output and the gelu output, one tanh of h serving the gelu
-output and its derivative. `attention` copies nothing: it runs on strided
-views of its input, whose buffer the tape holds anyway, and its backward
-reads q, k and v through those views.
+A backward keeps only what it reads. Where one cheap pass rebuilds a buffer
+from what the tape holds anyway, the backward reruns it rather than holding
+the buffer (Chen et al., arXiv 1604.06174), each by the forward's own
+sequence, so the rebuilt bits are the forward's. The affine `layer_norm`
+keeps its per-row std and rebuilds its standardized input. `attention`
+keeps the per-token std, the q|k|v buffer and each head group's softmax
+probabilities, and rebuilds the ln1 output and the head outputs; its head
+groups run on strided views of q, k and v, with no copies. `mlp` keeps the
+per-token std and the fc1 output h, and rebuilds the layer-norm output and
+the gelu output, one tanh of h serving the gelu output and its derivative.
+`embed`'s backward reads only the patches, the stem kernel and the mask.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
@@ -235,32 +239,30 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """softmax(q k^T / sqrt(head_dim)) v over (..., L, head_dim) stacks, which
-    may be strided views. Returns the output and `backward(g) -> (gq, gk, gv)`.
-
-    The scale, max-shift, exp and normalize run in place on one (..., L, L)
-    buffer; the backward keeps only those probabilities, not the scores, and
-    reads q, k and v through the views it closes over.
-    """
-    s = 1.0 / math.sqrt(q.shape[-1])
+def _attention_probs(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(head_dim)) over (..., L, head_dim) stacks, which
+    may be strided views: the scale, max-shift, exp and normalize run in
+    place on one (..., L, L) buffer."""
     probs = q @ k.swapaxes(-1, -2)
-    probs *= s
+    probs *= 1.0 / math.sqrt(q.shape[-1])
     probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
-    def backward(g):
-        gv = probs.swapaxes(-1, -2) @ g
-        gs = g @ v.swapaxes(-1, -2)                       # d/d probs
-        gs -= (gs * probs).sum(axis=-1, keepdims=True)    # softmax backward
-        gs *= probs
-        gs *= s                                           # d/d scores
-        gq = gs @ k
-        gk = (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        return gq, gk, gv
 
-    return probs @ v, backward
+def _attend_grad(q: np.ndarray, k: np.ndarray, v: np.ndarray, probs: np.ndarray,
+                 g: np.ndarray) -> tuple:
+    """(gq, gk, gv) of `probs @ v` with `probs = _attention_probs(q, k)`, for
+    output gradient `g`; the scores themselves are never needed."""
+    gv = probs.swapaxes(-1, -2) @ g
+    gs = g @ v.swapaxes(-1, -2)                       # d/d probs
+    gs -= (gs * probs).sum(axis=-1, keepdims=True)    # softmax backward
+    gs *= probs
+    gs *= 1.0 / math.sqrt(q.shape[-1])                # d/d scores
+    gq = gs @ k
+    gk = (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+    return gq, gk, gv
 
 
 # Criss-cross head groups on a (B, C, T, H, head_dim) token grid: the axes
@@ -270,45 +272,46 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
 _HEAD_GROUP_AXES = ((0, 1, 3, 2, 4), (0, 2, 3, 1, 4))
 
 
-def attention(qkv: Tensor) -> Tensor:
-    """Criss-cross multi-head attention on a (B, C, T, 3, H, head_dim) grid
-    of q, k and v over C channels by T windows; H must be even. Returns the
-    (B, C, T, H, head_dim) grid of head outputs.
-
-    Each head group runs `_attend` on transposed views of its q, k and v
-    heads, and its output and gradient parts are written back through the
-    same views of one output and one qkv-shaped gradient buffer.
-    """
-    half = qkv.shape[4] // 2
-    out = np.empty(qkv.shape[:3] + qkv.shape[4:], dtype=qkv.data.dtype)
-    groups = []
-    for heads, axes in zip((slice(None, half), slice(half, None)), _HEAD_GROUP_AXES):
-        q, k, v = (qkv.data[:, :, :, i, heads].transpose(axes) for i in range(3))
-        o, backward = _attend(q, k, v)
-        out[:, :, :, heads].transpose(axes)[...] = o
-        groups.append((heads, axes, backward))
-
-    def backward(g):
-        grad = np.empty(qkv.shape, dtype=g.dtype)
-        for heads, axes, group_backward in groups:
-            for i, part in enumerate(group_backward(g[:, :, :, heads].transpose(axes))):
-                grad[:, :, :, i, heads].transpose(axes)[...] = part
-        return (grad,)
-
-    return _make(out, (qkv,), backward)
+def _head_groups(grid: np.ndarray) -> list:
+    """One view maker per head group of a (B, C, T, ..., H, head_dim) grid:
+    it takes a (B, C, T, H, head_dim) grid, such as `grid[:, :, :, i]`, to
+    the group's (..., L, head_dim) stack."""
+    half = grid.shape[-2] // 2
+    return [lambda a, heads=heads, axes=axes: a[:, :, :, heads].transpose(axes)
+            for heads, axes in zip((slice(None, half), slice(half, None)),
+                                   _HEAD_GROUP_AXES)]
 
 
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select with a constant boolean condition."""
-    out = np.where(cond, a.data, b.data)
+def _head_outputs(qkv: np.ndarray, probs: list) -> np.ndarray:
+    """The (B, C, T, H, head_dim) head outputs `probs @ v` of a (B, C, T, 3,
+    H, head_dim) q|k|v grid, each group's written through its view of one
+    buffer: the forward's sequence, so a rebuild gives the forward's bits."""
+    out = np.empty(qkv.shape[:3] + qkv.shape[4:], dtype=qkv.dtype)
+    for view, group_probs in zip(_head_groups(qkv), probs):
+        view(out)[...] = group_probs @ view(qkv[:, :, :, 2])
+    return out
 
-    def backward(g):
-        zero = np.zeros((), dtype=g.dtype)
-        ga = _unbroadcast(np.where(cond, g, zero), a.data.shape)
-        gb = _unbroadcast(np.where(cond, zero, g), b.data.shape)
-        return ga, gb
 
-    return _make(out, (a, b), backward)
+def _criss_cross(qkv: np.ndarray) -> tuple:
+    """Criss-cross multi-head attention on a (B, C, T, 3, H, head_dim) q|k|v
+    grid over C channels by T windows (H even): the (B, C, T, H, head_dim)
+    head outputs and each head group's probabilities. Each group runs on
+    transposed views of its q, k and v heads; nothing is copied."""
+    probs = [_attention_probs(view(qkv[:, :, :, 0]), view(qkv[:, :, :, 1]))
+             for view in _head_groups(qkv)]
+    return _head_outputs(qkv, probs), probs
+
+
+def _criss_cross_grad(qkv: np.ndarray, probs: list, g: np.ndarray) -> np.ndarray:
+    """The q|k|v grid's gradient of `_criss_cross` for head-output gradient
+    `g`, each group's parts written through the same views of one buffer."""
+    grad = np.empty(qkv.shape, dtype=g.dtype)
+    for view, group_probs in zip(_head_groups(qkv), probs):
+        parts = _attend_grad(*(view(qkv[:, :, :, i]) for i in range(3)),
+                             group_probs, view(g))
+        for i, part in enumerate(parts):
+            view(grad[:, :, :, i])[...] = part
+    return grad
 
 
 def _center(x: np.ndarray) -> np.ndarray:
@@ -318,12 +321,29 @@ def _center(x: np.ndarray) -> np.ndarray:
 
 def _standardize(x: np.ndarray) -> tuple:
     """(x - mean) / sqrt(var + LN_EPS) over the last axis, in place on one
-    new buffer, and that std; `_center(x) / std` rebuilds the first."""
+    new buffer, and that std; `_restandardize(x, std)` rebuilds the first."""
     out = _center(x)
     var = (out * out).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
     std = np.sqrt(var + LN_EPS)
     out /= std
     return out, std
+
+
+def _restandardize(x: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """`_center(x) / std`: the standardized x that `_standardize(x)` gave
+    with this std, by the same ops, so to the bit."""
+    out = _center(x)
+    out /= std
+    return out
+
+
+def _scale_shift(normed: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """`normed * gain + bias` into `out` (which may be normed) or a new
+    buffer: the affine layer norm's output, or its rebuild."""
+    out = np.multiply(normed, gain, out=out)
+    out += bias
+    return out
 
 
 def _standardize_grad(normed: np.ndarray, std: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -354,15 +374,66 @@ def layer_norm(a: Tensor, gain: Tensor | None = None,
     out, std = _standardize(x)
     if gain is None:
         return _make(out, (a,), lambda g: (_standardize_grad(out, std, g),))
-    out *= gain.data
-    out += bias.data
+    _scale_shift(out, gain.data, bias.data, out=out)
 
     def backward(g):
-        normed = _center(x)
-        normed /= std
-        return _affine_grads(normed, std, gain.data, bias.data, g)
+        return _affine_grads(_restandardize(x, std), std, gain.data, bias.data, g)
 
     return _make(out, (a, gain, bias), backward)
+
+
+def attention(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w_qkv: Tensor,
+              b_qkv: Tensor, w_out: Tensor, b_out: Tensor, grid: tuple) -> Tensor:
+    """A pre-norm criss-cross attention sublayer with its residual add. `seq`
+    is a (B, N, d) channel-major token stream over `grid` = (channels C,
+    windows T, heads H), N = C T and H even. Its ln1 output
+    `layer_norm(seq, ln_gain, ln_bias) @ w_qkv + b_qkv` is the (B, C, T, 3,
+    H, d / H) q|k|v grid as it stands; half the heads attend along time,
+    half across channels (`_criss_cross`); the result is `seq` plus the head
+    outputs @ w_out + b_out. The arithmetic is that of the layer norm,
+    q|k|v matmul, head-level attention and out-projection chain it replaces,
+    so the bits are that chain's.
+
+    The backward keeps only the per-token `std`, the q|k|v buffer and each
+    head group's probabilities. It rebuilds the ln1 output and the head
+    outputs by the forward's own sequences, and gives `seq` the sum of the
+    residual's gradient and the layer norm's, as the tape would accumulate
+    it.
+    """
+    x = seq.data
+    channels, windows, heads = grid
+    b, n, d = x.shape
+    if channels * windows != n or d % heads or heads % 2:
+        raise ValueError(f"a ({b}, {n}, {d}) stream is not a {grid} head grid")
+    normed, std = _standardize(x)
+    _scale_shift(normed, ln_gain.data, ln_bias.data, out=normed)
+    qkv = normed @ w_qkv.data
+    qkv += b_qkv.data
+    del normed
+    heads_shape = (b, channels, windows, heads, d // heads)
+    qkv = qkv.reshape(b, channels, windows, 3, heads, d // heads)
+    mixed, probs = _criss_cross(qkv)
+    out = mixed.reshape(x.shape) @ w_out.data
+    out += b_out.data
+    out += x
+
+    def backward(g):
+        mixed = _head_outputs(qkv, probs).reshape(x.shape)
+        g_mixed, g_w_out = _matmul_grads(mixed, w_out.data, g)
+        del mixed
+        g_qkv = _criss_cross_grad(qkv, probs, g_mixed.reshape(heads_shape))
+        del g_mixed
+        g_qkv = g_qkv.reshape(b, n, 3 * d)
+        normed = _restandardize(x, std)
+        ln = _scale_shift(normed, ln_gain.data, ln_bias.data)
+        g_ln, g_w_qkv = _matmul_grads(ln, w_qkv.data, g_qkv)
+        del ln
+        g_x, g_gain, g_bias = _affine_grads(normed, std, ln_gain.data, ln_bias.data, g_ln)
+        g_x += g
+        return (g_x, g_gain, g_bias, g_w_qkv, _unbroadcast(g_qkv, b_qkv.data.shape),
+                g_w_out, _unbroadcast(g, b_out.data.shape))
+
+    return _make(out, (seq, ln_gain, ln_bias, w_qkv, b_qkv, w_out, b_out), backward)
 
 
 def mlp(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
@@ -380,8 +451,7 @@ def mlp(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
     """
     x = seq.data
     normed, std = _standardize(x)
-    normed *= ln_gain.data
-    normed += ln_bias.data
+    _scale_shift(normed, ln_gain.data, ln_bias.data, out=normed)
     h = normed @ w1.data
     h += b1.data
     t = _gelu_tanh(h)
@@ -394,10 +464,8 @@ def mlp(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
         g_act, g_w2 = _matmul_grads(_gelu(h, t), w2.data, g)
         g_h = _gelu_grad(h, t, g_act)
         del t, g_act
-        normed = _center(x)
-        normed /= std
-        ln = normed * ln_gain.data
-        ln += ln_bias.data
+        normed = _restandardize(x, std)
+        ln = _scale_shift(normed, ln_gain.data, ln_bias.data)
         g_ln, g_w1 = _matmul_grads(ln, w1.data, g_h)
         del ln
         g_x, g_gain, g_bias = _affine_grads(normed, std, ln_gain.data, ln_bias.data, g_ln)
@@ -406,6 +474,43 @@ def mlp(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
                 g_w2, _unbroadcast(g, b2.data.shape))
 
     return _make(out, (seq, ln_gain, ln_bias, w1, b1, w2, b2), backward)
+
+
+def embed(patches: Tensor, kernel: Tensor, bias: Tensor, mask: np.ndarray | None,
+          mask_token: Tensor, channel_embed: Tensor, pos_embed: Tensor) -> Tensor:
+    """The token grid of a (B, C, T, p) patch grid: `patches @ kernel +
+    bias` (kernel (p, d)), replaced by `mask_token` (d,) wherever the
+    constant boolean (B, C, T) `mask` is set (None masks nothing), plus
+    `channel_embed` (C, d) in each channel and `pos_embed` (T, d) in each
+    window. The arithmetic is that of the stem `matmul`, masked select and
+    two `add`s it replaces, run in place on one (B, C, T, d) buffer, so the
+    bits are that chain's.
+
+    The backward reads only `patches`, `kernel` and `mask`. With no mask,
+    `mask_token` gets no gradient, as it has no consumer.
+    """
+    out = patches.data @ kernel.data
+    out += bias.data
+    cond = None if mask is None else mask[..., None]
+    if cond is not None:
+        np.copyto(out, mask_token.data, where=cond)
+    channels, d = channel_embed.shape
+    out += channel_embed.data.reshape(channels, 1, d)
+    out += pos_embed.data
+
+    def backward(g):
+        g_channel = _unbroadcast(g, (channels, 1, d)).reshape(channels, d)
+        g_pos = _unbroadcast(g, pos_embed.data.shape)
+        g_token = None
+        if cond is not None:
+            zero = np.zeros((), dtype=g.dtype)
+            g_token = _unbroadcast(np.where(cond, g, zero), mask_token.data.shape)
+            g = np.where(cond, zero, g)
+        return (_matmul_grads(patches.data, kernel.data, g)
+                + (_unbroadcast(g, bias.data.shape), g_token, g_channel, g_pos))
+
+    return _make(out, (patches, kernel, bias, mask_token, channel_embed, pos_embed),
+                 backward)
 
 
 def squared_error(a: Tensor, target, weight, s: float) -> Tensor:

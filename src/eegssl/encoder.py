@@ -8,11 +8,15 @@ record no tape, so no gradient can ever reach the target parameters.
 `patch_grid` builds the encoder input: a trainable channel map takes the
 dataset montage to the mapped channels, and each mapped channel is cut into
 consecutive length-p_t patches (any tail shorter than a patch is dropped).
-`forward_tokens` encodes that grid. Token layout is channel-major: token
-index = channel * n_t + window. Each pre-norm layer adds criss-cross
-attention of its ln1 output to the residual stream, then runs its MLP
-sublayer (ln2, fc1, gelu, fc2 and the residual add) as one `ad.mlp` op,
-whose tape keeps only the fc1 output and the per-token std.
+`forward_tokens` encodes that grid. One `ad.embed` op makes the tokens: the
+stem, the mask token on masked patches, and the channel and position
+embeddings. Token layout is channel-major: token index = channel * n_t +
+window. Each pre-norm layer runs its attention sublayer (ln1, q|k|v,
+criss-cross attention, the output projection and the residual add) as one
+`ad.attention` op, whose tape keeps the q|k|v buffer, the softmax
+probabilities and the per-token std, then its MLP sublayer (ln2, fc1,
+gelu, fc2 and the residual add) as one `ad.mlp` op, whose tape keeps only
+the fc1 output and the per-token std.
 
 `param_shapes` is the parameter table: `init_param_store` fills it, and a
 checkpoint's layout is checked against it without drawing weights.
@@ -24,6 +28,7 @@ backward hold are bounded by that budget, not by the batch size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -184,10 +189,22 @@ def wrap_constants(store: Mapping[str, np.ndarray]) -> dict:
     return {k: ad.constant(v) for k, v in store.items()}
 
 
-def _stem_tokens(patches: ad.Tensor, p: Mapping[str, ad.Tensor],
-                 cfg: EncoderConfig) -> ad.Tensor:
-    """Valid 1-D conv (d filters, kernel k, stride 1) over each patch, read
-    out through a learned pooling:
+@functools.lru_cache
+def _anti_diagonals(p_t: int, k: int, dtype: np.dtype) -> np.ndarray:
+    """The constant (p_t, k * L_out) 0/1 matrix whose product with the (k *
+    L_out, d) outer product of stem.weight and stem.pool sums its
+    anti-diagonals: column j * L_out + u is 1 at row u + j. Built once per
+    shape and dtype, and read-only."""
+    l_out = p_t - k + 1
+    diagonals = np.stack([np.eye(p_t, l_out, -j) for j in range(k)], axis=1)
+    diagonals = diagonals.reshape(p_t, k * l_out).astype(dtype)
+    diagonals.flags.writeable = False
+    return diagonals
+
+
+def _stem_kernel(p: Mapping[str, ad.Tensor], cfg: EncoderConfig, dtype) -> ad.Tensor:
+    """The stem's (p_t, d) kernel. The stem is a valid 1-D conv (d filters,
+    kernel k, stride 1) over each patch, read out through a learned pooling:
 
         token[c] = sum_u pool[u, c] * sum_j w[j, c] * patch[u + j] + bias[c]
 
@@ -196,40 +213,21 @@ def _stem_tokens(patches: ad.Tensor, p: Mapping[str, ad.Tensor],
 
     Conv and pooling compose into one effective kernel per filter,
     K[s, c] = sum_{u+j=s} pool[u, c] * w[j, c], so the stem is one matmul
-    of the patches with the (p_t, d) kernel K. K is built on the tape: the
-    outer product of w and pool, summed along its anti-diagonals by a
-    constant 0/1 matrix.
+    of the patches with K (`ad.embed`). K is built on the tape: the outer
+    product of w and pool, summed along its anti-diagonals by a constant 0/1
+    matrix.
     """
     k, l_out = cfg.stem_kernel, cfg.conv_positions
     outer = ad.mul(ad.reshape(p["stem.weight"], (k, 1, cfg.d)),
                    p["stem.pool"])                                  # (k, L_out, d)
-    diagonals = np.stack([np.eye(cfg.p_t, l_out, -j) for j in range(k)], axis=1)
-    diagonals = ad.constant(
-        diagonals.reshape(cfg.p_t, k * l_out).astype(patches.data.dtype))
-    kernel = ad.matmul(diagonals, ad.reshape(outer, (k * l_out, cfg.d)))  # (p_t, d)
-    return ad.matmul(patches, kernel, p["stem.bias"])
+    diagonals = ad.constant(_anti_diagonals(cfg.p_t, k, np.dtype(dtype)))
+    return ad.matmul(diagonals, ad.reshape(outer, (k * l_out, cfg.d)))  # (p_t, d)
 
 
-def _linear(x: ad.Tensor, p: Mapping[str, ad.Tensor], name: str,
-            *residual: ad.Tensor) -> ad.Tensor:
-    """Linear layer `name`: x @ `<name>.weight` + `<name>.bias`, plus the
-    `residual` stream when it is given, all in one matmul node."""
-    return ad.matmul(x, p[name + ".weight"], p[name + ".bias"], *residual)
-
-
-def _attention(x: ad.Tensor, seq: ad.Tensor, p: Mapping[str, ad.Tensor],
-               prefix: str, cfg: EncoderConfig) -> ad.Tensor:
-    """Residual stream `seq` plus criss-cross attention over `x`: the
-    channel-major (B, N, 3d) q|k|v projection is a (B, M', n_t, 3, heads,
-    head_dim) grid as it stands, which `ad.attention` takes; half the heads
-    attend along time, half across channels."""
-    grid = (x.shape[0], cfg.mapped_channels, cfg.n_t, 3, cfg.heads, cfg.head_dim)
-    qkv = ad.reshape(_linear(x, p, prefix + "attn.qkv"), grid)
-    mixed = ad.reshape(ad.attention(qkv), x.shape)
-    return _linear(mixed, p, prefix + "attn.out", seq)
-
-
-# The parameters of `ad.mlp` after the residual stream, in its order.
+# The parameters of `ad.attention` and `ad.mlp` after the residual stream, in
+# their order.
+_ATTENTION_PARAMS = ("ln1.gain", "ln1.bias", "attn.qkv.weight", "attn.qkv.bias",
+                     "attn.out.weight", "attn.out.bias")
 _MLP_PARAMS = ("ln2.gain", "ln2.bias", "mlp.fc1.weight", "mlp.fc1.bias",
                "mlp.fc2.weight", "mlp.fc2.bias")
 
@@ -261,18 +259,13 @@ def forward_tokens(p: Mapping[str, ad.Tensor], patches: ad.Tensor,
     if mask is not None and mask.shape != (b, cfg.mapped_channels, cfg.n_t):
         raise ValidationError("mask shape does not match the patch grid")
 
-    mp, n_t, d = cfg.mapped_channels, cfg.n_t, cfg.d
-    tokens = _stem_tokens(patches, p, cfg)                     # (B, M', n_t, d)
-    if mask is not None:
-        tokens = ad.where(mask[..., None], p["mask_token"], tokens)
-    tokens = ad.add(tokens, ad.reshape(p["channel_embed"], (mp, 1, d)))
-    tokens = ad.add(tokens, p["pos_embed"])                    # (n_t, d) broadcast
-    seq = ad.reshape(tokens, (b, mp * n_t, d))
-
+    tokens = ad.embed(patches, _stem_kernel(p, cfg, patches.data.dtype), p["stem.bias"],
+                      mask, p["mask_token"], p["channel_embed"], p["pos_embed"])
+    seq = ad.reshape(tokens, (b, cfg.n_tokens, cfg.d))         # (B, N, d)
+    grid = (cfg.mapped_channels, cfg.n_t, cfg.heads)
     for i in range(cfg.layers):
         pre = f"layers.{i}."
-        normed = ad.layer_norm(seq, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        seq = _attention(normed, seq, p, pre, cfg)
+        seq = ad.attention(seq, *(p[pre + name] for name in _ATTENTION_PARAMS), grid)
         seq = ad.mlp(seq, *(p[pre + name] for name in _MLP_PARAMS))
     return ad.layer_norm(seq, p["final_ln.gain"], p["final_ln.bias"])
 
@@ -281,5 +274,5 @@ def predict_patches(p: Mapping[str, ad.Tensor], z: ad.Tensor,
                     cfg: EncoderConfig) -> ad.Tensor:
     """Linear head d -> p_t per token, reshaped to the patch grid."""
     b = z.shape[0]
-    pred = _linear(z, p, "recon")
+    pred = ad.matmul(z, p["recon.weight"], p["recon.bias"])
     return ad.reshape(pred, (b, cfg.mapped_channels, cfg.n_t, cfg.p_t))

@@ -221,13 +221,22 @@ def test_gelu_finite_at_extreme_inputs(dtype):
     np.testing.assert_array_equal(grad, [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
 
 
+def attention(qkv):
+    """The head-level criss-cross attention tape op that `ad.attention`
+    absorbed, run on the private helpers it shares: a (B, C, T, 3, H, hd)
+    q|k|v grid to the (B, C, T, H, hd) head outputs. The oracle for the head
+    groups' arithmetic and the fused op's composite."""
+    out, probs = ad._criss_cross(qkv.data)
+    return ad._make(out, (qkv,), lambda g: (ad._criss_cross_grad(qkv.data, probs, g),))
+
+
 def test_softmax():
     # the softmax runs inside the fused attention op; check it w.r.t. q, k, v
     # on (batch, channels, windows, q|k|v, heads, head_dim) grids with
     # channels != windows, so a mixed-up head group cannot pass
     target = np.random.default_rng(4).standard_normal((2, 3, 5, 4, 4))
-    check_op(lambda qkv: sum_sq(ad.attention(qkv), target), (2, 3, 5, 3, 4, 4))
-    check_op(lambda qkv: sum_sq(ad.attention(qkv)), (1, 4, 2, 3, 2, 3), seed=1)
+    check_op(lambda qkv: sum_sq(attention(qkv), target), (2, 3, 5, 3, 4, 4))
+    check_op(lambda qkv: sum_sq(attention(qkv)), (1, 4, 2, 3, 2, 3), seed=1)
 
 
 def composite_attention(q, k, v):
@@ -245,7 +254,7 @@ def composite_attention(q, k, v):
 
 
 def fused(q, k, v):
-    """The (B, C, T, 3, H, hd) q|k|v grid that `ad.attention` takes."""
+    """The (B, C, T, 3, H, hd) q|k|v grid that `attention` takes."""
     return ad.constant(np.stack((q, k, v), axis=3))
 
 
@@ -254,21 +263,22 @@ def test_attention_forward_matches_composite_float32():
     q, k, v = (rng.standard_normal((2, 6, 16, 4, 8)).astype(np.float32) * 3.0
                for _ in range(3))
     expected = composite_attention(q, k, v)
-    out = ad.attention(fused(q, k, v)).data
+    out = attention(fused(q, k, v)).data
     assert out.dtype == np.float32
     assert out.tobytes() == expected.tobytes()
 
 
 def attention_grad_on_copies(qkv, g):
-    """`ad.attention`'s qkv gradient for output gradient `g`, with `_attend`
-    run on contiguous copies of each head group's q, k, v and g and laid back
-    out by the inverse transposes."""
+    """`attention`'s qkv gradient for output gradient `g`, with the softmax
+    and its backward run on contiguous copies of each head group's q, k, v
+    and g and laid back out by the inverse transposes."""
     half = qkv.shape[4] // 2
     grad = np.empty_like(qkv)
     for heads, axes in zip((np.s_[:half], np.s_[half:]), ((0, 1, 3, 2, 4), (0, 2, 3, 1, 4))):
-        _, backward = ad._attend(*(np.ascontiguousarray(qkv[:, :, :, i, heads].transpose(axes))
-                                   for i in range(3)))
-        parts = backward(np.ascontiguousarray(g[:, :, :, heads].transpose(axes)))
+        q, k, v = (np.ascontiguousarray(qkv[:, :, :, i, heads].transpose(axes))
+                   for i in range(3))
+        parts = ad._attend_grad(q, k, v, ad._attention_probs(q, k),
+                                np.ascontiguousarray(g[:, :, :, heads].transpose(axes)))
         for i, part in enumerate(parts):
             grad[:, :, :, i, heads] = part.transpose(np.argsort(axes))
     return grad
@@ -276,11 +286,11 @@ def attention_grad_on_copies(qkv, g):
 
 @pytest.mark.parametrize("grid", [(2, 6, 16, 4, 8), (3, 5, 7, 6, 4)])
 def test_attention_grads_match_contiguous_copies_float32(grid):
-    # the views that `ad.attention` hands `_attend` give the bytes of copies
+    # the views that the head groups run on give the bytes of copies
     rng = np.random.default_rng(9)
     qkv = (rng.standard_normal(grid[:3] + (3,) + grid[3:]) * 3.0).astype(np.float32)
     g = rng.standard_normal(grid).astype(np.float32)
-    (grad,) = ad.attention(ad.parameter(qkv))._backward(g)
+    (grad,) = attention(ad.parameter(qkv))._backward(g)
     assert grad.dtype == np.float32
     assert grad.tobytes() == attention_grad_on_copies(qkv, g).tobytes()
 
@@ -293,8 +303,8 @@ def test_attention_heads_see_their_row_and_column():
     c0, w0 = 2, 4
     bumped = v.copy()
     bumped[:, c0, w0] += 1.0
-    base = ad.attention(fused(q, k, v)).data
-    moved = ad.attention(fused(q, k, bumped)).data
+    base = attention(fused(q, k, v)).data
+    moved = attention(fused(q, k, bumped)).data
     changed = (moved != base).any(axis=(0, 4))           # (channels, windows, heads)
     temporal, spatial = changed[..., :2].any(-1), changed[..., 2:].any(-1)
     expected_row = np.zeros((5, 7), bool)
@@ -370,8 +380,67 @@ def test_mlp(lead, d, hidden):
 def test_attention_odd_grids(batch, grid, heads, head_dim):
     # odd channel and window counts, channels != windows
     target = fixed_target((batch, *grid, heads, head_dim))
-    check_op(lambda qkv: sum_sq(ad.attention(qkv), target),
+    check_op(lambda qkv: sum_sq(attention(qkv), target),
              (batch, *grid, 3, heads, head_dim))
+
+
+# Channel and window counts for the fused ops: channels != windows, and each
+# axis possibly of size 1.
+token_grids = st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=2, unique=True)
+
+
+@settings(max_examples=10, deadline=None)
+@given(batch=st.integers(1, 2), grid=token_grids, heads=st.sampled_from([2, 4]),
+       head_dim=st.integers(1, 2))
+@example(batch=1, grid=[3, 1], heads=2, head_dim=1)
+@example(batch=2, grid=[1, 3], heads=4, head_dim=2)
+def test_attention(batch, grid, heads, head_dim):
+    # float64 gradcheck of the fused sublayer's seven inputs, the residual
+    # stream included. The key bias's exact gradient is 0 (softmax ignores a
+    # shift shared by a row's scores), so the loss is scaled down until the
+    # central differences' rounding, about 1e-16 |L| / h, stays under atol
+    d = heads * head_dim
+    shape = (batch, grid[0] * grid[1], d)
+    target = fixed_target(shape)
+    check_op(lambda *args: ad.squared_error(ad.attention(*args, (*grid, heads)), target,
+                                            1.0, 1e-3),
+             shape, (d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,))
+
+
+def embed_mask(kind, shape, seed=0):
+    """A (B, C, T) mask: random, all True, all False (empty), or None."""
+    if kind == "random":
+        return np.random.default_rng(seed).random(shape) < 0.5
+    return {"all": np.ones(shape, bool), "empty": np.zeros(shape, bool), None: None}[kind]
+
+
+@settings(max_examples=15, deadline=None)
+@given(batch=st.integers(1, 2), grid=token_grids, p=st.integers(1, 3),
+       d=st.integers(1, 3), kind=st.sampled_from(["random", "all", "empty", None]))
+@example(batch=2, grid=[3, 2], p=3, d=2, kind="random")
+@example(batch=1, grid=[1, 2], p=1, d=1, kind=None)
+def test_embed(batch, grid, p, d, kind):
+    # float64 gradcheck of every input; with no mask the mask token has no
+    # consumer and gets no gradient
+    channels, windows = grid
+    mask = embed_mask(kind, (batch, channels, windows))
+    target = fixed_target((batch, channels, windows, d))
+    shapes = [(batch, channels, windows, p), (p, d), (d,), (d,), (channels, d),
+              (windows, d)]
+
+    def build(patches, kernel, bias, token, channel, pos):
+        return sum_sq(ad.embed(patches, kernel, bias, mask, token, channel, pos), target)
+
+    if mask is not None:
+        check_op(build, *shapes)
+    else:
+        check_op(lambda patches, kernel, bias, channel, pos: build(
+            patches, kernel, bias, ad.constant(np.ones(d)), channel, pos),
+            *(shapes[:3] + shapes[4:]))
+    token = ad.parameter(np.ones(d))
+    build(*(ad.parameter(np.ones(s)) for s in shapes[:3]), token,
+          *(ad.parameter(np.ones(s)) for s in shapes[4:])).backward()
+    assert (token.grad is None) == (mask is None)
 
 
 def mlp_chain(seq, ln_gain, ln_bias, w1, b1, w2, b2):
@@ -381,6 +450,49 @@ def mlp_chain(seq, ln_gain, ln_bias, w1, b1, w2, b2):
     return ad.matmul(hidden, w2, b2, seq)
 
 
+def attention_chain(seq, ln_gain, ln_bias, w_qkv, b_qkv, w_out, b_out, grid):
+    """The six tape ops that `ad.attention` replaced: the affine layer norm,
+    the q|k|v projection, its reshape to the head grid, the head-level
+    attention, the reshape back, and the out-projection with the residual
+    stream added in place."""
+    (b, n, d), (channels, windows, heads) = seq.shape, grid
+    qkv = ad.matmul(ad.layer_norm(seq, ln_gain, ln_bias), w_qkv, b_qkv)
+    qkv = ad.reshape(qkv, (b, channels, windows, 3, heads, d // heads))
+    return ad.matmul(ad.reshape(attention(qkv), seq.shape), w_out, b_out, seq)
+
+
+def where(cond, a, b):
+    """The masked-select tape op that `ad.embed` absorbed: elementwise
+    select with a constant boolean condition."""
+    out = np.where(cond, a.data, b.data)
+
+    def backward(g):
+        zero = np.zeros((), dtype=g.dtype)
+        ga = ad._unbroadcast(np.where(cond, g, zero), a.data.shape)
+        gb = ad._unbroadcast(np.where(cond, zero, g), b.data.shape)
+        return ga, gb
+
+    return ad._make(out, (a, b), backward)
+
+
+def embed_chain(patches, kernel, bias, mask, mask_token, channel_embed, pos_embed):
+    """The tape ops that `ad.embed` replaced: the stem matmul with its bias,
+    the masked select of the mask token, and the channel and position
+    embedding adds."""
+    tokens = ad.matmul(patches, kernel, bias)
+    if mask is not None:
+        tokens = where(mask[..., None], mask_token, tokens)
+    channels, d = channel_embed.shape
+    tokens = ad.add(tokens, ad.reshape(channel_embed, (channels, 1, d)))
+    return ad.add(tokens, pos_embed)
+
+
+def with_mask(op, mask):
+    """`ad.embed` or its chain with the mask bound: a function of the six
+    tensors."""
+    return lambda patches, kernel, bias, *embeds: op(patches, kernel, bias, mask, *embeds)
+
+
 @pytest.mark.parametrize("lead", [(6,), (2, 3, 1, 4)])
 def test_fused_ops_match_their_composites_bitwise_float32(lead):
     # the forward output and every input gradient of each fused op are the
@@ -388,17 +500,32 @@ def test_fused_ops_match_their_composites_bitwise_float32(lead):
     rng = np.random.default_rng(8)
     n, m = 5, 7
     f32 = lambda *shape: (rng.standard_normal(shape) * 3.0 + 0.5).astype(np.float32)
+    # the fused sublayer and token ops on lead[0] segments of a grid with
+    # channels != windows
+    b, channels, windows, heads, d, p = lead[0], 3, 5, 4, 8, 6
+    grid = (channels, windows, heads)
     cases = [
-        (ad.matmul, lambda x, w, b: ad.add(ad.matmul(x, w), b),
+        ("matmul", ad.matmul, lambda x, w, b: ad.add(ad.matmul(x, w), b),
          (f32(*lead, n), f32(n, m), f32(m))),
-        (ad.matmul, lambda x, w, b, seq: ad.add(seq, ad.matmul(x, w, b)),
+        ("matmul", ad.matmul, lambda x, w, b, seq: ad.add(seq, ad.matmul(x, w, b)),
          (f32(*lead, n), f32(n, m), f32(m), f32(*lead, m))),
-        (ad.layer_norm, lambda x, g, b: ad.add(ad.mul(ad.layer_norm(x), g), b),
+        ("layer_norm", ad.layer_norm,
+         lambda x, g, b: ad.add(ad.mul(ad.layer_norm(x), g), b),
          (f32(*lead, n), f32(n), f32(n))),
-        (ad.mlp, mlp_chain,
+        ("mlp", ad.mlp, mlp_chain,
          (f32(*lead, n), f32(n), f32(n), f32(n, m), f32(m), f32(m, n), f32(n))),
+        ("attention", lambda *args: ad.attention(*args, grid),
+         lambda *args: attention_chain(*args, grid),
+         (f32(b, channels * windows, d), f32(d), f32(d), f32(d, 3 * d), f32(3 * d),
+          f32(d, d), f32(d))),
     ]
-    for case, (fused, composite, arrays) in enumerate(cases):
+    for kind in ("random", "all", "empty", None):
+        mask = embed_mask(kind, (b, channels, windows))
+        cases.append((f"embed, {kind} mask", with_mask(ad.embed, mask),
+                      with_mask(embed_chain, mask),
+                      (f32(b, channels, windows, p), f32(p, d), f32(d), f32(d),
+                       f32(channels, d), f32(windows, d))))
+    for name, fused, composite, arrays in cases:
         target = f32(*arrays[0].shape[:-1], arrays[1].shape[-1])
         results = []
         for op in (fused, composite):
@@ -406,9 +533,10 @@ def test_fused_ops_match_their_composites_bitwise_float32(lead):
             out = op(*tensors)
             ad.squared_error(out, target, 1.0, 0.25).backward()
             assert out.data.dtype == np.float32
-            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+            results.append([out.data.tobytes()] + [
+                None if t.grad is None else t.grad.tobytes() for t in tensors])
         assert len(results[0]) == len(arrays) + 1
-        assert results[0] == results[1], (case, fused.__name__)
+        assert results[0] == results[1], name
 
 
 def softmax_rows(x, row_max):
@@ -443,7 +571,7 @@ def test_row_max_matches_the_reduction(rows):
 
 def test_where():
     cond = np.array([[True, False, True], [False, True, False]])
-    check_op(lambda a, b: sum_sq(ad.where(cond, a, b)), (2, 3), (2, 3))
+    check_op(lambda a, b: sum_sq(where(cond, a, b)), (2, 3), (2, 3))
 
 
 @settings(max_examples=25, deadline=None)
@@ -454,7 +582,7 @@ def test_where_broadcast_vector(shapes, seed):
     # the condition broadcasts too
     cond = np.random.default_rng(seed).random(shapes[0]) < 0.5
     target = fixed_target(np.broadcast_shapes(*shapes))
-    check_op(lambda a, b: sum_sq(ad.where(cond, a, b), target), *shapes[1:])
+    check_op(lambda a, b: sum_sq(where(cond, a, b), target), *shapes[1:])
 
 
 def test_diamond_graph_accumulates_once():
@@ -482,6 +610,14 @@ def test_constants_record_no_tape():
               ad.mlp(ad.reshape(x, (1, 3)), x, x, ad.constant(np.ones((3, 2))),
                      ad.constant(np.ones(2)), ad.constant(np.ones((2, 3))), x)):
         assert y._parents == () and y._backward is None and not y.requires_grad
+    # the fused attention sublayer and token embedding, with and without a mask
+    ones = lambda *shape: ad.constant(np.ones(shape))
+    attn = ad.attention(ones(1, 6, 4), ones(4), ones(4), ones(4, 12), ones(12),
+                        ones(4, 4), ones(4), (3, 2, 2))
+    tokens = [ad.embed(ones(1, 3, 2, 5), ones(5, 4), ones(4), mask, ones(4), ones(3, 4),
+                       ones(2, 4)) for mask in (None, np.ones((1, 3, 2), bool))]
+    for y in [attn] + tokens:
+        assert y._parents == () and y._backward is None and not y.requires_grad
     # one parameter input is enough to record the node
     z = ad.mul(x, ad.parameter(np.ones(3)))
     assert len(z._parents) == 2 and z._backward is not None
@@ -499,6 +635,18 @@ def test_dtype_preserved_float32():
                                                   dtype=np.float32).reshape(shape))
     inputs = (f32(2, 3), f32(3), f32(3), f32(3, 5), f32(5), f32(5, 3), f32(3))
     out = ad.mlp(*inputs)
+    assert out.data.dtype == np.float32
+    sum_sq(out).backward()
+    assert all(t.grad.dtype == np.float32 for t in inputs)
+    # the fused attention sublayer and token embedding likewise
+    inputs = (f32(2, 6, 4), f32(4), f32(4), f32(4, 12), f32(12), f32(4, 4), f32(4))
+    out = ad.attention(*inputs, (2, 3, 2))
+    assert out.data.dtype == np.float32
+    sum_sq(out).backward()
+    assert all(t.grad.dtype == np.float32 for t in inputs)
+    inputs = (f32(2, 3, 2, 5), f32(5, 4), f32(4), f32(4), f32(3, 4), f32(2, 4))
+    mask = np.arange(12).reshape(2, 3, 2) % 3 == 0
+    out = ad.embed(*inputs[:3], mask, *inputs[3:])
     assert out.data.dtype == np.float32
     sum_sq(out).backward()
     assert all(t.grad.dtype == np.float32 for t in inputs)

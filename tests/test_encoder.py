@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import eegssl.encoder
 from eegssl import autodiff as ad
-from eegssl.encoder import (EncoderConfig, _stem_tokens, forward_tokens,
+from eegssl.encoder import (EncoderConfig, _stem_kernel, forward_tokens,
                             init_param_store, param_shapes, patch_grid,
                             predict_patches, wrap_constants)
 from eegssl.errors import ValidationError
@@ -308,7 +308,11 @@ def test_stem_matches_conv_then_pool():
     params = {"stem.weight": ad.constant(np.ascontiguousarray(w.T)),
               "stem.pool": ad.constant(np.ascontiguousarray(pool.T)),
               "stem.bias": ad.constant(bias)}
-    tokens = _stem_tokens(ad.constant(patches), params, cfg).data
+    # no mask, and zero channel and position embeddings: the stem alone
+    zeros = [ad.constant(np.zeros(shape)) for shape in
+             ((cfg.d,), (cfg.mapped_channels, cfg.d), (cfg.n_t, cfg.d))]
+    tokens = ad.embed(ad.constant(patches), _stem_kernel(params, cfg, patches.dtype),
+                      params["stem.bias"], None, *zeros).data
 
     expected = np.empty(patches.shape[:-1] + (cfg.d,))
     for idx in np.ndindex(patches.shape[:-1]):
@@ -346,19 +350,19 @@ def test_block_matches_three_separate_projections_float64(monkeypatch):
     x = rng.standard_normal((2, cfg.in_channels, cfg.segment_samples))
     params = wrap_constants(store)
 
-    def three_projections(normed, seq, p, prefix, cfg):
-        w, bias = store[prefix + "attn.qkv.weight"], store[prefix + "attn.qkv.bias"]
-        grid = (normed.shape[0], cfg.mapped_channels, cfg.n_t, cfg.heads, cfg.head_dim)
+    def three_projections(seq, ln_gain, ln_bias, w_qkv, b_qkv, w_out, b_out, heads_grid):
+        normed = ad.layer_norm(seq, ln_gain, ln_bias)
+        w, bias = w_qkv.data, b_qkv.data
+        grid = (normed.shape[0], *heads_grid, cfg.head_dim)
         q, k, v = (ad.matmul(normed, ad.constant(w[:, cols]), ad.constant(bias[cols]))
                    .data.reshape(grid)
                    for cols in (np.s_[:cfg.d], np.s_[cfg.d:2 * cfg.d], np.s_[2 * cfg.d:]))
-        mixed = ad.attention(ad.constant(np.stack((q, k, v), axis=3))).data
+        mixed, _ = ad._criss_cross(np.stack((q, k, v), axis=3))
         return ad.add(seq, ad.matmul(ad.constant(mixed.reshape(normed.shape)),
-                                     p[prefix + "attn.out.weight"],
-                                     p[prefix + "attn.out.bias"]))
+                                     w_out, b_out))
 
     fused = forward_tokens(params, patch_grid(params, x, cfg), None, cfg).data
-    monkeypatch.setattr(eegssl.encoder, "_attention", three_projections)
+    monkeypatch.setattr(eegssl.encoder.ad, "attention", three_projections)
     composite = forward_tokens(params, patch_grid(params, x, cfg), None, cfg).data
     assert fused.dtype == np.float64
     np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=1e-12)
