@@ -1,33 +1,33 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Exactly the ops the encoder and losses run, each with its own closed-form
-backward: broadcasting `add`/`mul`, `scale` by a python float, `matmul`
-(with terms, such as a bias and a residual stream, added into the product
-in place), `reshape`, `layer_norm` with an optional gain and bias, the
-losses' weighted `squared_error` against a constant target, and three
-fused ops: the token `embed` (stem matmul and bias, the masked select of
-the mask token, the channel and position embeddings), the pre-norm
-criss-cross `attention` sublayer (layer norm, q|k|v projection, the two
-head groups, the output projection and the residual add) and the pre-norm
-`mlp` sublayer (layer norm, fc1, gelu in its tanh form, fc2 and the
-residual add). Gradients are accumulated on a tape built during the forward
-pass; `backward()` walks it once in reverse topological order and frees
-each node as it goes. An op records a tape node only when one of its inputs
-requires grad, so a forward over `constant` tensors records nothing. The
-fused ops repeat the arithmetic of the op chains they replace, so they give
-the same bits with fewer buffers alive.
+backward: broadcasting `add`, `scale` by a python float, `matmul` (its
+optional bias added into the product in place), `reshape`, `layer_norm`
+with an optional gain and bias, the losses' weighted `squared_error`
+against a constant target, and the encoder's layers as three fused ops: the
+token `embed` (the conv-and-pool stem, whose kernel it builds, the masked
+select of the mask token, the channel and position embeddings), the
+pre-norm criss-cross `attention` sublayer (layer norm, q|k|v projection,
+the two head groups, the output projection and the residual add) and the
+pre-norm `mlp` sublayer (layer norm, fc1, gelu in its tanh form, fc2 and
+the residual add). Gradients are accumulated on a tape built during the
+forward pass; `backward()` walks it once in reverse topological order and
+frees each node as it goes. An op records a tape node only when one of its
+inputs requires grad, so a forward over `constant` tensors records nothing.
+The fused ops repeat the arithmetic of the op chains they replace, so they
+give the same bits with fewer buffers alive.
 
 A backward keeps only what it reads. Where one cheap pass rebuilds a buffer
 from what the tape holds anyway, the backward reruns it rather than holding
 the buffer (Chen et al., arXiv 1604.06174), each by the forward's own
 sequence, so the rebuilt bits are the forward's. The affine `layer_norm`
-keeps its per-row std and rebuilds its standardized input. `attention`
-keeps the per-token std, the q|k|v buffer and each head group's softmax
-probabilities, and rebuilds the ln1 output and the head outputs; its head
-groups run on strided views of q, k and v, with no copies. `mlp` keeps the
-per-token std and the fc1 output h, and rebuilds the layer-norm output and
-the gelu output, one tanh of h serving the gelu output and its derivative.
-`embed`'s backward reads only the patches, the stem kernel and the mask.
+and the sublayers' shared pre-norm projection (`_ln_linear`) keep the
+per-row std and rebuild the standardized input. `attention` also keeps the
+q|k|v buffer and each head group's softmax probabilities, and rebuilds the
+head outputs; its head groups run on strided views of q, k and v, with no
+copies. `mlp` also keeps the fc1 output h, and rebuilds the gelu output,
+one tanh of h serving the gelu output and its derivative. `embed` keeps the
+stem kernel and reads the patches, the stem parameters and the mask.
 
 Dtype follows the input arrays (float32 for training, float64 for gradient
 checks). Scalar constants enter ops as python floats so they never upcast.
@@ -35,6 +35,7 @@ checks). Scalar constants enter ops as python floats so they never upcast.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -140,12 +141,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                                          _unbroadcast(g, b.data.shape)))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                         _unbroadcast(g * a.data, b.data.shape)))
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)  # numpy scalars would upcast float32 operands
     return _make(a.data * s, (a,), lambda g: (g * s,))
@@ -158,23 +153,19 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> tuple:
             _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
 
 
-def matmul(a: Tensor, b: Tensor, *terms: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Stacked matrix product `a @ b`, both operands with ndim >= 2, plus
-    each of `terms` in order. The terms (a bias, a residual stream) are added
-    into the product in place, so each must broadcast to the product's
-    shape, and a linear layer and the residual add after it keep one output
-    buffer on the tape."""
+    `bias` when it is given. The bias, which must broadcast to the product's
+    shape, is added into the product in place, so a linear layer keeps one
+    output buffer on the tape."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
     out = a.data @ b.data
-    for term in terms:
-        out += term.data
-
-    def backward(g):
-        return (_matmul_grads(a.data, b.data, g)
-                + tuple(_unbroadcast(g, term.data.shape) for term in terms))
-
-    return _make(out, (a, b) + terms, backward)
+    if bias is None:
+        return _make(out, (a, b), lambda g: _matmul_grads(a.data, b.data, g))
+    out += bias.data
+    return _make(out, (a, b, bias), lambda g: (_matmul_grads(a.data, b.data, g)
+                                               + (_unbroadcast(g, bias.data.shape),)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -382,34 +373,51 @@ def layer_norm(a: Tensor, gain: Tensor | None = None,
     return _make(out, (a, gain, bias), backward)
 
 
+def _ln_linear(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, w: np.ndarray,
+               b: np.ndarray) -> tuple:
+    """A sublayer's pre-norm projection `layer_norm(x, gain, bias) @ w + b`,
+    and the layer norm's per-row std."""
+    normed, std = _standardize(x)
+    _scale_shift(normed, gain, bias, out=normed)
+    h = normed @ w
+    h += b
+    return h, std
+
+
+def _ln_linear_grads(x: np.ndarray, std: np.ndarray, gain: np.ndarray,
+                     bias: np.ndarray, w: np.ndarray, b: np.ndarray,
+                     g_h: np.ndarray) -> tuple:
+    """The (x, gain, bias, w, b) gradients of `_ln_linear` for output
+    gradient `g_h`, its layer-norm output rebuilt by the forward's sequence."""
+    normed = _restandardize(x, std)
+    ln = _scale_shift(normed, gain, bias)
+    g_ln, g_w = _matmul_grads(ln, w, g_h)
+    del ln
+    return (_affine_grads(normed, std, gain, bias, g_ln)
+            + (g_w, _unbroadcast(g_h, b.shape)))
+
+
 def attention(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w_qkv: Tensor,
               b_qkv: Tensor, w_out: Tensor, b_out: Tensor, grid: tuple) -> Tensor:
     """A pre-norm criss-cross attention sublayer with its residual add. `seq`
     is a (B, N, d) channel-major token stream over `grid` = (channels C,
-    windows T, heads H), N = C T and H even. Its ln1 output
-    `layer_norm(seq, ln_gain, ln_bias) @ w_qkv + b_qkv` is the (B, C, T, 3,
-    H, d / H) q|k|v grid as it stands; half the heads attend along time,
-    half across channels (`_criss_cross`); the result is `seq` plus the head
-    outputs @ w_out + b_out. The arithmetic is that of the layer norm,
-    q|k|v matmul, head-level attention and out-projection chain it replaces,
-    so the bits are that chain's.
+    windows T, heads H), N = C T and H even. Its pre-norm projection
+    (`_ln_linear`) through w_qkv and b_qkv is the (B, C, T, 3, H, d / H)
+    q|k|v grid as it stands; half the heads attend along time, half across
+    channels (`_criss_cross`); the result is `seq` plus the head outputs @
+    w_out + b_out, with the bits of the op chain it replaces.
 
-    The backward keeps only the per-token `std`, the q|k|v buffer and each
-    head group's probabilities. It rebuilds the ln1 output and the head
-    outputs by the forward's own sequences, and gives `seq` the sum of the
-    residual's gradient and the layer norm's, as the tape would accumulate
-    it.
+    The backward keeps the per-token `std`, the q|k|v buffer and each head
+    group's probabilities, and rebuilds the ln1 output and the head outputs
+    by the forward's own sequences. `seq`'s gradient is the residual's plus
+    the layer norm's, as the tape would accumulate it.
     """
     x = seq.data
     channels, windows, heads = grid
     b, n, d = x.shape
     if channels * windows != n or d % heads or heads % 2:
         raise ValueError(f"a ({b}, {n}, {d}) stream is not a {grid} head grid")
-    normed, std = _standardize(x)
-    _scale_shift(normed, ln_gain.data, ln_bias.data, out=normed)
-    qkv = normed @ w_qkv.data
-    qkv += b_qkv.data
-    del normed
+    qkv, std = _ln_linear(x, ln_gain.data, ln_bias.data, w_qkv.data, b_qkv.data)
     heads_shape = (b, channels, windows, heads, d // heads)
     qkv = qkv.reshape(b, channels, windows, 3, heads, d // heads)
     mixed, probs = _criss_cross(qkv)
@@ -423,15 +431,10 @@ def attention(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w_qkv: Tensor,
         del mixed
         g_qkv = _criss_cross_grad(qkv, probs, g_mixed.reshape(heads_shape))
         del g_mixed
-        g_qkv = g_qkv.reshape(b, n, 3 * d)
-        normed = _restandardize(x, std)
-        ln = _scale_shift(normed, ln_gain.data, ln_bias.data)
-        g_ln, g_w_qkv = _matmul_grads(ln, w_qkv.data, g_qkv)
-        del ln
-        g_x, g_gain, g_bias = _affine_grads(normed, std, ln_gain.data, ln_bias.data, g_ln)
+        g_x, *grads = _ln_linear_grads(x, std, ln_gain.data, ln_bias.data, w_qkv.data,
+                                       b_qkv.data, g_qkv.reshape(b, n, 3 * d))
         g_x += g
-        return (g_x, g_gain, g_bias, g_w_qkv, _unbroadcast(g_qkv, b_qkv.data.shape),
-                g_w_out, _unbroadcast(g, b_out.data.shape))
+        return (g_x, *grads, g_w_out, _unbroadcast(g, b_out.data.shape))
 
     return _make(out, (seq, ln_gain, ln_bias, w_qkv, b_qkv, w_out, b_out), backward)
 
@@ -439,21 +442,17 @@ def attention(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w_qkv: Tensor,
 def mlp(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
         w2: Tensor, b2: Tensor) -> Tensor:
     """A pre-norm MLP sublayer with its residual add: `seq` plus
-    gelu(layer_norm(seq, ln_gain, ln_bias) @ w1 + b1) @ w2 + b2, the
-    arithmetic of the `layer_norm`, `matmul`, gelu and `matmul` chain it
-    replaces, so the bits are that chain's.
+    gelu(layer_norm(seq, ln_gain, ln_bias) @ w1 + b1) @ w2 + b2, with the
+    bits of the op chain it replaces; the pre-norm projection is `_ln_linear`.
 
-    The backward keeps only the per-token `std` and the fc1 output h, and
+    The backward keeps the per-token `std` and the fc1 output h, and
     rebuilds the layer-norm output and the gelu output by the forward's own
     sequences, one `_gelu_tanh(h)` serving the gelu output and its
-    derivative. `seq` has two consumers, the layer norm and the residual, so
-    its gradient is their sum, as the tape would accumulate it.
+    derivative. `seq`'s gradient is the residual's plus the layer norm's, as
+    the tape would accumulate it.
     """
     x = seq.data
-    normed, std = _standardize(x)
-    _scale_shift(normed, ln_gain.data, ln_bias.data, out=normed)
-    h = normed @ w1.data
-    h += b1.data
+    h, std = _ln_linear(x, ln_gain.data, ln_bias.data, w1.data, b1.data)
     t = _gelu_tanh(h)
     out = _gelu(h, t, out=t) @ w2.data
     out += b2.data
@@ -464,37 +463,61 @@ def mlp(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
         g_act, g_w2 = _matmul_grads(_gelu(h, t), w2.data, g)
         g_h = _gelu_grad(h, t, g_act)
         del t, g_act
-        normed = _restandardize(x, std)
-        ln = _scale_shift(normed, ln_gain.data, ln_bias.data)
-        g_ln, g_w1 = _matmul_grads(ln, w1.data, g_h)
-        del ln
-        g_x, g_gain, g_bias = _affine_grads(normed, std, ln_gain.data, ln_bias.data, g_ln)
+        g_x, *grads = _ln_linear_grads(x, std, ln_gain.data, ln_bias.data, w1.data,
+                                       b1.data, g_h)
         g_x += g
-        return (g_x, g_gain, g_bias, g_w1, _unbroadcast(g_h, b1.data.shape),
-                g_w2, _unbroadcast(g, b2.data.shape))
+        return (g_x, *grads, g_w2, _unbroadcast(g, b2.data.shape))
 
     return _make(out, (seq, ln_gain, ln_bias, w1, b1, w2, b2), backward)
 
 
-def embed(patches: Tensor, kernel: Tensor, bias: Tensor, mask: np.ndarray | None,
-          mask_token: Tensor, channel_embed: Tensor, pos_embed: Tensor) -> Tensor:
-    """The token grid of a (B, C, T, p) patch grid: `patches @ kernel +
-    bias` (kernel (p, d)), replaced by `mask_token` (d,) wherever the
-    constant boolean (B, C, T) `mask` is set (None masks nothing), plus
-    `channel_embed` (C, d) in each channel and `pos_embed` (T, d) in each
-    window. The arithmetic is that of the stem `matmul`, masked select and
-    two `add`s it replaces, run in place on one (B, C, T, d) buffer, so the
-    bits are that chain's.
+@functools.lru_cache
+def _anti_diagonals(p: int, k: int, dtype: np.dtype) -> np.ndarray:
+    """The constant (p, k * L_out) 0/1 matrix, L_out = p - k + 1, whose
+    product with the (k * L_out, d) outer product of the stem's weight and
+    pool sums its anti-diagonals: column j * L_out + u is 1 at row u + j.
+    Built once per shape and dtype, and read-only."""
+    l_out = p - k + 1
+    diagonals = np.stack([np.eye(p, l_out, -j) for j in range(k)], axis=1)
+    diagonals = diagonals.reshape(p, k * l_out).astype(dtype)
+    diagonals.flags.writeable = False
+    return diagonals
 
-    The backward reads only `patches`, `kernel` and `mask`. With no mask,
-    `mask_token` gets no gradient, as it has no consumer.
+
+def embed(patches: Tensor, stem_weight: Tensor, stem_pool: Tensor, bias: Tensor,
+          mask: np.ndarray | None, mask_token: Tensor, channel_embed: Tensor,
+          pos_embed: Tensor) -> Tensor:
+    """The token grid of a (B, C, T, p) patch grid: each patch through the
+    stem, then `mask_token` (d,) wherever the constant boolean (B, C, T)
+    `mask` is set (None masks nothing), plus `channel_embed` (C, d) in each
+    channel and `pos_embed` (T, d) in each window.
+
+    The stem is a valid 1-D conv with kernel `stem_weight` w (k, d) over each
+    patch, read out through a learned pooling `stem_pool` (L_out, d) over its
+    L_out = p - k + 1 positions (a fixed mean would be blind to intra-patch
+    oscillations), plus `bias` (d,):
+
+        token[c] = sum_u pool[u, c] * sum_j w[j, c] * patch[u + j] + bias[c]
+
+    Conv and pooling compose into one kernel, K[s, c] = sum_{u+j=s} pool[u, c]
+    w[j, c]: the outer product of w and pool summed along its anti-diagonals
+    (`_anti_diagonals`). So the stem is one matmul, and the rest runs in place
+    on its output. The bits are those of the op chain that built K and used
+    it: reshape, product, matmul, stem matmul, masked select and two adds.
+
+    The backward keeps K and reads `patches`, the stem parameters and
+    `mask`. With no mask, `mask_token` gets no gradient (it has no consumer).
     """
-    out = patches.data @ kernel.data
+    k, d = stem_weight.shape
+    w = stem_weight.data.reshape(k, 1, d)
+    diagonals = _anti_diagonals(patches.shape[-1], k, patches.data.dtype)
+    kernel = diagonals @ (w * stem_pool.data).reshape(diagonals.shape[1], d)
+    out = patches.data @ kernel
     out += bias.data
     cond = None if mask is None else mask[..., None]
     if cond is not None:
         np.copyto(out, mask_token.data, where=cond)
-    channels, d = channel_embed.shape
+    channels = channel_embed.shape[0]
     out += channel_embed.data.reshape(channels, 1, d)
     out += pos_embed.data
 
@@ -506,17 +529,21 @@ def embed(patches: Tensor, kernel: Tensor, bias: Tensor, mask: np.ndarray | None
             zero = np.zeros((), dtype=g.dtype)
             g_token = _unbroadcast(np.where(cond, g, zero), mask_token.data.shape)
             g = np.where(cond, zero, g)
-        return (_matmul_grads(patches.data, kernel.data, g)
-                + (_unbroadcast(g, bias.data.shape), g_token, g_channel, g_pos))
+        g_patches, g_kernel = _matmul_grads(patches.data, kernel, g)
+        g_outer = (diagonals.swapaxes(-1, -2) @ g_kernel).reshape(k, -1, d)
+        g_w = _unbroadcast(g_outer * stem_pool.data, w.shape).reshape(k, d)
+        g_pool = _unbroadcast(g_outer * w, stem_pool.data.shape)
+        return (g_patches, g_w, g_pool, _unbroadcast(g, bias.data.shape), g_token,
+                g_channel, g_pos)
 
-    return _make(out, (patches, kernel, bias, mask_token, channel_embed, pos_embed),
-                 backward)
+    return _make(out, (patches, stem_weight, stem_pool, bias, mask_token, channel_embed,
+                       pos_embed), backward)
 
 
 def squared_error(a: Tensor, target, weight, s: float) -> Tensor:
     """`s * sum(weight * (a - target)**2)` as a 0-d tensor; `target` and
     `weight` (broadcast against a) are constants. The backward doubles
-    `w * (a - target)` by addition, as `mul(d, d)` accumulates its inputs."""
+    `w * (a - target)` by addition, as the backward of `d * d` would."""
     s = float(s)  # numpy scalars would upcast float32 operands
     diff = a.data - target
 

@@ -9,7 +9,8 @@ record no tape, so no gradient can ever reach the target parameters.
 dataset montage to the mapped channels, and each mapped channel is cut into
 consecutive length-p_t patches (any tail shorter than a patch is dropped).
 `forward_tokens` encodes that grid. One `ad.embed` op makes the tokens: the
-stem, the mask token on masked patches, and the channel and position
+conv-and-pool stem (its kernel built inside the op from stem.weight and
+stem.pool), the mask token on masked patches, and the channel and position
 embeddings. Token layout is channel-major: token index = channel * n_t +
 window. Each pre-norm layer runs its attention sublayer (ln1, q|k|v,
 criss-cross attention, the output projection and the residual add) as one
@@ -28,7 +29,6 @@ backward hold are bounded by that budget, not by the batch size.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -189,41 +189,6 @@ def wrap_constants(store: Mapping[str, np.ndarray]) -> dict:
     return {k: ad.constant(v) for k, v in store.items()}
 
 
-@functools.lru_cache
-def _anti_diagonals(p_t: int, k: int, dtype: np.dtype) -> np.ndarray:
-    """The constant (p_t, k * L_out) 0/1 matrix whose product with the (k *
-    L_out, d) outer product of stem.weight and stem.pool sums its
-    anti-diagonals: column j * L_out + u is 1 at row u + j. Built once per
-    shape and dtype, and read-only."""
-    l_out = p_t - k + 1
-    diagonals = np.stack([np.eye(p_t, l_out, -j) for j in range(k)], axis=1)
-    diagonals = diagonals.reshape(p_t, k * l_out).astype(dtype)
-    diagonals.flags.writeable = False
-    return diagonals
-
-
-def _stem_kernel(p: Mapping[str, ad.Tensor], cfg: EncoderConfig, dtype) -> ad.Tensor:
-    """The stem's (p_t, d) kernel. The stem is a valid 1-D conv (d filters,
-    kernel k, stride 1) over each patch, read out through a learned pooling:
-
-        token[c] = sum_u pool[u, c] * sum_j w[j, c] * patch[u + j] + bias[c]
-
-    A fixed mean over u would make the token blind to any intra-patch
-    oscillation, so the pooling weights are trainable.
-
-    Conv and pooling compose into one effective kernel per filter,
-    K[s, c] = sum_{u+j=s} pool[u, c] * w[j, c], so the stem is one matmul
-    of the patches with K (`ad.embed`). K is built on the tape: the outer
-    product of w and pool, summed along its anti-diagonals by a constant 0/1
-    matrix.
-    """
-    k, l_out = cfg.stem_kernel, cfg.conv_positions
-    outer = ad.mul(ad.reshape(p["stem.weight"], (k, 1, cfg.d)),
-                   p["stem.pool"])                                  # (k, L_out, d)
-    diagonals = ad.constant(_anti_diagonals(cfg.p_t, k, np.dtype(dtype)))
-    return ad.matmul(diagonals, ad.reshape(outer, (k * l_out, cfg.d)))  # (p_t, d)
-
-
 # The parameters of `ad.attention` and `ad.mlp` after the residual stream, in
 # their order.
 _ATTENTION_PARAMS = ("ln1.gain", "ln1.bias", "attn.qkv.weight", "attn.qkv.bias",
@@ -259,8 +224,8 @@ def forward_tokens(p: Mapping[str, ad.Tensor], patches: ad.Tensor,
     if mask is not None and mask.shape != (b, cfg.mapped_channels, cfg.n_t):
         raise ValidationError("mask shape does not match the patch grid")
 
-    tokens = ad.embed(patches, _stem_kernel(p, cfg, patches.data.dtype), p["stem.bias"],
-                      mask, p["mask_token"], p["channel_embed"], p["pos_embed"])
+    tokens = ad.embed(patches, p["stem.weight"], p["stem.pool"], p["stem.bias"], mask,
+                      p["mask_token"], p["channel_embed"], p["pos_embed"])
     seq = ad.reshape(tokens, (b, cfg.n_tokens, cfg.d))         # (B, N, d)
     grid = (cfg.mapped_channels, cfg.n_t, cfg.heads)
     for i in range(cfg.layers):

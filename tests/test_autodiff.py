@@ -76,6 +76,15 @@ def test_add_broadcast(shapes):
     check_op(lambda a, b: sum_sq(ad.add(a, b), target), *shapes)
 
 
+def mul(a, b):
+    """The broadcasting product tape op that `ad.embed` absorbed with the
+    stem kernel: the oracle for the stem's outer product and the operand of
+    the tape-mechanics tests."""
+    return ad._make(a.data * b.data, (a, b),
+                    lambda g: (ad._unbroadcast(g * b.data, a.data.shape),
+                               ad._unbroadcast(g * a.data, b.data.shape)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(shapes=broadcast_operands(2))
 @example(shapes=((2, 3), (2, 3)))
@@ -83,7 +92,7 @@ def test_add_broadcast(shapes):
 @example(shapes=((2,), (1, 3, 1, 2)))
 def test_mul_broadcast(shapes):
     target = fixed_target(np.broadcast_shapes(*shapes))
-    check_op(lambda a, b: sum_sq(ad.mul(a, b), target), *shapes)
+    check_op(lambda a, b: sum_sq(mul(a, b), target), *shapes)
 
 
 def test_matmul_2d():
@@ -414,51 +423,64 @@ def embed_mask(kind, shape, seed=0):
     return {"all": np.ones(shape, bool), "empty": np.zeros(shape, bool), None: None}[kind]
 
 
+# A patch length p and a stem kernel width k <= p, k = p (one conv position)
+# and k = 1 included.
+stem_widths = st.integers(1, 4).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p)))
+
+
+def embed_shapes(batch, channels, windows, p, k, d):
+    """The shapes of `ad.embed`'s seven tensors: the patch grid, the stem's
+    weight, pool and bias, the mask token and the two embeddings."""
+    return [(batch, channels, windows, p), (k, d), (p - k + 1, d), (d,), (d,),
+            (channels, d), (windows, d)]
+
+
 @settings(max_examples=15, deadline=None)
-@given(batch=st.integers(1, 2), grid=token_grids, p=st.integers(1, 3),
+@given(batch=st.integers(1, 2), grid=token_grids, stem=stem_widths,
        d=st.integers(1, 3), kind=st.sampled_from(["random", "all", "empty", None]))
-@example(batch=2, grid=[3, 2], p=3, d=2, kind="random")
-@example(batch=1, grid=[1, 2], p=1, d=1, kind=None)
-def test_embed(batch, grid, p, d, kind):
+@example(batch=2, grid=[3, 2], stem=(3, 2), d=2, kind="random")
+@example(batch=1, grid=[1, 2], stem=(1, 1), d=1, kind=None)
+@example(batch=1, grid=[2, 3], stem=(4, 4), d=2, kind="random")
+@example(batch=2, grid=[1, 3], stem=(4, 1), d=3, kind="all")
+def test_embed(batch, grid, stem, d, kind):
     # float64 gradcheck of every input; with no mask the mask token has no
     # consumer and gets no gradient
     channels, windows = grid
     mask = embed_mask(kind, (batch, channels, windows))
     target = fixed_target((batch, channels, windows, d))
-    shapes = [(batch, channels, windows, p), (p, d), (d,), (d,), (channels, d),
-              (windows, d)]
+    shapes = embed_shapes(batch, channels, windows, *stem, d)
 
-    def build(patches, kernel, bias, token, channel, pos):
-        return sum_sq(ad.embed(patches, kernel, bias, mask, token, channel, pos), target)
+    def build(patches, weight, pool, bias, token, channel, pos):
+        return sum_sq(ad.embed(patches, weight, pool, bias, mask, token, channel, pos),
+                      target)
 
     if mask is not None:
         check_op(build, *shapes)
     else:
-        check_op(lambda patches, kernel, bias, channel, pos: build(
-            patches, kernel, bias, ad.constant(np.ones(d)), channel, pos),
-            *(shapes[:3] + shapes[4:]))
+        check_op(lambda *args: build(*args[:4], ad.constant(np.ones(d)), *args[4:]),
+                 *(shapes[:4] + shapes[5:]))
     token = ad.parameter(np.ones(d))
-    build(*(ad.parameter(np.ones(s)) for s in shapes[:3]), token,
-          *(ad.parameter(np.ones(s)) for s in shapes[4:])).backward()
+    build(*(ad.parameter(np.ones(s)) for s in shapes[:4]), token,
+          *(ad.parameter(np.ones(s)) for s in shapes[5:])).backward()
     assert (token.grad is None) == (mask is None)
 
 
 def mlp_chain(seq, ln_gain, ln_bias, w1, b1, w2, b2):
-    """The four tape ops that `ad.mlp` replaced: the affine layer norm, fc1,
-    gelu, and fc2 with the residual stream added in place."""
+    """The tape ops that `ad.mlp` replaced: the affine layer norm, fc1,
+    gelu, fc2 and the residual add (IEEE addition commutes, so the add gives
+    the bits of the stream added into fc2's output in place)."""
     hidden = gelu(ad.matmul(ad.layer_norm(seq, ln_gain, ln_bias), w1, b1))
-    return ad.matmul(hidden, w2, b2, seq)
+    return ad.add(ad.matmul(hidden, w2, b2), seq)
 
 
 def attention_chain(seq, ln_gain, ln_bias, w_qkv, b_qkv, w_out, b_out, grid):
-    """The six tape ops that `ad.attention` replaced: the affine layer norm,
+    """The tape ops that `ad.attention` replaced: the affine layer norm,
     the q|k|v projection, its reshape to the head grid, the head-level
-    attention, the reshape back, and the out-projection with the residual
-    stream added in place."""
+    attention, the reshape back, the out-projection and the residual add."""
     (b, n, d), (channels, windows, heads) = seq.shape, grid
     qkv = ad.matmul(ad.layer_norm(seq, ln_gain, ln_bias), w_qkv, b_qkv)
     qkv = ad.reshape(qkv, (b, channels, windows, 3, heads, d // heads))
-    return ad.matmul(ad.reshape(attention(qkv), seq.shape), w_out, b_out, seq)
+    return ad.add(ad.matmul(ad.reshape(attention(qkv), seq.shape), w_out, b_out), seq)
 
 
 def where(cond, a, b):
@@ -475,10 +497,22 @@ def where(cond, a, b):
     return ad._make(out, (a, b), backward)
 
 
-def embed_chain(patches, kernel, bias, mask, mask_token, channel_embed, pos_embed):
-    """The tape ops that `ad.embed` replaced: the stem matmul with its bias,
-    the masked select of the mask token, and the channel and position
-    embedding adds."""
+def stem_kernel(stem_weight, stem_pool, patches):
+    """The tape ops that built the stem's (p, d) kernel before `ad.embed`
+    absorbed them: the outer product of the stem's weight and pool, summed
+    along its anti-diagonals by a constant 0/1 matrix."""
+    (k, d), l_out = stem_weight.shape, stem_pool.shape[0]
+    outer = mul(ad.reshape(stem_weight, (k, 1, d)), stem_pool)
+    diagonals = ad.constant(ad._anti_diagonals(patches.shape[-1], k, patches.data.dtype))
+    return ad.matmul(diagonals, ad.reshape(outer, (k * l_out, d)))
+
+
+def embed_chain(patches, stem_weight, stem_pool, bias, mask, mask_token, channel_embed,
+                pos_embed):
+    """The tape ops that `ad.embed` replaced: those of `stem_kernel`, the stem
+    matmul with its bias, the masked select of the mask token, and the
+    channel and position embedding adds."""
+    kernel = stem_kernel(stem_weight, stem_pool, patches)
     tokens = ad.matmul(patches, kernel, bias)
     if mask is not None:
         tokens = where(mask[..., None], mask_token, tokens)
@@ -488,9 +522,9 @@ def embed_chain(patches, kernel, bias, mask, mask_token, channel_embed, pos_embe
 
 
 def with_mask(op, mask):
-    """`ad.embed` or its chain with the mask bound: a function of the six
+    """`ad.embed` or its chain with the mask bound: a function of the seven
     tensors."""
-    return lambda patches, kernel, bias, *embeds: op(patches, kernel, bias, mask, *embeds)
+    return lambda *tensors: op(*tensors[:4], mask, *tensors[4:])
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3, 1, 4)])
@@ -502,15 +536,13 @@ def test_fused_ops_match_their_composites_bitwise_float32(lead):
     f32 = lambda *shape: (rng.standard_normal(shape) * 3.0 + 0.5).astype(np.float32)
     # the fused sublayer and token ops on lead[0] segments of a grid with
     # channels != windows
-    b, channels, windows, heads, d, p = lead[0], 3, 5, 4, 8, 6
+    b, channels, windows, heads, d, p, k = lead[0], 3, 5, 4, 8, 6, 3
     grid = (channels, windows, heads)
     cases = [
         ("matmul", ad.matmul, lambda x, w, b: ad.add(ad.matmul(x, w), b),
          (f32(*lead, n), f32(n, m), f32(m))),
-        ("matmul", ad.matmul, lambda x, w, b, seq: ad.add(seq, ad.matmul(x, w, b)),
-         (f32(*lead, n), f32(n, m), f32(m), f32(*lead, m))),
         ("layer_norm", ad.layer_norm,
-         lambda x, g, b: ad.add(ad.mul(ad.layer_norm(x), g), b),
+         lambda x, g, b: ad.add(mul(ad.layer_norm(x), g), b),
          (f32(*lead, n), f32(n), f32(n))),
         ("mlp", ad.mlp, mlp_chain,
          (f32(*lead, n), f32(n), f32(n), f32(n, m), f32(m), f32(m, n), f32(n))),
@@ -523,8 +555,8 @@ def test_fused_ops_match_their_composites_bitwise_float32(lead):
         mask = embed_mask(kind, (b, channels, windows))
         cases.append((f"embed, {kind} mask", with_mask(ad.embed, mask),
                       with_mask(embed_chain, mask),
-                      (f32(b, channels, windows, p), f32(p, d), f32(d), f32(d),
-                       f32(channels, d), f32(windows, d))))
+                      tuple(f32(*shape) for shape in
+                            embed_shapes(b, channels, windows, p, k, d))))
     for name, fused, composite, arrays in cases:
         target = f32(*arrays[0].shape[:-1], arrays[1].shape[-1])
         results = []
@@ -588,7 +620,7 @@ def test_where_broadcast_vector(shapes, seed):
 def test_diamond_graph_accumulates_once():
     # y = x*x used twice downstream; d/dx (2 * x^2) = 4x
     x = ad.parameter(np.array([3.0]))
-    sq = ad.mul(x, x)
+    sq = mul(x, x)
     out = ad.reshape(ad.add(sq, sq), ())
     out.backward()
     np.testing.assert_allclose(x.grad, [12.0])
@@ -597,14 +629,14 @@ def test_diamond_graph_accumulates_once():
 def test_shared_node_multiple_consumers():
     x = ad.parameter(np.array([2.0]))
     a = ad.scale(x, 3.0)
-    out = ad.reshape(ad.add(ad.mul(a, a), a), ())  # 9x^2 + 3x -> 18x + 3 = 39
+    out = ad.reshape(ad.add(mul(a, a), a), ())  # 9x^2 + 3x -> 18x + 3 = 39
     out.backward()
     np.testing.assert_allclose(x.grad, [39.0])
 
 
 def test_constants_record_no_tape():
     x = ad.constant(np.ones(3))
-    for y in (sum_sq(ad.mul(ad.layer_norm(x), x)), ad.layer_norm(x, x, x),
+    for y in (sum_sq(mul(ad.layer_norm(x), x)), ad.layer_norm(x, x, x),
               ad.matmul(ad.reshape(x, (1, 3)), ad.reshape(x, (3, 1)),
                         ad.constant(np.ones(1))),
               ad.mlp(ad.reshape(x, (1, 3)), x, x, ad.constant(np.ones((3, 2))),
@@ -614,19 +646,19 @@ def test_constants_record_no_tape():
     ones = lambda *shape: ad.constant(np.ones(shape))
     attn = ad.attention(ones(1, 6, 4), ones(4), ones(4), ones(4, 12), ones(12),
                         ones(4, 4), ones(4), (3, 2, 2))
-    tokens = [ad.embed(ones(1, 3, 2, 5), ones(5, 4), ones(4), mask, ones(4), ones(3, 4),
-                       ones(2, 4)) for mask in (None, np.ones((1, 3, 2), bool))]
+    tokens = [ad.embed(ones(1, 3, 2, 5), ones(2, 4), ones(4, 4), ones(4), mask, ones(4),
+                       ones(3, 4), ones(2, 4)) for mask in (None, np.ones((1, 3, 2), bool))]
     for y in [attn] + tokens:
         assert y._parents == () and y._backward is None and not y.requires_grad
     # one parameter input is enough to record the node
-    z = ad.mul(x, ad.parameter(np.ones(3)))
+    z = mul(x, ad.parameter(np.ones(3)))
     assert len(z._parents) == 2 and z._backward is not None
 
 
 def test_dtype_preserved_float32():
     x = ad.parameter(np.arange(6, dtype=np.float32).reshape(2, 3))
     normed = ad.layer_norm(gelu(ad.scale(x, 0.5)))
-    y = sum_sq(ad.mul(normed, gelu(x)))
+    y = sum_sq(mul(normed, gelu(x)))
     assert y.data.dtype == np.float32
     y.backward()
     assert x.grad.dtype == np.float32
@@ -644,9 +676,9 @@ def test_dtype_preserved_float32():
     assert out.data.dtype == np.float32
     sum_sq(out).backward()
     assert all(t.grad.dtype == np.float32 for t in inputs)
-    inputs = (f32(2, 3, 2, 5), f32(5, 4), f32(4), f32(4), f32(3, 4), f32(2, 4))
+    inputs = (f32(2, 3, 2, 5), f32(2, 4), f32(4, 4), f32(4), f32(4), f32(3, 4), f32(2, 4))
     mask = np.arange(12).reshape(2, 3, 2) % 3 == 0
-    out = ad.embed(*inputs[:3], mask, *inputs[3:])
+    out = ad.embed(*inputs[:4], mask, *inputs[4:])
     assert out.data.dtype == np.float32
     sum_sq(out).backward()
     assert all(t.grad.dtype == np.float32 for t in inputs)
@@ -655,7 +687,7 @@ def test_dtype_preserved_float32():
 def test_backward_frees_the_tape():
     x = ad.parameter(np.array([1.0, 2.0]))
     c = ad.constant(np.array([3.0, 4.0]))
-    hidden = gelu(ad.mul(x, c))
+    hidden = gelu(mul(x, c))
     out = sum_sq(hidden)
     out.backward()
     for node in (hidden, out):
@@ -670,15 +702,29 @@ def test_backward_frees_the_tape():
 def test_backward_requires_scalar():
     x = ad.parameter(np.ones(3))
     with pytest.raises(ValueError):
-        ad.mul(x, x).backward()
+        mul(x, x).backward()
+
+
+def tape_ops():
+    """The tape ops: the public autodiff functions that record their node
+    through `_make`."""
+    return sorted(name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and not name.startswith("_") and "_make" in fn.__code__.co_names)
 
 
 def test_readme_counts_the_tape_ops():
-    # a tape op is a public function that records its node through `_make`
-    ops = sorted(name for name, fn in vars(ad).items()
-                 if inspect.isfunction(fn) and fn.__module__ == ad.__name__
-                 and not name.startswith("_") and "_make" in fn.__code__.co_names)
+    ops = tape_ops()
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     layout = readme[readme.index("## Layout"):]
     stated = int(re.search(r"autodiff\.py .*?the (\d+) ops", layout, re.S).group(1))
     assert stated == len(ops), ops
+
+
+def test_every_tape_op_runs_in_the_package():
+    # no tape op is kept only for its own tests: each is called as
+    # `ad.<op>(` somewhere in the package outside autodiff.py
+    package = Path(ad.__file__).resolve().parent
+    called = {name for path in package.rglob("*.py") if path.name != "autodiff.py"
+              for name in re.findall(r"\bad\.(\w+)\(", path.read_text())}
+    assert [op for op in tape_ops() if op not in called] == []

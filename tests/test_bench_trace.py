@@ -70,7 +70,7 @@ def test_traced_stage_runs_the_pipeline(tmp_path):
     ops = [name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__
            and not name.startswith("_") and "_make" in fn.__code__.co_names]
-    assert len(ops) == 10, ops
+    assert len(ops) == 9, ops
     for op in ops:
         assert {f"autodiff.{op}.fwd", f"autodiff.{op}.bwd"} <= spans, op
     assert "evaluate.extract_features" in spans

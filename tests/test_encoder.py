@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import eegssl.encoder
 from eegssl import autodiff as ad
-from eegssl.encoder import (EncoderConfig, _stem_kernel, forward_tokens,
+from eegssl.encoder import (EncoderConfig, forward_tokens,
                             init_param_store, param_shapes, patch_grid,
                             predict_patches, wrap_constants)
 from eegssl.errors import ValidationError
@@ -304,14 +304,14 @@ def test_stem_matches_conv_then_pool():
     pool = rng.standard_normal((cfg.d, cfg.conv_positions))
     bias = rng.standard_normal(cfg.d)
     patches = rng.standard_normal((2, cfg.mapped_channels, cfg.n_t, cfg.p_t))
-    # stored as the kernel build uses them: (k, d) and (L_out, d)
+    # stored as `ad.embed` uses them: (k, d) and (L_out, d)
     params = {"stem.weight": ad.constant(np.ascontiguousarray(w.T)),
               "stem.pool": ad.constant(np.ascontiguousarray(pool.T)),
               "stem.bias": ad.constant(bias)}
     # no mask, and zero channel and position embeddings: the stem alone
     zeros = [ad.constant(np.zeros(shape)) for shape in
              ((cfg.d,), (cfg.mapped_channels, cfg.d), (cfg.n_t, cfg.d))]
-    tokens = ad.embed(ad.constant(patches), _stem_kernel(params, cfg, patches.dtype),
+    tokens = ad.embed(ad.constant(patches), params["stem.weight"], params["stem.pool"],
                       params["stem.bias"], None, *zeros).data
 
     expected = np.empty(patches.shape[:-1] + (cfg.d,))

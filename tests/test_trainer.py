@@ -268,7 +268,9 @@ def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
     # two residual streams), the final layer norm one more and the alignment
     # loss two (the standardized tokens and their difference from the
     # target's); the token embedding keeps one (b, M', n_t, d) grid, the
-    # residual stream's first value; and no linear weight feeds a bias-free
+    # residual stream's first value, and builds the stem kernel inside its
+    # op, so no (k, L_out, d) outer product of the stem's weight and pool
+    # is held, whole or reshaped; and no linear weight feeds a bias-free
     # matmul node whose output would stay held
     b, enc = 2, SMALL_ENC
     params, total = training_graph(small_config(), b)
@@ -281,6 +283,8 @@ def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
     grid = (b, enc.mapped_channels, enc.n_t)
     assert shapes.count(grid + (enc.heads, enc.head_dim)) == 0
     assert shapes.count(grid + (enc.d,)) == 1
+    k, l_out = enc.stem_kernel, enc.conv_positions
+    assert (k, l_out, enc.d) not in shapes and (k * l_out, enc.d) not in shapes
     weights = {id(t) for name, t in params.items()
                if name.startswith("layers.") and name.endswith(".weight")
                or name == "recon.weight"}
@@ -297,15 +301,13 @@ def test_training_graph_runs_four_linear_ops_per_layer():
     # both layers' weights and biases as parents. The one `embed` node runs
     # the stem, and the head is the one matmul node with a bias parent
     _, total = training_graph(small_config())
-    linears = [node for node in op_nodes(total, "matmul") if len(node._parents) in (3, 4)]
+    linears = [node for node in op_nodes(total, "matmul") if len(node._parents) == 3]
     sublayers = op_nodes(total, "attention") + op_nodes(total, "mlp")
     embeds = op_nodes(total, "embed")
     assert len(sublayers) == 2 * SMALL_ENC.layers
     assert all(len(node._parents) == 7 for node in sublayers)
     assert len(embeds) == 1 and len(linears) == 1
     assert len(linears) + 2 * len(sublayers) + len(embeds) == 4 * SMALL_ENC.layers + 2
-    residual = [node for node in linears if len(node._parents) == 4]
-    assert len(residual) + len(sublayers) == 2 * SMALL_ENC.layers
 
 
 # --- micro-batches ------------------------------------------------------------------
