@@ -13,7 +13,9 @@ parameters, "xi/" target parameters, "opt/m/" and "opt/v/" AdamW moments.
 
 Every string (montage id, channel name, tensor name) is a u16 byte length
 followed by that many UTF-8 bytes. LCMR, LCMC and the LCMS segment archive
-are all written by `_write`, which makes a path destination crash-safe.
+are all written by `_write`, which makes a path destination crash-safe, and
+all read by `_read`, one bounded reader, after one fixed-header check of
+their magic and version, `_read_header`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Optional, Union
@@ -37,6 +40,7 @@ LCMC_VERSION = 1
 LCMS_VERSION = 1
 _LCMR_HEADER = struct.Struct("<4sHIdQd")
 _LCMS_HEADER = struct.Struct("<4sHIIIdB")
+_LCMC_HEADER = struct.Struct("<4sHQ")
 _READ_CHUNK = 1 << 20
 _MAX_STR_BYTES = 0xFFFF
 
@@ -217,45 +221,64 @@ def check_layout(tensors: Mapping[str, np.ndarray], shapes: Mapping[str, tuple],
 
 # --- low-level helpers ----------------------------------------------------
 
-def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly n bytes, at most _READ_CHUNK at a time.
+def _read(f: BinaryIO, n: int, what: str, at_end_ok: bool = False) -> Optional[np.ndarray]:
+    """Read exactly `n` bytes into a new writable uint8 array, `readinto` one
+    `_READ_CHUNK` slice at a time; one code path for seekable and unseekable
+    sources. With `at_end_ok`, a source already at its end gives None.
 
-    A header may declare any size; reading in bounded chunks makes a short
-    file end in FormatError before anything of the declared size is
-    allocated.
+    The array starts at one chunk and doubles, up to `n`, only when the bytes
+    read have filled it. So a short file ends in FormatError having allocated
+    at most twice the bytes it held plus one chunk, whatever size its header
+    declares, and a whole read holds the bytes and nothing else: no chunk
+    list, join or copy. Headers unpack the array, strings decode it, and
+    payloads view it as `<f4` (then `astype` native float32, a no-op on
+    little-endian hosts) and labels as `<u2`.
     """
-    chunks = []
-    while n > 0:
-        buf = f.read(min(n, _READ_CHUNK))
-        if not buf:
+    out = np.empty(min(n, _READ_CHUNK), dtype=np.uint8)
+    done = 0
+    while done < n:
+        if done == out.size:
+            out.resize(min(2 * out.size, n), refcheck=False)
+        got = f.readinto(out[done:min(out.size, done + _READ_CHUNK)])
+        if not got:
+            if done == 0 and at_end_ok:
+                return None
             raise FormatError("truncated", f"truncated file while reading {what}")
-        chunks.append(buf)
-        n -= len(buf)
-    return b"".join(chunks)
+        done += got
+    return out
 
 
-def _read_f32(f: BinaryIO, count: int, what: str) -> np.ndarray:
-    """Read `count` little-endian float32 values straight into a new writable
-    native float32 array, `readinto` one `_READ_CHUNK` slice at a time; one
-    code path for seekable and unseekable sources.
+@contextmanager
+def _opened(source: ByteSink):
+    """`source` itself, or the file at it if it is a path."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as f:
+            yield f
+    else:
+        yield source
 
-    The array starts at one chunk and doubles, up to `count`, only when the
-    bytes read have filled it. So a short file ends in FormatError having
-    allocated at most twice the bytes it held plus one chunk, whatever size
-    its header declares, and a whole read holds the payload and nothing
-    else: no chunk list, join or copy (`astype` is a no-op on little-endian
-    hosts).
-    """
-    out = np.empty(min(count, _READ_CHUNK // 4), dtype="<f4")
-    done, total = 0, 4 * count
-    while done < total:
-        if done == out.nbytes:
-            out.resize(min(2 * out.size, count), refcheck=False)
-        n = f.readinto(out.view(np.uint8)[done:min(out.nbytes, done + _READ_CHUNK)])
-        if not n:
-            raise FormatError("truncated", f"truncated file while reading {what}")
-        done += n
-    return out.astype(np.float32, copy=False)
+
+def _read_header(f: BinaryIO, layout: struct.Struct, magic: bytes, version: int) -> tuple:
+    """Read the fixed header `layout`, which starts with the magic and the
+    version, check both, and return its other fields. A file cut inside the
+    header is truncated, whatever its first bytes."""
+    kind = magic.decode()
+    fields = layout.unpack(_read(f, layout.size, f"{kind} header"))
+    if fields[0] != magic:
+        raise FormatError("magic", f"bad magic {fields[0]!r}, expected {magic!r}")
+    if fields[1] != version:
+        raise FormatError("version", f"unsupported {kind} version {fields[1]}")
+    return fields[2:]
+
+
+@contextmanager
+def _header_values():
+    """Turn a ValidationError of the values a header declared into
+    FormatError("header")."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise FormatError("header", str(exc)) from None
 
 
 def _pack_str(text: str) -> bytes:
@@ -267,11 +290,10 @@ def _pack_str(text: str) -> bytes:
 def _read_str(f: BinaryIO, what: str, at_end_ok: bool = False) -> Optional[str]:
     """Read a string written by `_pack_str`. With `at_end_ok`, a source
     already at its end gives None."""
-    head = f.read(2) or b""
-    if not head and at_end_ok:
+    head = _read(f, 2, f"{what} length", at_end_ok)
+    if head is None:
         return None
-    (n,) = struct.unpack("<H", head + _read_exact(f, 2 - len(head), f"{what} length"))
-    raw = _read_exact(f, n, what)
+    raw = _read(f, *struct.unpack("<H", head), what).tobytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -313,28 +335,20 @@ def write_recording(rec: Recording, destination: ByteSink) -> int:
 
 def read_recording(source: ByteSink) -> Recording:
     """Parse an LCMR byte source back into a Recording."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as f:
-            return read_recording(f)
-    header = _read_exact(source, _LCMR_HEADER.size, "LCMR header")
-    magic, version, m, rate, t, scale = _LCMR_HEADER.unpack(header)
-    if magic != LCMR_MAGIC:
-        raise FormatError("magic", f"bad magic {magic!r}, expected {LCMR_MAGIC!r}")
-    if version != LCMR_VERSION:
-        raise FormatError("version", f"unsupported LCMR version {version}")
-    if m < 1 or t < 1:
-        raise FormatError("header", f"invalid dimensions {m}x{t}")
-    montage_id = _read_str(source, "montage id")
-    names = tuple(_read_str(source, "channel name") for _ in range(m))
-    try:
-        montage = Montage(montage_id, names)
-        _check_rate_and_scale(rate, scale)
-    except ValidationError as exc:
-        raise FormatError("header", str(exc)) from None
-    samples = _read_f32(source, m * t, "sample payload").reshape(m, t)
+    with _opened(source) as f:
+        m, rate, t, scale = _read_header(f, _LCMR_HEADER, LCMR_MAGIC, LCMR_VERSION)
+        if m < 1 or t < 1:
+            raise FormatError("header", f"invalid dimensions {m}x{t}")
+        montage_id = _read_str(f, "montage id")
+        names = tuple(_read_str(f, "channel name") for _ in range(m))
+        with _header_values():
+            montage = Montage(montage_id, names)
+            _check_rate_and_scale(rate, scale)
+        samples = _read(f, 4 * m * t, "sample payload").view("<f4")
     # The header is valid, so the one check left is the payload's scan: a
     # non-finite sample stays a ValidationError.
-    return Recording(montage, rate, scale, samples)
+    return Recording(montage, rate, scale,
+                     samples.astype(np.float32, copy=False).reshape(m, t))
 
 
 # --- LCMC checkpoint I/O ----------------------------------------------------
@@ -345,7 +359,7 @@ def save_checkpoint(ckpt: Checkpoint, destination: ByteSink) -> int:
                for name, t in getattr(ckpt, group).items()}
 
     def parts():
-        yield LCMC_MAGIC + struct.pack("<HQ", LCMC_VERSION, ckpt.step)
+        yield _LCMC_HEADER.pack(LCMC_MAGIC, LCMC_VERSION, ckpt.step)
         for name in sorted(tensors):
             # np.ascontiguousarray would promote 0-d tensors to 1-d
             tensor = np.asarray(tensors[name], dtype="<f4", order="C")
@@ -358,39 +372,28 @@ def save_checkpoint(ckpt: Checkpoint, destination: ByteSink) -> int:
 
 def load_checkpoint(source: ByteSink) -> Checkpoint:
     """Parse an LCMC byte source back into a Checkpoint."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as f:
-            return load_checkpoint(f)
-    magic = _read_exact(source, 4, "LCMC magic")
-    if magic != LCMC_MAGIC:
-        raise FormatError("magic", f"bad magic {magic!r}, expected {LCMC_MAGIC!r}")
-    version, step = struct.unpack("<HQ", _read_exact(source, 10, "LCMC header"))
-    if version != LCMC_VERSION:
-        raise FormatError("version", f"unsupported LCMC version {version}")
     groups = {group: {} for group in _GROUP_PREFIXES}
-    while (name := _read_str(source, "tensor name", at_end_ok=True)) is not None:
-        (rank,) = struct.unpack("<B", _read_exact(source, 1, "tensor rank"))
-        dims = tuple(
-            struct.unpack("<I", _read_exact(source, 4, "tensor dims"))[0]
-            for _ in range(rank))
-        count = math.prod(dims)  # python ints: no int64 wrap-around
-        data = _read_f32(source, count, f"tensor {name!r} data")
-        try:  # an empty tensor reads nothing, whatever its rank and dims
-            data = data.reshape(dims)
-        except ValueError as exc:
-            raise FormatError("header", f"tensor {name!r} of rank {rank}: {exc}") from None
-        group = next((g for g, prefix in _GROUP_PREFIXES.items()
-                      if name.startswith(prefix)), None)
-        if group is None:
-            raise FormatError("header", f"tensor {name!r} is in no checkpoint group")
-        tensors, key = groups[group], name[len(_GROUP_PREFIXES[group]):]
-        if key in tensors:
-            raise FormatError("duplicate", f"duplicate tensor name {name!r}")
-        tensors[key] = data
-    try:
+    with _opened(source) as f:
+        (step,) = _read_header(f, _LCMC_HEADER, LCMC_MAGIC, LCMC_VERSION)
+        while (name := _read_str(f, "tensor name", at_end_ok=True)) is not None:
+            (rank,) = struct.unpack("<B", _read(f, 1, "tensor rank"))
+            dims = struct.unpack(f"<{rank}I", _read(f, 4 * rank, "tensor dims"))
+            count = math.prod(dims)  # python ints: no int64 wrap-around
+            data = _read(f, 4 * count, f"tensor {name!r} data").view("<f4")
+            try:  # an empty tensor reads nothing, whatever its rank and dims
+                data = data.astype(np.float32, copy=False).reshape(dims)
+            except ValueError as exc:
+                raise FormatError("header", f"tensor {name!r} of rank {rank}: {exc}") from None
+            group = next((g for g, prefix in _GROUP_PREFIXES.items()
+                          if name.startswith(prefix)), None)
+            if group is None:
+                raise FormatError("header", f"tensor {name!r} is in no checkpoint group")
+            tensors, key = groups[group], name[len(_GROUP_PREFIXES[group]):]
+            if key in tensors:
+                raise FormatError("duplicate", f"duplicate tensor name {name!r}")
+            tensors[key] = data
+    with _header_values():
         return Checkpoint(step=step, **groups)
-    except ValidationError as exc:
-        raise FormatError("header", str(exc)) from None
 
 
 # --- LCMS segment archive (plumbing for the CLI) ----------------------------
@@ -410,26 +413,18 @@ def save_segments(batch: SegmentBatch, destination: ByteSink) -> int:
 
 
 def load_segments(source: ByteSink) -> SegmentBatch:
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as f:
-            return load_segments(f)
-    header = _read_exact(source, _LCMS_HEADER.size, "LCMS header")
-    magic, version, n, m, t, rate, has_labels = _LCMS_HEADER.unpack(header)
-    if magic != LCMS_MAGIC:
-        raise FormatError("magic", f"bad magic {magic!r}, expected {LCMS_MAGIC!r}")
-    if version != LCMS_VERSION:
-        raise FormatError("version", f"unsupported LCMS version {version}")
-    if has_labels not in (0, 1):
-        raise FormatError("header", f"has_labels byte is {has_labels}, expected 0 or 1")
-    labels = None
-    if has_labels:
-        raw = _read_exact(source, 2 * n, "labels")
-        labels = np.frombuffer(raw, dtype="<u2").astype(np.int64)
-    segments = _read_f32(source, n * m * t, "segment payload").reshape(n, m, t)
-    try:
+    with _opened(source) as f:
+        n, m, t, rate, has_labels = _read_header(f, _LCMS_HEADER, LCMS_MAGIC,
+                                                 LCMS_VERSION)
+        if has_labels not in (0, 1):
+            raise FormatError("header", f"has_labels byte is {has_labels}, expected 0 or 1")
+        labels = None
+        if has_labels:
+            labels = _read(f, 2 * n, "labels").view("<u2").astype(np.int64)
+        segments = _read(f, 4 * n * m * t, "segment payload").view("<f4")
+    segments = segments.astype(np.float32, copy=False).reshape(n, m, t)
+    with _header_values():
         batch = SegmentBatch(segments=segments, sample_rate_hz=rate, labels=labels)
-    except ValidationError as exc:
-        raise FormatError("header", str(exc)) from None
     if not _all_finite(segments):
         raise ValidationError("segment payload contains non-finite samples")
     return batch

@@ -162,7 +162,7 @@ def synth_labeled_dataset(spec: SynthSpec, classes: int, per_class: int,
         amplitude = base_amplitude * (np.sqrt(power_ratio) if label == 1 else 1.0)
         x = _render(spec, (spec.seed, TAG_SEGMENT, i))
         x = x + (amplitude * tone).astype(np.float32)
-        segments.append(x.astype(np.float32))
+        segments.append(x)
         labels.append(label)
     return SegmentBatch(
         segments=np.stack(segments),

@@ -74,10 +74,16 @@ def test_traced_stage_runs_the_pipeline(tmp_path):
     for op in ops:
         assert {f"autodiff.{op}.fwd", f"autodiff.{op}.bwd"} <= spans, op
     assert "evaluate.extract_features" in spans
-    # each writer's traced byte count is the size of the files it wrote
-    written = {"data.write_recording": ["corpus.lcmr"],
-               "data.save_segments": ["corpus.lcms", "labeled.lcms"],
-               "data.save_checkpoint": ["model.lcmc"]}
-    for label, names in written.items():
+    # each writer's traced byte count is the size of the files it wrote, and
+    # each reader's the size of the files it read: the tracer counts a
+    # reader's bytes only from a path passed to the public function itself
+    files = {"data.write_recording": ["corpus.lcmr"],
+             "data.save_segments": ["corpus.lcms", "labeled.lcms"],
+             "data.save_checkpoint": ["model.lcmc"],
+             "data.read_recording": ["corpus.lcmr"],
+             "data.load_segments": ["corpus.lcms", "labeled.lcms"],
+             "data.load_checkpoint": ["model.lcmc"]}
+    for label, names in files.items():
+        assert label in spans, label
         size = sum((tmp_path / name).stat().st_size for name in names)
         assert trace["io_bytes"][label] == size, label

@@ -617,6 +617,29 @@ def test_unseekable_streams_roundtrip_and_reject_truncation():
         assert err.value.kind == "truncated"
 
 
+FIXED_HEADER_LEN = {b"LCMR": HEADER_LEN, b"LCMS": 27, b"LCMC": 14}  # magic, version, ...
+
+
+def header_cases(raw: bytes) -> list:
+    """(bytes, expected kind) for a valid file `raw` broken in its fixed header."""
+    size, wrong = FIXED_HEADER_LEN[raw[:4]], b"XXXX" + raw[4:]
+    return [(raw[:3], "truncated"), (raw[:5], "truncated"), (raw[:size - 1], "truncated"),
+            (wrong[:5], "truncated"), (wrong[:size - 1], "truncated"),
+            (wrong, "magic"), (wrong[:size], "magic"),
+            (raw[:4] + struct.pack("<H", 9) + raw[6:], "version")]
+
+
+@pytest.mark.parametrize("stream", [io.BytesIO, Unseekable], ids=["seekable", "unseekable"])
+@pytest.mark.parametrize("magic", sorted(VALID_FILES), ids=lambda m: m.decode())
+def test_every_format_checks_its_fixed_header_by_one_rule(stream, magic):
+    # a cut inside the fixed header is truncated whatever the magic, a whole
+    # header is then checked for its magic, and then for its version
+    for raw, kind in header_cases(VALID_FILES[magic]):
+        with pytest.raises(FormatError) as err:
+            LOADERS[magic](stream(raw))
+        assert err.value.kind == kind, (raw, kind)
+
+
 @pytest.mark.parametrize("stream", [io.BytesIO, Unseekable], ids=["seekable", "unseekable"])
 def test_huge_declared_payload_allocates_nothing_of_its_size(stream):
     # 2**40 declared samples (4 TiB) on a file that holds four bytes of them
