@@ -617,7 +617,8 @@ def test_unseekable_streams_roundtrip_and_reject_truncation():
         assert err.value.kind == "truncated"
 
 
-FIXED_HEADER_LEN = {b"LCMR": HEADER_LEN, b"LCMS": 27, b"LCMC": 14}  # magic, version, ...
+# bytes of each fixed header: the magic, the version and the numbers after them
+FIXED_HEADER_LEN = {b"LCMR": HEADER_LEN, b"LCMS": 27, b"LCMC": 14}
 
 
 def header_cases(raw: bytes) -> list:
