@@ -22,10 +22,14 @@ from what the tape holds anyway, the backward reruns it rather than holding
 the buffer (Chen et al., arXiv 1604.06174), each by the forward's own
 sequence, so the rebuilt bits are the forward's. The affine `layer_norm`
 and the sublayers' shared pre-norm projection (`_ln_linear`) keep the
-per-row std and rebuild the standardized input. `attention` also keeps the
-q|k|v buffer and each head group's softmax probabilities, and rebuilds the
-head outputs; its head groups run on strided views of q, k and v, with no
-copies. `mlp` also keeps the fc1 output h, and rebuilds the gelu output,
+per-row std and rebuild the standardized input. `attention` keeps nothing
+else: from its input and the std it rebuilds the layer-norm output once,
+the q|k|v buffer from that, and each head group's softmax probabilities and
+the head outputs from q|k|v (recomputed rather than stored, as in
+FlashAttention, Dao et al., arXiv 2205.14135); its head groups run on
+strided views of q, k and v, with no copies. Every array a backward keeps is
+one of its own closure cells, never inside a list, tuple or nested closure.
+`mlp` also keeps the fc1 output h, and rebuilds the gelu output,
 one tanh of h serving the gelu output and its derivative. `embed` keeps the
 stem kernel and reads the patches, the stem parameters and the mask.
 
@@ -273,24 +277,19 @@ def _head_groups(grid: np.ndarray) -> list:
                                    _HEAD_GROUP_AXES)]
 
 
-def _head_outputs(qkv: np.ndarray, probs: list) -> np.ndarray:
-    """The (B, C, T, H, head_dim) head outputs `probs @ v` of a (B, C, T, 3,
-    H, head_dim) q|k|v grid, each group's written through its view of one
-    buffer: the forward's sequence, so a rebuild gives the forward's bits."""
-    out = np.empty(qkv.shape[:3] + qkv.shape[4:], dtype=qkv.dtype)
-    for view, group_probs in zip(_head_groups(qkv), probs):
-        view(out)[...] = group_probs @ view(qkv[:, :, :, 2])
-    return out
-
-
 def _criss_cross(qkv: np.ndarray) -> tuple:
     """Criss-cross multi-head attention on a (B, C, T, 3, H, head_dim) q|k|v
     grid over C channels by T windows (H even): the (B, C, T, H, head_dim)
-    head outputs and each head group's probabilities. Each group runs on
-    transposed views of its q, k and v heads; nothing is copied."""
+    head outputs `probs @ v` and each head group's probabilities. Each group
+    runs on transposed views of its q, k and v heads and writes its outputs
+    through its view of one buffer; nothing is copied."""
+    views = _head_groups(qkv)
     probs = [_attention_probs(view(qkv[:, :, :, 0]), view(qkv[:, :, :, 1]))
-             for view in _head_groups(qkv)]
-    return _head_outputs(qkv, probs), probs
+             for view in views]
+    out = np.empty(qkv.shape[:3] + qkv.shape[4:], dtype=qkv.dtype)
+    for view, group_probs in zip(views, probs):
+        view(out)[...] = group_probs @ view(qkv[:, :, :, 2])
+    return out, probs
 
 
 def _criss_cross_grad(qkv: np.ndarray, probs: list, g: np.ndarray) -> np.ndarray:
@@ -384,15 +383,20 @@ def _ln_linear(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, w: np.ndarray,
     return h, std
 
 
-def _ln_linear_grads(x: np.ndarray, std: np.ndarray, gain: np.ndarray,
-                     bias: np.ndarray, w: np.ndarray, b: np.ndarray,
-                     g_h: np.ndarray) -> tuple:
-    """The (x, gain, bias, w, b) gradients of `_ln_linear` for output
-    gradient `g_h`, its layer-norm output rebuilt by the forward's sequence."""
+def _relayer_norm(x: np.ndarray, std: np.ndarray, gain: np.ndarray,
+                  bias: np.ndarray) -> tuple:
+    """The standardized x and the layer-norm output that `_ln_linear(x,
+    gain, bias, ...)` made with this std, rebuilt by its own sequence."""
     normed = _restandardize(x, std)
-    ln = _scale_shift(normed, gain, bias)
+    return normed, _scale_shift(normed, gain, bias)
+
+
+def _ln_linear_grads(normed: np.ndarray, ln: np.ndarray, std: np.ndarray,
+                     gain: np.ndarray, bias: np.ndarray, w: np.ndarray,
+                     b: np.ndarray, g_h: np.ndarray) -> tuple:
+    """The (x, gain, bias, w, b) gradients of `_ln_linear` for output
+    gradient `g_h`, given its rebuilt `normed, ln = _relayer_norm(...)`."""
     g_ln, g_w = _matmul_grads(ln, w, g_h)
-    del ln
     return (_affine_grads(normed, std, gain, bias, g_ln)
             + (g_w, _unbroadcast(g_h, b.shape)))
 
@@ -407,32 +411,36 @@ def attention(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w_qkv: Tensor,
     channels (`_criss_cross`); the result is `seq` plus the head outputs @
     w_out + b_out, with the bits of the op chain it replaces.
 
-    The backward keeps the per-token `std`, the q|k|v buffer and each head
-    group's probabilities, and rebuilds the ln1 output and the head outputs
-    by the forward's own sequences. `seq`'s gradient is the residual's plus
-    the layer norm's, as the tape would accumulate it.
+    The backward keeps only the per-token `std` and reads `seq`: it rebuilds
+    the ln1 output once, the q|k|v grid from it, and each head group's
+    probabilities and the head outputs from that, all by the forward's own
+    sequences. `seq`'s gradient is the residual's plus the layer norm's, as
+    the tape would accumulate it.
     """
     x = seq.data
     channels, windows, heads = grid
     b, n, d = x.shape
     if channels * windows != n or d % heads or heads % 2:
         raise ValueError(f"a ({b}, {n}, {d}) stream is not a {grid} head grid")
-    qkv, std = _ln_linear(x, ln_gain.data, ln_bias.data, w_qkv.data, b_qkv.data)
     heads_shape = (b, channels, windows, heads, d // heads)
-    qkv = qkv.reshape(b, channels, windows, 3, heads, d // heads)
-    mixed, probs = _criss_cross(qkv)
-    out = mixed.reshape(x.shape) @ w_out.data
+    qkv_shape = (b, channels, windows, 3, heads, d // heads)
+    qkv, std = _ln_linear(x, ln_gain.data, ln_bias.data, w_qkv.data, b_qkv.data)
+    out = _criss_cross(qkv.reshape(qkv_shape))[0].reshape(x.shape) @ w_out.data
     out += b_out.data
     out += x
 
     def backward(g):
-        mixed = _head_outputs(qkv, probs).reshape(x.shape)
-        g_mixed, g_w_out = _matmul_grads(mixed, w_out.data, g)
+        normed, ln = _relayer_norm(x, std, ln_gain.data, ln_bias.data)
+        qkv = ln @ w_qkv.data
+        qkv += b_qkv.data
+        qkv = qkv.reshape(qkv_shape)
+        mixed, probs = _criss_cross(qkv)
+        g_mixed, g_w_out = _matmul_grads(mixed.reshape(x.shape), w_out.data, g)
         del mixed
         g_qkv = _criss_cross_grad(qkv, probs, g_mixed.reshape(heads_shape))
-        del g_mixed
-        g_x, *grads = _ln_linear_grads(x, std, ln_gain.data, ln_bias.data, w_qkv.data,
-                                       b_qkv.data, g_qkv.reshape(b, n, 3 * d))
+        del g_mixed, qkv, probs
+        g_x, *grads = _ln_linear_grads(normed, ln, std, ln_gain.data, ln_bias.data,
+                                       w_qkv.data, b_qkv.data, g_qkv.reshape(b, n, 3 * d))
         g_x += g
         return (g_x, *grads, g_w_out, _unbroadcast(g, b_out.data.shape))
 
@@ -463,8 +471,8 @@ def mlp(seq: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
         g_act, g_w2 = _matmul_grads(_gelu(h, t), w2.data, g)
         g_h = _gelu_grad(h, t, g_act)
         del t, g_act
-        g_x, *grads = _ln_linear_grads(x, std, ln_gain.data, ln_bias.data, w1.data,
-                                       b1.data, g_h)
+        g_x, *grads = _ln_linear_grads(*_relayer_norm(x, std, ln_gain.data, ln_bias.data),
+                                       std, ln_gain.data, ln_bias.data, w1.data, b1.data, g_h)
         g_x += g
         return (g_x, *grads, g_w2, _unbroadcast(g, b2.data.shape))
 

@@ -18,8 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig, config_from_dict, read_config_file
-from .data import (LCMC_MAGIC, LCMR_MAGIC, LCMS_MAGIC, _write, load_checkpoint,
-                   load_segments, read_recording, save_checkpoint,
+from .data import (LCMC_MAGIC, LCMR_MAGIC, LCMS_MAGIC, _opened, _read, _write,
+                   load_checkpoint, load_segments, read_recording, save_checkpoint,
                    save_segments, tensor_name, write_recording)
 from .encoder import EncoderConfig
 from .errors import DivergenceError, FormatError, ValidationError
@@ -185,8 +185,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    with open(args.path, "rb") as f:
-        magic = f.read(4)
+    with _opened(args.path) as f:  # a file cut inside its magic is truncated
+        magic = _read(f, 4, "file magic").tobytes()
     if magic == LCMR_MAGIC:
         rec = read_recording(args.path)
         print(f"LCMR recording: {rec.n_channels} channels x {rec.n_samples} samples")

@@ -14,10 +14,11 @@ stem.pool), the mask token on masked patches, and the channel and position
 embeddings. Token layout is channel-major: token index = channel * n_t +
 window. Each pre-norm layer runs its attention sublayer (ln1, q|k|v,
 criss-cross attention, the output projection and the residual add) as one
-`ad.attention` op, whose tape keeps the q|k|v buffer, the softmax
-probabilities and the per-token std, then its MLP sublayer (ln2, fc1,
-gelu, fc2 and the residual add) as one `ad.mlp` op, whose tape keeps only
-the fc1 output and the per-token std.
+`ad.attention` op, whose tape keeps only the per-token std (its backward
+rebuilds q|k|v, the softmax probabilities and the head outputs from the
+op's input stream), then its MLP sublayer (ln2, fc1, gelu, fc2 and the
+residual add) as one `ad.mlp` op, whose tape keeps only the fc1 output and
+the per-token std.
 
 `param_shapes` is the parameter table: `init_param_store` fills it, and a
 checkpoint's layout is checked against it without drawing weights.

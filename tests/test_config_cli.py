@@ -1,5 +1,6 @@
 """Config parsing and end-to-end CLI subcommand tests."""
 
+import argparse
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from eegssl.config import (_KEY_ALIASES, RunConfig, TrainConfig,
 from eegssl.data import (Checkpoint, SegmentBatch, load_segments,
                          save_checkpoint, save_segments)
 from eegssl.encoder import init_param_store
-from eegssl.errors import ValidationError
+from eegssl.errors import FormatError, ValidationError
 from eegssl.optim import lr_at
 from eegssl.synth import SynthSpec, synth_labeled_dataset
 from eegssl.trainer import GradCheckReport, init_checkpoint, train_step
@@ -603,6 +604,21 @@ def test_inspect_unknown_magic_exits_2(tmp_path, capsys):
     path.write_bytes(b"ZZZZ123456")
     assert run_cli(["inspect", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("raw", [b"LCM", b""], ids=["three-bytes", "empty"])
+def test_inspect_of_a_file_cut_inside_its_magic_is_truncated(tmp_path, capsys, raw):
+    # inspect reads the magic as the readers read their headers, so it names
+    # the same fault as load_checkpoint
+    path = tmp_path / "cut.lcmc"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as loaded:
+        data.load_checkpoint(path)
+    with pytest.raises(FormatError) as inspected:
+        cli._cmd_inspect(argparse.Namespace(path=str(path)))
+    assert inspected.value.kind == loaded.value.kind == "truncated"
+    assert run_cli(["inspect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: truncated file")
 
 
 def test_gradcheck_passes(capsys):

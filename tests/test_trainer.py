@@ -224,54 +224,75 @@ def test_backward_frees_training_tape_with_same_grads():
         assert t.grad.tobytes() == ref_params[name].grad.tobytes(), name
 
 
-def held_shapes(total):
-    """Shapes of the distinct base arrays the training tape keeps alive:
-    node outputs and the arrays captured by each backward closure."""
+def held_arrays(total, nested=True):
+    """The distinct base arrays the training tape keeps alive, by id: node
+    outputs and the arrays captured by each backward closure. With `nested`
+    False, only arrays that are themselves closure cells count, not those
+    inside a list, tuple or closure a cell holds."""
     held = {}
 
-    def hold(obj):
+    def hold(obj, depth):
         if isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
-            held[id(obj)] = obj.shape
+            held[id(obj)] = obj
+        elif depth and not nested:
+            return
         elif isinstance(obj, (list, tuple)):
             for item in obj:
-                hold(item)
+                hold(item, depth + 1)
         elif callable(obj):  # closures nested inside a backward
             for cell in getattr(obj, "__closure__", None) or ():
-                hold(cell.cell_contents)
+                hold(cell.cell_contents, depth + 1)
 
     for node in graph_nodes(total):
-        hold(node.data)
-        hold(node._backward)
-    return list(held.values())
+        hold(node.data, 0)
+        hold(node._backward, 0)
+    return held
 
 
-def test_training_graph_holds_one_score_buffer_per_layer():
-    # the attention backward keeps only the probabilities of its two head
-    # groups, not the scores, and no full (N, N) buffer exists
+def held_shapes(total):
+    """Shapes of the distinct base arrays the training tape keeps alive."""
+    return [a.shape for a in held_arrays(total).values()]
+
+
+def test_backward_closures_hold_arrays_only_as_direct_cells():
+    # a walk of each backward's own closure cells, as bench/tracer.py's
+    # `_held_bytes` makes, finds every array the tape keeps: none is held
+    # inside a list, a tuple or a nested closure
+    _, total = training_graph(small_config())
+    direct, full = held_arrays(total, nested=False), held_arrays(total)
+    assert direct.keys() == full.keys()
+    assert len(direct) > len(graph_nodes(total))
+
+
+def test_training_graph_holds_no_score_or_probability_buffer():
+    # the attention backward rebuilds each head group's probabilities from
+    # the rebuilt q|k|v grid: the tape holds neither group's probabilities
+    # nor any full (N, N) score buffer
     b, enc = 2, replace(SMALL_ENC, mapped_channels=6)  # channels != windows
     _, total = training_graph(replace(small_config(), encoder=enc), b)
     n, mp, n_t, half = enc.n_tokens, enc.mapped_channels, enc.n_t, enc.heads // 2
     shapes = held_shapes(total)
-    assert shapes.count((b, mp, half, n_t, n_t)) == enc.layers
-    assert shapes.count((b, n_t, half, mp, mp)) == enc.layers
+    assert shapes.count((b, mp, half, n_t, n_t)) == 0
+    assert shapes.count((b, n_t, half, mp, mp)) == 0
     assert (b, enc.heads, n, n) not in shapes
 
 
 def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
     # each linear layer adds its bias (and, for attn.out and mlp.fc2, the
     # residual stream) in place: the fused MLP keeps only the fc1 output at
-    # its hidden width and rebuilds its layer-norm and gelu outputs; the
-    # fused attention keeps the q|k|v buffer and rebuilds its layer-norm
-    # output and head outputs; each block keeps two (b, N, d) buffers (the
+    # its hidden width and rebuilds its layer-norm and gelu outputs; the fused
+    # attention keeps only the per-token std and rebuilds its layer-norm
+    # output, the q|k|v buffer, the probabilities and the head outputs, so no
+    # (b, N, 3d) buffer is held; each block keeps two (b, N, d) buffers (the
     # two residual streams), the final layer norm one more and the alignment
     # loss two (the standardized tokens and their difference from the
     # target's); the token embedding keeps one (b, M', n_t, d) grid, the
-    # residual stream's first value, and builds the stem kernel inside its
-    # op, so no (k, L_out, d) outer product of the stem's weight and pool
-    # is held, whole or reshaped; and no linear weight feeds a bias-free
-    # matmul node whose output would stay held
+    # residual stream's first value, and builds the stem kernel inside its op,
+    # so no (k, L_out, d) outer product of the stem's weight and pool is held,
+    # whole or reshaped; and no linear weight feeds a bias-free matmul node
+    # whose output would stay held
     b, enc = 2, SMALL_ENC
     params, total = training_graph(small_config(), b)
     assert enc.hidden not in (enc.n_tokens, enc.d)
@@ -279,7 +300,7 @@ def test_training_graph_holds_no_separate_matmul_or_bias_outputs():
     shapes = held_shapes(total)
     assert shapes.count((b, enc.n_tokens, enc.hidden)) == enc.layers
     assert shapes.count((b, enc.n_tokens, enc.d)) == 2 * enc.layers + 3
-    assert shapes.count((b, enc.n_tokens, 3 * enc.d)) == enc.layers
+    assert shapes.count((b, enc.n_tokens, 3 * enc.d)) == 0
     grid = (b, enc.mapped_channels, enc.n_t)
     assert shapes.count(grid + (enc.heads, enc.head_dim)) == 0
     assert shapes.count(grid + (enc.d,)) == 1
